@@ -1,4 +1,5 @@
-"""Tiny tokenizer shared by the polynomial and divided-power parsers."""
+"""Tiny tokenizer shared by the polynomial and divided-power parsers, and
+the line reader shared by the block parsers."""
 
 from __future__ import annotations
 
@@ -69,3 +70,14 @@ class TokenStream:
     def require_done(self):
         if not self.done():
             raise ParseError(f"trailing input at token {self.i} in {self.text!r}")
+
+
+def block_lines(text, kind, required):
+    """Non-empty stripped lines of a `kind` block that has at least
+    `required` lines, the `kind` header included."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != kind:
+        raise ParseError(f"expected {kind} block")
+    if len(lines) < required:
+        raise ParseError(f"truncated {kind} block")
+    return lines

@@ -9,6 +9,7 @@ byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -115,7 +116,9 @@ def main(argv=None):
         return EXIT_PARSE
 
 
+@functools.cache
 def _build_parser():
+    "The argument parser, built on first use and shared by every `main` call."
     parser = argparse.ArgumentParser(
         prog="hilbchow",
         description="exact computations on representation schemes, "

@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, ParseError, PreconditionError
+from ._tokens import block_lines
+from .errors import BudgetExceededError, PreconditionError
 from .fields import PrimeField, is_prime
 from .repvariety import AlgebraPresentation, _int_line
 
@@ -86,14 +86,9 @@ class EnumerationReport:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "enumeration-report":
-            raise ParseError("expected enumeration-report block")
         keys = ["q", "n", "m", "rep-points", "cyclic-pairs", "gl-order",
                 "orbit-count"]
-        body = lines[1:]
-        if len(body) < len(keys):
-            raise ParseError("truncated enumeration-report block")
+        body = block_lines(text, "enumeration-report", 1 + len(keys))[1:]
         vals = [_int_line(ln, key) for ln, key in zip(body, keys)]
         elapsed = 0
         if len(body) > len(keys):
@@ -229,6 +224,8 @@ def enumerate_points(pres, n, budget=None, workers=1):
     if workers == 1:
         reps, pairs = count_range(pres_text, n, 0, candidates)
     else:
+        # imported here: loading the pool adds ~40 ms to every `import hilbchow`
+        from concurrent.futures import ProcessPoolExecutor
         chunks = _ranges(candidates, workers)
         reps = pairs = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._tokens import block_lines
 from .errors import ParseError, PreconditionError
 from .fields import field_from_header
 from .linalg import (IncrementalSpan, Matrix, matrix_inverse, nc_eval,
                      nullspace)
 from .ncpoly import NCPoly, word_str
-from .repvariety import (RepPoint, _int_line, _parse_word, matrix_row_text,
-                         parse_matrix_rows, parse_point_body, point_text)
+from .repvariety import (RepPoint, _int_line, _parse_word, _per_generator,
+                         _split_eq, matrix_row_text, parse_matrix_rows, parse_point_body,
+                         point_text)
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,7 @@ class IdealPresentation:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "ideal-presentation":
-            raise ParseError("expected ideal-presentation block")
+        lines = block_lines(text, "ideal-presentation", 6)
         fld = field_from_header(lines[1])
         m = _int_line(lines[2], "m")
         n = _int_line(lines[3], "n")
@@ -144,13 +144,12 @@ class IdealPresentation:
         for ln in lines[6:]:
             if not ln.startswith("act "):
                 raise ParseError(f"unrecognized ideal-presentation line {ln!r}")
-            lhs, rhs = ln[4:].split("=", 1)
-            w = _parse_word(lhs.strip(), fld, m)
+            lhs, rhs = _split_eq(ln[4:])
+            w = _parse_word(lhs, fld, m)
             if len(w) != 1:
                 raise ParseError(f"act lines carry single generators: {ln!r}")
-            acts[w[0]] = parse_matrix_rows(fld, rhs.strip(), n)
-        mats = tuple(acts[k] for k in range(m))
-        return cls(fld, m, n, words, mats, idx)
+            acts[w[0]] = parse_matrix_rows(fld, rhs, n)
+        return cls(fld, m, n, words, _per_generator(acts, m, "act"), idx)
 
 
 def triple_to_ideal(pt):

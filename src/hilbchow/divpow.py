@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from ._tokens import TokenStream
+from ._tokens import TokenStream, block_lines
 from .errors import ParseError, PreconditionError
 from .fields import field_from_header
 from .ncpoly import NCPoly, generator_index, parse_nc_poly, word_key, word_str
@@ -207,9 +207,7 @@ class DPElement:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "divided-power":
-            raise ParseError("expected divided-power block")
+        lines = block_lines(text, "divided-power", 3)
         fld = field_from_header(lines[1])
         parts = lines[2].split()
         if parts[:1] != ["m"] or len(parts) != 2:
@@ -559,9 +557,7 @@ class SymTensor:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "symtensor":
-            raise ParseError("expected symtensor block")
+        lines = block_lines(text, "symtensor", 4)
         fld = field_from_header(lines[1])
         m = _kv_int(lines[2], "m")
         degree = _kv_int(lines[3], "degree")

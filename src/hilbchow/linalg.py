@@ -71,7 +71,6 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            n = self.n
             cols = tuple(zip(*other.rows))
             return Matrix(tuple(
                 tuple(_dot(row, col) for col in cols) for row in self.rows))
@@ -352,10 +351,6 @@ def matrix_inverse(mat):
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return Matrix(tuple(tuple(red[i][n:]) for i in range(n)))
-
-
-def is_invertible(mat):
-    return bool(det(mat))
 
 
 def solve_columns(basis, targets):

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from ._tokens import block_lines
 from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import span_dimension
 from .errors import ParseError, PreconditionError
@@ -25,7 +27,7 @@ from .fields import PrimeField, field_from_header
 from .linalg import (Matrix, charpoly, det, det_linear_combination, nc_eval,
                      nullspace, solve_columns, word_matrices)
 from .ncpoly import NCPoly, parse_nc_poly, word_key, word_str
-from .repvariety import _int_line, default_table_len
+from .repvariety import _int_line, _per_generator, default_table_len
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +68,7 @@ class LawCoefficientTable:
 
     @classmethod
     def from_text(cls, text, m=None):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "law-table":
-            raise ParseError("expected law-table block")
+        lines = block_lines(text, "law-table", 4)
         fld = field_from_header(lines[1])
         n = _int_line(lines[2], "n")
         if not lines[3].startswith("args "):
@@ -152,9 +152,7 @@ class NormPoint:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "norm-point":
-            raise ParseError("expected norm-point block")
+        lines = block_lines(text, "norm-point", 5)
         fld = field_from_header(lines[1])
         m = _int_line(lines[2], "m")
         n = _int_line(lines[3], "n")
@@ -182,7 +180,7 @@ class NormPoint:
                 raise ParseError(f"unrecognized norm-point line {ln!r}")
         gens = tuple(NCPoly.generator(fld, m, k) for k in range(m))
         table = LawCoefficientTable(fld, n, gens, law)
-        cps = tuple(charpolys[k] for k in range(m))
+        cps = _per_generator(charpolys, m, "charpoly")
         return cls(fld, m, n, max_len, cps, table, dets)
 
 
@@ -256,9 +254,7 @@ class Cycle:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "cycle":
-            raise ParseError("expected cycle block")
+        lines = block_lines(text, "cycle", 4)
         fld = field_from_header(lines[1])
         m = _int_line(lines[2], "m")
         n = _int_line(lines[3], "n")
@@ -295,9 +291,7 @@ class SplitFailure:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "split-failure":
-            raise ParseError("expected split-failure block")
+        lines = block_lines(text, "split-failure", 3)
         fld = field_from_header(lines[1])
         if not lines[2].startswith("charpoly "):
             raise ParseError("expected charpoly line")
@@ -331,7 +325,7 @@ def _rational_root_candidates(coeffs):
     """Possible rational roots of an exact-coefficient polynomial."""
     den_lcm = 1
     for c in coeffs:
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+        den_lcm = lcm(den_lcm, c.denominator)
     ints = [int(c * den_lcm) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
@@ -345,12 +339,6 @@ def _rational_root_candidates(coeffs):
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     return sorted(cands)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def field_roots(poly, var="t"):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._tokens import block_lines
 from .commpoly import CommPoly
 from .errors import ParseError, PreconditionError, SingularMatrixError
 from .fields import field_from_header
@@ -140,9 +141,7 @@ class RepIdeal:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "rep-ideal":
-            raise ParseError("expected rep-ideal block")
+        lines = block_lines(text, "rep-ideal", 4)
         fld = field_from_header(lines[1])
         m = _int_line(lines[2], "m")
         n = _int_line(lines[3], "n")
@@ -262,9 +261,7 @@ def point_text(field, mats, vec):
 
 
 def parse_point_body(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "point":
-        raise ParseError("expected point block")
+    lines = block_lines(text, "point", 3)
     fld = field_from_header(lines[1])
     n = _int_line(lines[2], "n")
     mats = []
@@ -341,9 +338,7 @@ class InvariantTable:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "invariant-table":
-            raise ParseError("expected invariant-table block")
+        lines = block_lines(text, "invariant-table", 5)
         fld = field_from_header(lines[1])
         m = _int_line(lines[2], "m")
         n = _int_line(lines[3], "n")
@@ -363,7 +358,7 @@ class InvariantTable:
                 dets[w[0]] = fld.parse(rhs)
             else:
                 raise ParseError(f"unrecognized invariant-table line {ln!r}")
-        gen_dets = tuple(dets[k] for k in range(m))
+        gen_dets = _per_generator(dets, m, "det")
         return cls(fld, m, n, max_len, traces, gen_dets)
 
 
@@ -372,6 +367,14 @@ def _split_eq(text):
         raise ParseError(f"expected `lhs = rhs` in {text!r}")
     lhs, rhs = text.split("=", 1)
     return lhs.strip(), rhs.strip()
+
+
+def _per_generator(found, m, kind):
+    "(found[0], ..., found[m-1]) from the `kind` lines of a block."
+    missing = [f"x{k + 1}" for k in range(m) if k not in found]
+    if missing:
+        raise ParseError(f"no {kind} line for " + ", ".join(missing))
+    return tuple(found[k] for k in range(m))
 
 
 def _parse_word(text, fld, m):

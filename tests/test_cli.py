@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from hilbchow import cli
 from hilbchow.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 @pytest.fixture
@@ -185,3 +193,75 @@ def test_field_mismatch_is_precondition(capsys, commuting):
     code, _, _ = run(capsys, "check-rep", "--presentation", commuting,
                      "--point", "point|field F 2|n 2|mat 0 1; 0 0|mat 0 0; 0 0")
     assert code == 3
+
+
+# Blocks cut short, or missing a line the block needs: each one must end in
+# exit code 2 with a one-line message, never a traceback.
+MALFORMED = [
+    ("hc", "point"),
+    ("hc", "point|field Q"),
+    ("det-point", "point"),
+    ("det-point", "point|field Q"),
+    ("cyclic", "point"),
+    ("cyclic", "point|field Q"),
+    ("ideal-to-triple", "ideal-presentation"),
+    ("ideal-to-triple", "ideal-presentation|field Q|m 2"),
+    ("ideal-to-triple", "ideal-presentation|field Q|m 2|n 1|basis 1|cyclic-index 0"),
+    ("ideal-to-triple",
+     "ideal-presentation|field Q|m 2|n 1|basis 1|cyclic-index 0|act x1 = 0"),
+    ("ideal-to-triple", "ideal-presentation|field Q|m 1|n 1|basis 1|cyclic-index 0|act x1"),
+]
+
+
+@pytest.mark.parametrize("command,block", MALFORMED)
+def test_malformed_block_exit_code(capsys, commuting, command, block):
+    code, out, err = run(capsys, command, "--presentation", commuting,
+                         "--point", block)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def fresh_process(*argv):
+    "Stdout of the CLI run in a new interpreter."
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "hilbchow.cli", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return done.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, commuting, ptfile):
+    other = "point|field Q|n 2|mat 0 2; 0 0|mat 0 0; 0 0|vec 0 1"
+    calls = [("equiv", "--presentation", commuting, "--point", ptfile,
+              "--point", other),
+             ("hc", "--presentation", commuting, "--point", ptfile),
+             ("equiv", "--presentation", commuting, "--point", other,
+              "--point", ptfile)]
+    outs = []
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    # a leaked `--point` list would make the second equiv see four points
+    assert outs == [fresh_process(*argv) for argv in calls]
+
+
+def test_argparse_failure_leaves_the_parser_usable(capsys, commuting, ptfile):
+    argv = ("hc", "--presentation", commuting, "--point", ptfile)
+    _, before, _ = run(capsys, *argv)
+    code, out, err = run(capsys, "no-such-command")
+    assert code == 2 and out == "" and "invalid choice" in err
+    code, after, _ = run(capsys, *argv)
+    assert code == 0 and after == before
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    code = "import hilbchow.cli, sys; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == "False\n"

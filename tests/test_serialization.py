@@ -5,11 +5,11 @@ from fractions import Fraction
 from hilbchow import (GF, QQ, AlgebraPresentation, Cycle, DPElement,
                       EnumerationReport, IdealPresentation, InvariantTable,
                       LawCoefficientTable, Matrix, NCPoly, NormPoint,
-                      PointedRep, RepIdeal, RepPoint, SplitFailure,
-                      SymTensor, cycle_extract, det_point, dp_power,
-                      enumerate_points, gamma_n, invariant_table,
-                      law_coefficients, parse_comm_poly, parse_nc_poly,
-                      rep_ideal, triple_to_ideal)
+                      ParseError, PointedRep, PreconditionError, RepIdeal,
+                      RepPoint, SplitFailure, SymTensor, cycle_extract,
+                      det_point, dp_power, enumerate_points, gamma_n,
+                      invariant_table, law_coefficients, parse_comm_poly,
+                      parse_nc_poly, rep_ideal, triple_to_ideal)
 
 from oracles import (FIELDS, rand_free_cyclic_point, rand_matrix, rand_ncpoly,
                      rand_vector, seeded)
@@ -125,3 +125,38 @@ def test_canonical_output_is_stable():
         assert np_.to_text() == again.to_text()
         table = invariant_table(rep)
         assert table.to_text() == invariant_table(rep).to_text()
+
+
+def test_truncated_blocks_raise_typed_errors():
+    # every prefix of a printed block parses or raises one of the errors
+    # the CLI maps to an exit code, never IndexError or KeyError
+    rng = seeded("ser-truncated")
+    rep = sample_points(QQ, rng)[0]
+    a = rand_ncpoly(QQ, 2, rng, max_terms=3, max_len=2)
+    diag = RepPoint(QQ, (Matrix(((Fraction(1), Fraction(0)),
+                                 (Fraction(0), Fraction(2)))),))
+    comp = RepPoint(QQ, (Matrix(((Fraction(0), Fraction(-1)),
+                                 (Fraction(1), Fraction(0)))),))
+    samples = [
+        (RepPoint, rep),
+        (PointedRep, PointedRep(rep, rand_vector(QQ, rep.n, rng))),
+        (RepIdeal, rep_ideal(AlgebraPresentation(QQ, 2), 2)),
+        (InvariantTable, invariant_table(rep)),
+        (IdealPresentation,
+         triple_to_ideal(rand_free_cyclic_point(QQ, 2, 3, rng))),
+        (DPElement, dp_power(a, 2)),
+        (SymTensor, gamma_n(a, 2)),
+        (LawCoefficientTable, law_coefficients(rep, [a])),
+        (NormPoint, det_point(rep, 2)),
+        (Cycle, cycle_extract(diag)),
+        (SplitFailure, cycle_extract(comp)),
+        (EnumerationReport,
+         enumerate_points(AlgebraPresentation(GF(2), 1), 1)),
+    ]
+    for cls, obj in samples:
+        lines = obj.to_text().splitlines()
+        for k in range(len(lines)):
+            try:
+                cls.from_text("\n".join(lines[:k]))
+            except (ParseError, PreconditionError):
+                pass

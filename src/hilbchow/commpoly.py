@@ -6,6 +6,11 @@ compare numerically, so xi_2_1_1 precedes xi_10_1_1).  Terms are held in
 a dict keyed by monomials; zero coefficients are never stored.  The term
 order used for printing and canonical keys is graded, then
 lexicographic, which keeps every serialization stable across runs.
+
+`SparseElement`, the base of `CommPoly`, also carries the free-algebra,
+divided-power and symmetric-tensor classes: everything they share
+(sums, negation, scalar multiples, equality, hashing, printing) lives
+there once.
 """
 
 from __future__ import annotations
@@ -45,24 +50,185 @@ def mono_str(mono):
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
 
-class CommPoly:
+class SparseElement:
+    """A sparse dict `key -> nonzero coefficient` over a field, plus the
+    arithmetic every such element shares.
+
+    A subclass names its extra metadata slots in `_META` (copied onto
+    results and compared by `==`), its unit key in `_UNIT` (None when
+    scalars do not coerce to elements and `**` is not offered), its key
+    order `_order` and key printer `_key_str`, and supplies `_times`, its
+    own term-by-term product.  Results are built by `_like`, which skips
+    `__init__`: sums and scalar multiples sit in the Berkowitz inner
+    loop.
+    """
+
     __slots__ = ("field", "terms")
+    _META = ()
+    _UNIT = None
 
     def __init__(self, field, terms=None):
         self.field = field
         clean = {}
         if terms:
-            for mono, c in terms.items():
+            for key, c in terms.items():
                 c = field(c)
                 if c:
-                    clean[mono] = c
+                    clean[key] = c
         self.terms = clean
 
-    # -- constructors ------------------------------------------------
+    def _like(self, terms):
+        out = object.__new__(type(self))
+        out.field = self.field
+        for name in self._META:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def _meta(self):
+        return tuple(getattr(self, name) for name in self._META)
 
     @classmethod
-    def zero(cls, field):
-        return cls(field)
+    def zero(cls, *args):
+        "The zero element; takes the constructor's arguments but `terms`."
+        return cls(*args)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def sorted_terms(self):
+        order = self._order
+        return sorted(self.terms.items(), key=lambda kc: order(kc[0]))
+
+    def _same_field(self, other):
+        # nearly always the same object, and comparing fields is a Python call
+        return other.field is self.field or other.field == self.field
+
+    def _check(self, other):
+        if not self._same_field(other):
+            raise ValueError("coefficient field mismatch")
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            return other
+        if self._UNIT is None:
+            return None
+        try:
+            c = self.field(other)
+        except (TypeError, ValueError):
+            return None
+        return self._like({self._UNIT: c} if c else {})
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        zero = self.field.zero
+        for k, c in other.terms.items():
+            s = terms.get(k, zero) + c
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+        return self._like(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            return self._times(other)
+        try:
+            c = self.field(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        if not c:
+            return self._like({})
+        return self._like({k: cc * c for k, cc in self.terms.items()})
+
+    # scalars only: a same-type left operand never reaches here
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        if self._UNIT is None:
+            return NotImplemented
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self._like({self._UNIT: self.field.one})
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.terms == other.terms and self._same_field(other)
+                and self._meta() == other._meta())
+
+    def __hash__(self):
+        return hash((self.field, self._meta(), frozenset(self.terms.items())))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        fmt = self.field.format
+        one = self.field.one
+        signed = self.field.characteristic == 0
+        unit = self._UNIT
+        text = ""
+        for key, c in self.sorted_terms():
+            if unit is not None and key == unit:
+                piece = fmt(c)
+            elif c == one:
+                piece = self._key_str(key)
+            elif signed and c == -one:
+                piece = "-" + self._key_str(key)
+            else:
+                piece = f"{fmt(c)}*{self._key_str(key)}"
+            if not text:
+                text = piece
+            elif piece.startswith("-"):
+                text += " - " + piece[1:]
+            else:
+                text += " + " + piece
+        return text
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class CommPoly(SparseElement):
+    __slots__ = ()
+    _UNIT = ()
+    _order = staticmethod(mono_key)
+    _key_str = staticmethod(mono_str)
+
+    # -- constructors ------------------------------------------------
 
     @classmethod
     def const(cls, field, c):
@@ -77,12 +243,6 @@ class CommPoly:
         return cls(field, {((name, exp),): field.one})
 
     # -- basic queries -----------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def total_degree(self):
         "Degree of the zero polynomial is reported as -1."
@@ -100,73 +260,13 @@ class CommPoly:
         seen = {v for mono in self.terms for v, _ in mono}
         return sorted(seen, key=var_key)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
-
     def sort_tuple(self):
         "Total-order key; used when lists of polynomials are serialized."
         return tuple((mono_key(m), str(c)) for m, c in self.sorted_terms())
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, CommPoly):
-            if other.field != self.field:
-                raise ValueError("coefficient field mismatch")
-            return other
-        try:
-            c = self.field(other)
-        except (TypeError, ValueError):
-            return None
-        return CommPoly.const(self.field, c)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, self.field.zero) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        out = CommPoly(self.field)
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = CommPoly(self.field)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, CommPoly):
-            try:
-                c = self.field(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-            if not c:
-                return CommPoly(self.field)
-            out = CommPoly(self.field)
-            out.terms = {m: cc * c for m, cc in self.terms.items()}
-            return out
-        if other.field != self.field:
-            raise ValueError("coefficient field mismatch")
+    def _times(self, other):
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -177,31 +277,7 @@ class CommPoly:
                     acc[m] = s
                 else:
                     acc.pop(m, None)
-        out = CommPoly(self.field)
-        out.terms = acc
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = CommPoly.const(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, CommPoly):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.field, tuple(self.sorted_terms())))
+        return self._like(acc)
 
     # -- evaluation ----------------------------------------------------
 
@@ -230,34 +306,6 @@ class CommPoly:
             e = mono[0][1] if mono else 0
             out[e] = c
         return out
-
-    # -- text form ------------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        one = self.field.one
-        signed = self.field.characteristic == 0
-        for mono, c in self.sorted_terms():
-            if not mono:
-                pieces.append(self.field.format(c))
-            elif c == one:
-                pieces.append(mono_str(mono))
-            elif signed and c == -one:
-                pieces.append("-" + mono_str(mono))
-            else:
-                pieces.append(f"{self.field.format(c)}*{mono_str(mono)}")
-        text = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                text += " - " + piece[1:]
-            else:
-                text += " + " + piece
-        return text
-
-    def __repr__(self):
-        return f"CommPoly({self})"
 
 
 def parse_comm_poly(text, field):

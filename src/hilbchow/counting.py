@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ._tokens import block_lines
+from ._tokens import Block, block_text
 from .errors import BudgetExceededError, PreconditionError
 from .fields import PrimeField, is_prime
-from .repvariety import AlgebraPresentation, _int_line
+from .repvariety import AlgebraPresentation
 
 BUDGET_ENV = "HILBCHOW_BUDGET"
 DEFAULT_BUDGET = 2 ** 30
@@ -50,7 +50,12 @@ def gl_order(n, q, budget=None):
     return total
 
 
-@dataclass(frozen=True, eq=False)
+# the report's `key <int>` lines, in field order
+_REPORT_KEYS = ("q", "n", "m", "rep-points", "cyclic-pairs", "gl-order",
+                "orbit-count", "elapsed-ms")
+
+
+@dataclass(frozen=True)
 class EnumerationReport:
     """Counts from one full sweep of the tuple space.
 
@@ -65,34 +70,20 @@ class EnumerationReport:
     total_cyclic_pairs: int
     gl_order: int
     orbit_count: int
-    elapsed_ms: int
-
-    def __eq__(self, other):
-        if not isinstance(other, EnumerationReport):
-            return NotImplemented
-        return (self.q, self.n, self.m, self.total_rep_points,
-                self.total_cyclic_pairs, self.gl_order, self.orbit_count) == (
-                    other.q, other.n, other.m, other.total_rep_points,
-                    other.total_cyclic_pairs, other.gl_order, other.orbit_count)
+    elapsed_ms: int = field(compare=False)
 
     def to_text(self, include_elapsed=True):
-        lines = ["enumeration-report", f"q {self.q}", f"n {self.n}",
-                 f"m {self.m}", f"rep-points {self.total_rep_points}",
-                 f"cyclic-pairs {self.total_cyclic_pairs}",
-                 f"gl-order {self.gl_order}", f"orbit-count {self.orbit_count}"]
-        if include_elapsed:
-            lines.append(f"elapsed-ms {self.elapsed_ms}")
-        return "\n".join(lines) + "\n"
+        values = (self.q, self.n, self.m, self.total_rep_points,
+                  self.total_cyclic_pairs, self.gl_order, self.orbit_count,
+                  self.elapsed_ms)
+        keys = _REPORT_KEYS if include_elapsed else _REPORT_KEYS[:-1]
+        return block_text("enumeration-report", None, dict(zip(keys, values)), [])
 
     @classmethod
     def from_text(cls, text):
-        keys = ["q", "n", "m", "rep-points", "cyclic-pairs", "gl-order",
-                "orbit-count"]
-        body = block_lines(text, "enumeration-report", 1 + len(keys))[1:]
-        vals = [_int_line(ln, key) for ln, key in zip(body, keys)]
-        elapsed = 0
-        if len(body) > len(keys):
-            elapsed = _int_line(body[len(keys)], "elapsed-ms")
+        block = Block(text, "enumeration-report", field=False)
+        vals = [block.int_line(key) for key in _REPORT_KEYS[:-1]]
+        elapsed = 0 if block.done() else block.int_line("elapsed-ms")
         return cls(*vals, elapsed)
 
 

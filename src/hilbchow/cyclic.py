@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._tokens import block_lines
+from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError
-from .fields import field_from_header
 from .linalg import (IncrementalSpan, Matrix, matrix_inverse, nc_eval,
                      nullspace)
-from .ncpoly import NCPoly, word_str
-from .repvariety import (RepPoint, _int_line, _parse_word, _per_generator,
-                         _split_eq, matrix_row_text, parse_matrix_rows, parse_point_body,
-                         point_text)
+from .ncpoly import NCPoly, parse_word, word_str
+from .repvariety import (RepPoint, _generator, _per_generator, matrix_row_text,
+                         parse_matrix_rows, parse_point_body, point_text)
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ def is_cyclic(pt):
     return span_dimension(pt) == pt.n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IdealPresentation:
     """A codimension-n left ideal, given by its cyclic quotient data:
     a word basis of the quotient, the generator actions in that basis,
@@ -112,43 +110,24 @@ class IdealPresentation:
     action_mats: tuple
     cyclic_index: int
 
-    def __eq__(self, other):
-        if not isinstance(other, IdealPresentation):
-            return NotImplemented
-        return (self.field == other.field and self.m == other.m
-                and self.n == other.n and self.basis_words == other.basis_words
-                and self.action_mats == other.action_mats
-                and self.cyclic_index == other.cyclic_index)
-
     def to_text(self):
-        lines = ["ideal-presentation", self.field.header(), f"m {self.m}",
-                 f"n {self.n}",
-                 "basis " + ", ".join(word_str(w) for w in self.basis_words),
-                 f"cyclic-index {self.cyclic_index}"]
-        for k, M in enumerate(self.action_mats):
-            lines.append(f"act x{k + 1} = " + matrix_row_text(self.field, M))
-        return "\n".join(lines) + "\n"
+        body = ["basis " + ", ".join(word_str(w) for w in self.basis_words),
+                f"cyclic-index {self.cyclic_index}"]
+        body += [f"act x{k + 1} = " + matrix_row_text(self.field, M)
+                 for k, M in enumerate(self.action_mats)]
+        return block_text("ideal-presentation", self.field,
+                          {"m": self.m, "n": self.n}, body)
 
     @classmethod
     def from_text(cls, text):
-        lines = block_lines(text, "ideal-presentation", 6)
-        fld = field_from_header(lines[1])
-        m = _int_line(lines[2], "m")
-        n = _int_line(lines[3], "n")
-        if not lines[4].startswith("basis "):
-            raise ParseError("expected basis line")
-        words = tuple(_parse_word(tok.strip(), fld, m)
-                      for tok in lines[4][6:].split(","))
-        idx = _int_line(lines[5], "cyclic-index")
-        acts = {}
-        for ln in lines[6:]:
-            if not ln.startswith("act "):
-                raise ParseError(f"unrecognized ideal-presentation line {ln!r}")
-            lhs, rhs = _split_eq(ln[4:])
-            w = _parse_word(lhs, fld, m)
-            if len(w) != 1:
-                raise ParseError(f"act lines carry single generators: {ln!r}")
-            acts[w[0]] = parse_matrix_rows(fld, rhs, n)
+        block = Block(text, "ideal-presentation")
+        fld = block.field
+        m, n = block.int_line("m"), block.int_line("n")
+        words = tuple(parse_word(tok.strip(), fld, m)
+                      for tok in block.line("basis").split(","))
+        idx = block.int_line("cyclic-index")
+        acts = {_generator(lhs, m): parse_matrix_rows(fld, rhs, n)
+                for _, lhs, rhs in block.pairs("act")}
         return cls(fld, m, n, words, _per_generator(acts, m, "act"), idx)
 
 

@@ -16,10 +16,11 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from ._tokens import TokenStream, block_lines
+from ._tokens import Block, TokenStream, block_text
+from .commpoly import SparseElement
 from .errors import ParseError, PreconditionError
-from .fields import field_from_header
-from .ncpoly import NCPoly, generator_index, parse_nc_poly, word_key, word_str
+from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
+                     word_str)
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,6 @@ class DividedMonomial:
         return "*".join(f"({word_str(w)})^[{a}]" for w, a in self.factors)
 
 
-def _join_signed(pieces):
-    text = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            text += " - " + piece[1:]
-        else:
-            text += " + " + piece
-    return text
-
-
 def _merge_monomials(m1, m2):
     """Product of two monomials: shared words merge with binomials.
 
@@ -79,82 +70,30 @@ def _merge_monomials(m1, m2):
     return mono, mult
 
 
-class DPElement:
+class DPElement(SparseElement):
     """Normalized linear combination of divided-power monomials."""
 
-    __slots__ = ("field", "m", "terms")
+    __slots__ = ("m",)
+    _META = ("m",)
+    _order = staticmethod(DividedMonomial.sort_key)
+    _key_str = staticmethod(str)
 
     def __init__(self, field, m, terms=None):
-        self.field = field
         self.m = m
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                c = field(c)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, field, m):
-        return cls(field, m)
+        super().__init__(field, terms)
 
     @classmethod
     def one(cls, field, m):
         return cls(field, m, {DividedMonomial(()): field.one})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def degrees(self):
         return sorted({mono.degree for mono in self.terms})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
-
     def _check(self, other):
-        if other.field != self.field or other.m != self.m:
+        if not self._same_field(other) or other.m != self.m:
             raise ValueError("mixing divided powers over different algebras")
 
-    def __add__(self, other):
-        if not isinstance(other, DPElement):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, self.field.zero) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        out = DPElement(self.field, self.m)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = DPElement(self.field, self.m)
-        out.terms = {mono: -c for mono, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, DPElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, DPElement):
-            try:
-                c = self.field(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-            out = DPElement(self.field, self.m)
-            if c:
-                out.terms = {mono: cc * c for mono, cc in self.terms.items()}
-            return out
-        self._check(other)
+    def _times(self, other):
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -166,61 +105,21 @@ class DPElement:
                     acc[mono] = s
                 else:
                     acc.pop(mono, None)
-        out = DPElement(self.field, self.m)
-        out.terms = acc
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, DPElement):
-            return NotImplemented
-        return (self.field == other.field and self.m == other.m
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.m,
-                     tuple((mono, c) for mono, c in self.sorted_terms())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        signed = self.field.characteristic == 0
-        for mono, c in self.sorted_terms():
-            if c == self.field.one:
-                pieces.append(str(mono))
-            elif signed and c == -self.field.one:
-                pieces.append(f"-{mono}")
-            else:
-                pieces.append(f"{self.field.format(c)}*{mono}")
-        return _join_signed(pieces)
-
-    def __repr__(self):
-        return f"DPElement({self})"
+        return self._like(acc)
 
     def to_text(self):
-        lines = ["divided-power", self.field.header(), f"m {self.m}"]
-        for mono, c in self.sorted_terms():
-            lines.append(f"term {mono} = {self.field.format(c)}")
-        return "\n".join(lines) + "\n"
+        return block_text("divided-power", self.field, {"m": self.m},
+                          [f"term {mono} = {self.field.format(c)}"
+                           for mono, c in self.sorted_terms()])
 
     @classmethod
     def from_text(cls, text):
-        lines = block_lines(text, "divided-power", 3)
-        fld = field_from_header(lines[1])
-        parts = lines[2].split()
-        if parts[:1] != ["m"] or len(parts) != 2:
-            raise ParseError(f"expected `m <int>`, got {lines[2]!r}")
-        m = int(parts[1])
+        block = Block(text, "divided-power")
+        fld = block.field
+        m = block.int_line("m")
         out = DPElement.zero(fld, m)
-        for ln in lines[3:]:
-            if not ln.startswith("term "):
-                raise ParseError(f"unrecognized divided-power line {ln!r}")
-            lhs, rhs = ln[5:].rsplit("=", 1)
-            c = fld.parse(rhs.strip())
-            elem = parse_dp_expr(lhs.strip(), fld, m) * c
-            out = out + elem
+        for _, lhs, rhs in block.pairs("term"):
+            out = out + parse_dp_expr(lhs, fld, m) * fld.parse(rhs)
         return out
 
 
@@ -420,106 +319,49 @@ def _untokenize(tokens):
 
 # -- symmetric tensors on the orbit-sum basis ---------------------------------
 
-class SymTensor:
+class SymTensor(SparseElement):
     """Degree-n symmetric tensor over the free algebra.
 
     Keys are sorted word multisets of size n; the basis element of a
     multiset is the sum over its distinct slot arrangements.
     """
 
-    __slots__ = ("field", "m", "degree", "terms")
+    __slots__ = ("m", "degree")
+    _META = ("m", "degree")
 
     def __init__(self, field, m, degree, terms=None):
         if degree < 0:
             raise PreconditionError("tensor degree must be >= 0")
-        self.field = field
         self.m = m
         self.degree = degree
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                key = tuple(tuple(w) for w in key)
-                if len(key) != degree:
-                    raise PreconditionError(
-                        f"multiset size {len(key)} does not match degree {degree}")
-                key = tuple(sorted(key, key=word_key))
-                c = field(c)
-                if c:
-                    clean[key] = clean.get(key, field.zero) + c
-                    if not clean[key]:
-                        del clean[key]
-        self.terms = clean
+        merged = {}
+        for key, c in (terms or {}).items():
+            if len(key) != degree:
+                raise PreconditionError(
+                    f"multiset size {len(key)} does not match degree {degree}")
+            key = tuple(sorted((tuple(w) for w in key), key=word_key))
+            c = field(c)
+            s = merged.get(key)
+            merged[key] = c if s is None else s + c
+        super().__init__(field, merged)
 
-    @classmethod
-    def zero(cls, field, m, degree):
-        return cls(field, m, degree)
+    @staticmethod
+    def _order(key):
+        return tuple(word_key(w) for w in key)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kc: tuple(word_key(w) for w in kc[0]))
+    @staticmethod
+    def _key_str(key):
+        return "{" + ", ".join(word_str(w) for w in key) + "}"
 
     def _check(self, other):
-        if other.field != self.field or other.m != self.m:
+        if not self._same_field(other) or other.m != self.m:
             raise ValueError("mixing tensors over different algebras")
         if other.degree != self.degree:
             raise PreconditionError(
                 f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def __add__(self, other):
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, self.field.zero) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        out = SymTensor(self.field, self.m, self.degree)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = SymTensor(self.field, self.m, self.degree)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SymTensor):
-            return ts_mul(self, other)
-        try:
-            c = self.field(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        out = SymTensor(self.field, self.m, self.degree)
-        if c:
-            out.terms = {k: cc * c for k, cc in self.terms.items()}
-        return out
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return (self.field == other.field and self.m == other.m
-                and self.degree == other.degree and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.m, self.degree,
-                     tuple(self.sorted_terms())))
+    def _times(self, other):
+        return ts_mul(self, other)
 
     def arrangements(self):
         """Expansion into the full tensor power: tuple-of-words -> coeff."""
@@ -529,68 +371,27 @@ class SymTensor:
                 full[arr] = c
         return full
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        signed = self.field.characteristic == 0
-        for key, c in self.sorted_terms():
-            body = "{" + ", ".join(word_str(w) for w in key) + "}"
-            if c == self.field.one:
-                pieces.append(body)
-            elif signed and c == -self.field.one:
-                pieces.append("-" + body)
-            else:
-                pieces.append(f"{self.field.format(c)}*{body}")
-        return _join_signed(pieces)
-
-    def __repr__(self):
-        return f"SymTensor({self})"
-
     def to_text(self):
-        lines = ["symtensor", self.field.header(), f"m {self.m}",
-                 f"degree {self.degree}"]
-        for key, c in self.sorted_terms():
-            body = "{" + ", ".join(word_str(w) for w in key) + "}"
-            lines.append(f"term {body} = {self.field.format(c)}")
-        return "\n".join(lines) + "\n"
+        return block_text("symtensor", self.field,
+                          {"m": self.m, "degree": self.degree},
+                          [f"term {self._key_str(key)} = {self.field.format(c)}"
+                           for key, c in self.sorted_terms()])
 
     @classmethod
     def from_text(cls, text):
-        lines = block_lines(text, "symtensor", 4)
-        fld = field_from_header(lines[1])
-        m = _kv_int(lines[2], "m")
-        degree = _kv_int(lines[3], "degree")
+        block = Block(text, "symtensor")
+        fld = block.field
+        m = block.int_line("m")
+        degree = block.int_line("degree")
         terms = {}
-        for ln in lines[4:]:
-            if not ln.startswith("term "):
-                raise ParseError(f"unrecognized symtensor line {ln!r}")
-            lhs, rhs = ln[5:].rsplit("=", 1)
-            lhs = lhs.strip()
+        for _, lhs, rhs in block.pairs("term"):
             if not (lhs.startswith("{") and lhs.endswith("}")):
-                raise ParseError(f"expected word multiset in braces: {ln!r}")
+                raise ParseError(f"expected word multiset in braces: {lhs!r}")
             inner = lhs[1:-1].strip()
-            words = tuple(_word_from_text(tok.strip(), fld, m)
+            words = tuple(parse_word(tok.strip(), fld, m)
                           for tok in inner.split(",")) if inner else ()
-            terms[words] = fld.parse(rhs.strip())
+            terms[words] = fld.parse(rhs)
         return cls(fld, m, degree, terms)
-
-
-def _kv_int(line, key):
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != key:
-        raise ParseError(f"expected `{key} <int>`, got {line!r}")
-    return int(parts[1])
-
-
-def _word_from_text(text, fld, m):
-    p = parse_nc_poly(text, fld, m)
-    if len(p.terms) != 1:
-        raise ParseError(f"expected a single word, got {text!r}")
-    (w, c), = p.terms.items()
-    if c != fld.one:
-        raise ParseError(f"expected a bare word, got {text!r}")
-    return w
 
 
 def tau(x, n, field=None, m=None):

@@ -12,7 +12,7 @@ import itertools
 import re
 
 from ._tokens import TokenStream
-from .commpoly import CommPoly, var_key
+from .commpoly import CommPoly, SparseElement, var_key
 from .errors import ParseError
 
 _GEN_NAME = re.compile(r"^x([1-9][0-9]*)$")
@@ -44,27 +44,25 @@ def words_up_to(m, max_len, start_len=0):
         yield from words_of_length(m, length)
 
 
-class NCPoly:
-    __slots__ = ("field", "m", "terms")
+class NCPoly(SparseElement):
+    __slots__ = ("m",)
+    _META = ("m",)
+    _UNIT = ()
+    _key_str = staticmethod(word_str)
 
     def __init__(self, field, m, terms=None):
-        self.field = field
         self.m = m
-        clean = {}
-        if terms:
-            for word, c in terms.items():
-                if any(k < 0 or k >= m for k in word):
-                    raise ValueError(f"word {word} has generators outside 1..{m}")
-                c = field(c)
-                if c:
-                    clean[word] = c
-        self.terms = clean
+        for word in terms or ():
+            if any(k < 0 or k >= m for k in word):
+                raise ValueError(f"word {word} has generators outside 1..{m}")
+        super().__init__(field, terms)
+
+    @staticmethod
+    def _order(word):
+        # leading (highest-degree) words first, lexicographic within a degree
+        return (-len(word), word)
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, field, m):
-        return cls(field, m)
 
     @classmethod
     def const(cls, field, m, c):
@@ -86,12 +84,6 @@ class NCPoly:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def degree(self):
         if not self.terms:
             return -1
@@ -103,71 +95,13 @@ class NCPoly:
     def support(self):
         return sorted(self.terms, key=word_key)
 
-    def sorted_terms(self):
-        # leading (highest-degree) words first, lexicographic within a degree
-        return sorted(self.terms.items(), key=lambda wc: (-len(wc[0]), wc[0]))
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
-        if other.field != self.field or other.m != self.m:
+        if not self._same_field(other) or other.m != self.m:
             raise ValueError("mixing free algebras with different field or arity")
 
-    def _coerce(self, other):
-        if isinstance(other, NCPoly):
-            self._check(other)
-            return other
-        try:
-            c = self.field(other)
-        except (TypeError, ValueError):
-            return None
-        return NCPoly.const(self.field, self.m, c)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, self.field.zero) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        out = NCPoly(self.field, self.m)
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = NCPoly(self.field, self.m)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, NCPoly):
-            try:
-                c = self.field(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-            out = NCPoly(self.field, self.m)
-            if c:
-                out.terms = {w: cc * c for w, cc in self.terms.items()}
-            return out
-        self._check(other)
+    def _times(self, other):
         acc = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -178,34 +112,7 @@ class NCPoly:
                     acc[w] = s
                 else:
                     acc.pop(w, None)
-        out = NCPoly(self.field, self.m)
-        out.terms = acc
-        return out
-
-    def __rmul__(self, other):
-        # scalars only; word order never flips
-        try:
-            c = self.field(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self * c
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = NCPoly.one(self.field, self.m)
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return (self.field == other.field and self.m == other.m
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.m, tuple(self.sorted_terms())))
+        return self._like(acc)
 
     # -- maps ---------------------------------------------------------------
 
@@ -224,34 +131,6 @@ class NCPoly:
             else:
                 acc.pop(mono, None)
         return CommPoly(self.field, acc)
-
-    # -- text form -------------------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        one = self.field.one
-        signed = self.field.characteristic == 0
-        for word, c in self.sorted_terms():
-            if not word:
-                pieces.append(self.field.format(c))
-            elif c == one:
-                pieces.append(word_str(word))
-            elif signed and c == -one:
-                pieces.append("-" + word_str(word))
-            else:
-                pieces.append(f"{self.field.format(c)}*{word_str(word)}")
-        text = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                text += " - " + piece[1:]
-            else:
-                text += " + " + piece
-        return text
-
-    def __repr__(self):
-        return f"NCPoly({self})"
 
 
 def generator_index(name):
@@ -273,6 +152,17 @@ def parse_nc_poly(text, field, m=None):
     elif used > m:
         raise ParseError(f"generator x{used} exceeds arity {m} in {text!r}")
     return _eval_node(node, field, m)
+
+
+def parse_word(text, field, m):
+    "A single word with coefficient 1, such as `x1^2*x2` or `1`."
+    p = parse_nc_poly(text, field, m)
+    if len(p.terms) != 1:
+        raise ParseError(f"expected a single word, got {text!r}")
+    (w, c), = p.terms.items()
+    if c != field.one:
+        raise ParseError(f"expected a bare word, got {text!r}")
+    return w
 
 
 # The parser builds a tiny AST first so that the arity can be inferred

@@ -19,18 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._tokens import block_lines
+from ._tokens import Block, block_text, parse_int, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import span_dimension
-from .errors import ParseError, PreconditionError
-from .fields import PrimeField, field_from_header
+from .errors import PreconditionError
+from .fields import PrimeField
 from .linalg import (Matrix, charpoly, det, det_linear_combination, nc_eval,
                      nullspace, solve_columns, word_matrices)
-from .ncpoly import NCPoly, parse_nc_poly, word_key, word_str
-from .repvariety import _int_line, _per_generator, default_table_len
+from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
+from .repvariety import _generator, _per_generator, default_table_len
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LawCoefficientTable:
     """Coefficients of det∘rho on a finite argument list.
 
@@ -49,45 +49,31 @@ class LawCoefficientTable:
                 raise PreconditionError(
                     f"exponent vector {xi} is not homogeneous of weight {self.n}")
 
-    def __eq__(self, other):
-        if not isinstance(other, LawCoefficientTable):
-            return NotImplemented
-        return (self.field == other.field and self.n == other.n
-                and self.args == other.args and self.coeffs == other.coeffs)
-
     def sorted_coeffs(self):
         return sorted(self.coeffs.items())
 
+    def coeff_lines(self, prefix):
+        "One `prefix (e1,...,ek) = c` line per coefficient, in key order."
+        return [f"{prefix} ({','.join(map(str, xi))}) = {self.field.format(c)}"
+                for xi, c in self.sorted_coeffs()]
+
     def to_text(self):
-        lines = ["law-table", self.field.header(), f"n {self.n}",
-                 "args " + "; ".join(str(a) for a in self.args)]
-        for xi, c in self.sorted_coeffs():
-            key = "(" + ",".join(str(e) for e in xi) + ")"
-            lines.append(f"coeff {key} = {self.field.format(c)}")
-        return "\n".join(lines) + "\n"
+        args = "args " + "; ".join(str(a) for a in self.args)
+        return block_text("law-table", self.field, {"n": self.n},
+                          [args] + self.coeff_lines("coeff"))
 
     @classmethod
     def from_text(cls, text, m=None):
-        lines = block_lines(text, "law-table", 4)
-        fld = field_from_header(lines[1])
-        n = _int_line(lines[2], "n")
-        if not lines[3].startswith("args "):
-            raise ParseError("expected args line")
+        block = Block(text, "law-table")
+        fld = block.field
+        n = block.int_line("n")
         args = tuple(parse_nc_poly(tok.strip(), fld, m)
-                     for tok in lines[3][5:].split(";"))
+                     for tok in block.line("args").split(";"))
         if m is None:
             arity = max((a.m for a in args), default=0)
             args = tuple(NCPoly(fld, arity, a.terms) for a in args)
-        coeffs = {}
-        for ln in lines[4:]:
-            if not ln.startswith("coeff "):
-                raise ParseError(f"unrecognized law-table line {ln!r}")
-            lhs, rhs = ln[6:].rsplit("=", 1)
-            lhs = lhs.strip()
-            if not (lhs.startswith("(") and lhs.endswith(")")):
-                raise ParseError(f"expected exponent tuple: {ln!r}")
-            xi = tuple(int(tok) for tok in lhs[1:-1].split(",") if tok.strip())
-            coeffs[xi] = fld.parse(rhs.strip())
+        coeffs = {parse_tuple(lhs, parse_int): fld.parse(rhs)
+                  for _, lhs, rhs in block.pairs("coeff")}
         return cls(fld, n, args, coeffs)
 
 
@@ -116,7 +102,7 @@ def law_coefficients(rep, args):
     return LawCoefficientTable(rep.field, rep.n, args, coeffs)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NormPoint:
     """The recorded image of a representation point under det∘rho."""
 
@@ -128,70 +114,34 @@ class NormPoint:
     mixed_table: LawCoefficientTable
     word_dets: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, NormPoint):
-            return NotImplemented
-        return (self.field == other.field and self.m == other.m
-                and self.n == other.n and self.max_len == other.max_len
-                and self.gen_charpolys == other.gen_charpolys
-                and self.mixed_table == other.mixed_table
-                and self.word_dets == other.word_dets)
-
     def to_text(self):
-        lines = ["norm-point", self.field.header(), f"m {self.m}",
-                 f"n {self.n}", f"max-len {self.max_len}"]
-        for k, cp in enumerate(self.gen_charpolys):
-            lines.append(f"charpoly x{k + 1} = {cp}")
-        for xi, c in self.mixed_table.sorted_coeffs():
-            key = "(" + ",".join(str(e) for e in xi) + ")"
-            lines.append(f"law {key} = {self.field.format(c)}")
-        for w in sorted(self.word_dets, key=word_key):
-            lines.append(
-                f"det {word_str(w)} = {self.field.format(self.word_dets[w])}")
-        return "\n".join(lines) + "\n"
+        body = [f"charpoly x{k + 1} = {cp}"
+                for k, cp in enumerate(self.gen_charpolys)]
+        body += self.mixed_table.coeff_lines("law")
+        body += [f"det {word_str(w)} = {self.field.format(self.word_dets[w])}"
+                 for w in sorted(self.word_dets, key=word_key)]
+        return block_text("norm-point", self.field,
+                          {"m": self.m, "n": self.n, "max-len": self.max_len}, body)
 
     @classmethod
     def from_text(cls, text):
-        lines = block_lines(text, "norm-point", 5)
-        fld = field_from_header(lines[1])
-        m = _int_line(lines[2], "m")
-        n = _int_line(lines[3], "n")
-        max_len = _int_line(lines[4], "max-len")
+        block = Block(text, "norm-point")
+        fld = block.field
+        m, n, max_len = (block.int_line(k) for k in ("m", "n", "max-len"))
         charpolys = {}
         law = {}
         dets = {}
-        for ln in lines[5:]:
-            if ln.startswith("charpoly "):
-                lhs, rhs = ln[9:].split("=", 1)
-                name = lhs.strip()
-                if not name.startswith("x"):
-                    raise ParseError(f"bad charpoly line {ln!r}")
-                charpolys[int(name[1:]) - 1] = parse_comm_poly(rhs.strip(), fld)
-            elif ln.startswith("law "):
-                lhs, rhs = ln[4:].rsplit("=", 1)
-                lhs = lhs.strip()
-                xi = tuple(int(tok) for tok in lhs[1:-1].split(",") if tok.strip())
-                law[xi] = fld.parse(rhs.strip())
-            elif ln.startswith("det "):
-                lhs, rhs = ln[4:].rsplit("=", 1)
-                w = _word_of(lhs.strip(), fld, m)
-                dets[w] = fld.parse(rhs.strip())
+        for head, lhs, rhs in block.pairs("charpoly", "law", "det"):
+            if head == "charpoly":
+                charpolys[_generator(lhs, m)] = parse_comm_poly(rhs, fld)
+            elif head == "law":
+                law[parse_tuple(lhs, parse_int)] = fld.parse(rhs)
             else:
-                raise ParseError(f"unrecognized norm-point line {ln!r}")
+                dets[parse_word(lhs, fld, m)] = fld.parse(rhs)
         gens = tuple(NCPoly.generator(fld, m, k) for k in range(m))
         table = LawCoefficientTable(fld, n, gens, law)
         cps = _per_generator(charpolys, m, "charpoly")
         return cls(fld, m, n, max_len, cps, table, dets)
-
-
-def _word_of(text, fld, m):
-    p = parse_nc_poly(text, fld, m)
-    if len(p.terms) != 1:
-        raise ParseError(f"expected a single word, got {text!r}")
-    (w, c), = p.terms.items()
-    if c != fld.one:
-        raise ParseError(f"expected a bare word, got {text!r}")
-    return w
 
 
 def det_point(rep, max_len=None):
@@ -221,7 +171,7 @@ def hc_point(pt, max_len=None):
 
 # -- 0-cycles of commuting split tuples ----------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Cycle:
     """Joint eigenvalue tuples with multiplicities summing to n."""
 
@@ -236,43 +186,25 @@ class Cycle:
         if any(mult < 1 for mult in self.points.values()):
             raise PreconditionError("cycle multiplicities must be positive")
 
-    def __eq__(self, other):
-        if not isinstance(other, Cycle):
-            return NotImplemented
-        return (self.field == other.field and self.m == other.m
-                and self.n == other.n and self.points == other.points)
-
     def sorted_points(self):
         return sorted(self.points.items())
 
     def to_text(self):
-        lines = ["cycle", self.field.header(), f"m {self.m}", f"n {self.n}"]
-        for tup, mult in self.sorted_points():
-            body = "(" + ", ".join(self.field.format(a) for a in tup) + ")"
-            lines.append(f"point {body} * {mult}")
-        return "\n".join(lines) + "\n"
+        body = [f"point ({', '.join(map(self.field.format, tup))}) * {mult}"
+                for tup, mult in self.sorted_points()]
+        return block_text("cycle", self.field, {"m": self.m, "n": self.n}, body)
 
     @classmethod
     def from_text(cls, text):
-        lines = block_lines(text, "cycle", 4)
-        fld = field_from_header(lines[1])
-        m = _int_line(lines[2], "m")
-        n = _int_line(lines[3], "n")
-        points = {}
-        for ln in lines[4:]:
-            if not ln.startswith("point "):
-                raise ParseError(f"unrecognized cycle line {ln!r}")
-            body, mult = ln[6:].rsplit("*", 1)
-            body = body.strip()
-            if not (body.startswith("(") and body.endswith(")")):
-                raise ParseError(f"expected eigenvalue tuple: {ln!r}")
-            tup = tuple(fld.parse(tok.strip())
-                        for tok in body[1:-1].split(",") if tok.strip())
-            points[tup] = int(mult.strip())
+        block = Block(text, "cycle")
+        fld = block.field
+        m, n = block.int_line("m"), block.int_line("n")
+        points = {parse_tuple(body, fld.parse): parse_int(mult)
+                  for _, body, mult in block.pairs("point", sep="*")}
         return cls(fld, m, n, points)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SplitFailure:
     """A characteristic polynomial without a full set of roots in the
     base field; a normal outcome of cycle extraction, not an error."""
@@ -280,22 +212,14 @@ class SplitFailure:
     field: object
     charpoly: CommPoly
 
-    def __eq__(self, other):
-        if not isinstance(other, SplitFailure):
-            return NotImplemented
-        return self.field == other.field and self.charpoly == other.charpoly
-
     def to_text(self):
-        return "\n".join(["split-failure", self.field.header(),
-                          f"charpoly {self.charpoly}"]) + "\n"
+        return block_text("split-failure", self.field, {},
+                          [f"charpoly {self.charpoly}"])
 
     @classmethod
     def from_text(cls, text):
-        lines = block_lines(text, "split-failure", 3)
-        fld = field_from_header(lines[1])
-        if not lines[2].startswith("charpoly "):
-            raise ParseError("expected charpoly line")
-        return cls(fld, parse_comm_poly(lines[2][9:], fld))
+        block = Block(text, "split-failure")
+        return cls(block.field, parse_comm_poly(block.line("charpoly"), block.field))
 
 
 def _synthetic_divide(coeffs, r):

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._tokens import block_lines
-from .commpoly import CommPoly
+from ._tokens import Block, block_text
+from .commpoly import CommPoly, parse_comm_poly
 from .errors import ParseError, PreconditionError, SingularMatrixError
-from .fields import field_from_header
 from .linalg import (IncrementalSpan, Matrix, det, matrix_inverse, nc_eval,
                      word_matrices)
-from .ncpoly import NCPoly, parse_nc_poly, word_key, word_str
+from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
+                     word_str)
 
 
 def generic_var(k, i, j):
@@ -81,30 +81,21 @@ class AlgebraPresentation:
         return NCPoly.generator(self.field, self.m, k)
 
     def to_text(self):
-        lines = [self.field.header(),
-                 "gens " + " ".join(f"x{k + 1}" for k in range(self.m))]
-        for r in self.relations:
-            lines.append(f"rel {r}")
-        return "\n".join(lines) + "\n"
+        gens = "gens " + " ".join(f"x{k + 1}" for k in range(self.m))
+        return block_text("presentation", self.field, {},
+                          [gens] + [f"rel {r}" for r in self.relations],
+                          header=False)
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty presentation")
-        fld = field_from_header(lines[0])
-        if len(lines) < 2 or not lines[1].startswith("gens"):
-            raise ParseError("expected `gens x1 ... xm` after the field header")
-        names = lines[1].split()[1:]
-        if names != [f"x{k + 1}" for k in range(len(names))] or not names:
+        block = Block(text, "presentation", header=False)
+        names = block.line("gens").split()
+        if names != [f"x{k + 1}" for k in range(len(names))]:
             raise ParseError(f"generators must be named x1..xm in order: {names}")
         m = len(names)
-        rels = []
-        for ln in lines[2:]:
-            if not ln.startswith("rel "):
-                raise ParseError(f"unrecognized presentation line {ln!r}")
-            rels.append(parse_nc_poly(ln[4:], fld, m))
-        return cls(fld, m, tuple(rels))
+        rels = tuple(parse_nc_poly(rest, block.field, m)
+                     for _, rest in block.body("rel"))
+        return cls(block.field, m, rels)
 
 
 @dataclass(frozen=True)
@@ -134,24 +125,16 @@ class RepIdeal:
     gens: tuple
 
     def to_text(self):
-        lines = ["rep-ideal", self.field.header(), f"m {self.m}", f"n {self.n}"]
-        for g in self.gens:
-            lines.append(f"gen {g}")
-        return "\n".join(lines) + "\n"
+        return block_text("rep-ideal", self.field, {"m": self.m, "n": self.n},
+                          [f"gen {g}" for g in self.gens])
 
     @classmethod
     def from_text(cls, text):
-        lines = block_lines(text, "rep-ideal", 4)
-        fld = field_from_header(lines[1])
-        m = _int_line(lines[2], "m")
-        n = _int_line(lines[3], "n")
-        from .commpoly import parse_comm_poly
-        gens = []
-        for ln in lines[4:]:
-            if not ln.startswith("gen "):
-                raise ParseError(f"unrecognized rep-ideal line {ln!r}")
-            gens.append(parse_comm_poly(ln[4:], fld))
-        return cls(fld, m, n, tuple(gens))
+        block = Block(text, "rep-ideal")
+        m, n = block.int_line("m"), block.int_line("n")
+        gens = tuple(parse_comm_poly(rest, block.field)
+                     for _, rest in block.body("gen"))
+        return cls(block.field, m, n, gens)
 
 
 def rep_ideal(pres, n):
@@ -252,46 +235,30 @@ def parse_matrix_rows(field, text, n=None):
 
 
 def point_text(field, mats, vec):
-    lines = ["point", field.header(), f"n {mats[0].n}"]
-    for M in mats:
-        lines.append("mat " + matrix_row_text(field, M))
+    body = ["mat " + matrix_row_text(field, M) for M in mats]
     if vec is not None:
-        lines.append("vec " + " ".join(field.format(a) for a in vec))
-    return "\n".join(lines) + "\n"
+        body.append("vec " + " ".join(field.format(a) for a in vec))
+    return block_text("point", field, {"n": mats[0].n}, body)
 
 
 def parse_point_body(text):
-    lines = block_lines(text, "point", 3)
-    fld = field_from_header(lines[1])
-    n = _int_line(lines[2], "n")
+    block = Block(text, "point")
+    fld = block.field
+    n = block.int_line("n")
     mats = []
     vec = None
-    for ln in lines[3:]:
-        if ln.startswith("mat "):
-            if vec is not None:
-                raise ParseError("mat line after vec line")
-            mats.append(parse_matrix_rows(fld, ln[4:], n))
-        elif ln.startswith("vec "):
-            if vec is not None:
-                raise ParseError("duplicate vec line")
-            vec = tuple(fld.parse(tok) for tok in ln[4:].split())
+    for head, rest in block.body("mat", "vec"):
+        if vec is not None:
+            raise ParseError(f"{head} line after the vec line")
+        if head == "mat":
+            mats.append(parse_matrix_rows(fld, rest, n))
+        else:
+            vec = tuple(fld.parse(tok) for tok in rest.split())
             if len(vec) != n:
                 raise ParseError(f"vector length {len(vec)} does not match n={n}")
-        else:
-            raise ParseError(f"unrecognized point line {ln!r}")
     if not mats:
         raise ParseError("point block with no matrices")
     return fld, tuple(mats), vec
-
-
-def _int_line(line, key):
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != key:
-        raise ParseError(f"expected `{key} <int>`, got {line!r}")
-    try:
-        return int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad integer in {line!r}") from None
 
 
 def conjugate(g, pt):
@@ -305,7 +272,7 @@ def conjugate(g, pt):
     return RepPoint(pt.field, tuple(g * M * ginv for M in pt.mats))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InvariantTable:
     """Trace-word coordinates (plus generator determinants) of a point.
 
@@ -320,53 +287,27 @@ class InvariantTable:
     traces: dict
     gen_dets: tuple
 
-    def __eq__(self, other):
-        if not isinstance(other, InvariantTable):
-            return NotImplemented
-        return (self.field == other.field and self.m == other.m
-                and self.n == other.n and self.max_len == other.max_len
-                and self.traces == other.traces and self.gen_dets == other.gen_dets)
-
     def to_text(self):
-        lines = ["invariant-table", self.field.header(), f"m {self.m}",
-                 f"n {self.n}", f"max-len {self.max_len}"]
-        for w in sorted(self.traces, key=word_key):
-            lines.append(f"tr {word_str(w)} = {self.field.format(self.traces[w])}")
-        for k, d in enumerate(self.gen_dets):
-            lines.append(f"det x{k + 1} = {self.field.format(d)}")
-        return "\n".join(lines) + "\n"
+        fmt = self.field.format
+        body = [f"tr {word_str(w)} = {fmt(self.traces[w])}"
+                for w in sorted(self.traces, key=word_key)]
+        body += [f"det x{k + 1} = {fmt(d)}" for k, d in enumerate(self.gen_dets)]
+        return block_text("invariant-table", self.field,
+                          {"m": self.m, "n": self.n, "max-len": self.max_len}, body)
 
     @classmethod
     def from_text(cls, text):
-        lines = block_lines(text, "invariant-table", 5)
-        fld = field_from_header(lines[1])
-        m = _int_line(lines[2], "m")
-        n = _int_line(lines[3], "n")
-        max_len = _int_line(lines[4], "max-len")
+        block = Block(text, "invariant-table")
+        fld = block.field
+        m, n, max_len = (block.int_line(k) for k in ("m", "n", "max-len"))
         traces = {}
         dets = {}
-        for ln in lines[5:]:
-            if ln.startswith("tr "):
-                lhs, rhs = _split_eq(ln[3:])
-                w = _parse_word(lhs, fld, m)
-                traces[w] = fld.parse(rhs)
-            elif ln.startswith("det "):
-                lhs, rhs = _split_eq(ln[4:])
-                w = _parse_word(lhs, fld, m)
-                if len(w) != 1:
-                    raise ParseError(f"det lines carry single generators: {ln!r}")
-                dets[w[0]] = fld.parse(rhs)
+        for head, lhs, rhs in block.pairs("tr", "det"):
+            if head == "tr":
+                traces[parse_word(lhs, fld, m)] = fld.parse(rhs)
             else:
-                raise ParseError(f"unrecognized invariant-table line {ln!r}")
-        gen_dets = _per_generator(dets, m, "det")
-        return cls(fld, m, n, max_len, traces, gen_dets)
-
-
-def _split_eq(text):
-    if "=" not in text:
-        raise ParseError(f"expected `lhs = rhs` in {text!r}")
-    lhs, rhs = text.split("=", 1)
-    return lhs.strip(), rhs.strip()
+                dets[_generator(lhs, m)] = fld.parse(rhs)
+        return cls(fld, m, n, max_len, traces, _per_generator(dets, m, "det"))
 
 
 def _per_generator(found, m, kind):
@@ -377,14 +318,12 @@ def _per_generator(found, m, kind):
     return tuple(found[k] for k in range(m))
 
 
-def _parse_word(text, fld, m):
-    p = parse_nc_poly(text, fld, m)
-    if len(p.terms) != 1:
-        raise ParseError(f"expected a single word, got {text!r}")
-    (w, c), = p.terms.items()
-    if c != fld.one:
-        raise ParseError(f"expected a bare word, got {text!r}")
-    return w
+def _generator(text, m):
+    "Index of the generator among x1..xm that `text` names."
+    k = generator_index(text)
+    if k is None or k >= m:
+        raise ParseError(f"expected one of x1..x{m}, got {text!r}")
+    return k
 
 
 def default_table_len(n):

@@ -241,3 +241,19 @@ def test_symtensor_text_roundtrip():
             a = rand_ncpoly(field, 2, rng, max_terms=3, max_len=2)
             st = gamma_n(a, rng.randint(0, 3))
             assert SymTensor.from_text(st.to_text()) == st
+
+
+def test_printed_forms():
+    # bare-constant words print as `1`, and the `-c` form appears only in
+    # characteristic 0
+    a = NCPoly(QQ, 2, {(1, 0): 1, (0,): -1, (): 4})
+    assert str(dp_power(a, 2) * 2 - dp_power(x(), 1)) == (
+        "-8*(1)^[1]*(x1)^[1] + 8*(1)^[1]*(x2*x1)^[1] + 32*(1)^[2] - (x1)^[1]"
+        " - 2*(x1)^[1]*(x2*x1)^[1] + 2*(x1)^[2] + 2*(x2*x1)^[2]")
+    assert str(gamma_n(a, 2)) == ("16*{1, 1} - 4*{1, x1} + 4*{1, x2*x1}"
+                                  " + {x1, x1} - {x1, x2*x1} + {x2*x1, x2*x1}")
+    assert str(dp_power(a, 0) * 3) == "3*(1)^[0]"
+    assert str(gamma_n(a, 0)) == "{}"
+    b = NCPoly(GF(3), 2, {(1, 0): 1, (0,): -1, (): 4})
+    assert str(gamma_n(b, 2)) == ("{1, 1} + 2*{1, x1} + {1, x2*x1} + {x1, x1}"
+                                  " + 2*{x1, x2*x1} + {x2*x1, x2*x1}")

@@ -1,0 +1,218 @@
+"""Property tests over every printed block type and the CLI inputs.
+
+Round trip: from_text(to_text(x)) == x for drawn objects of each block
+type over Q, F_3 and F_101.  Robustness: a single-line mutation of a
+printed block either parses or raises ParseError / PreconditionError,
+and the CLI answers a mutated --point or --presentation with exit code
+0, 2, 3 or 4 instead of an exception.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hilbchow import (GF, QQ, AlgebraPresentation, CommPoly, Cycle,  # noqa: E402
+                      DPElement, EnumerationReport, IdealPresentation,
+                      InvariantTable, LawCoefficientTable, Matrix, NCPoly,
+                      NormPoint, ParseError, PointedRep, PreconditionError,
+                      RepIdeal, RepPoint, SplitFailure, SymTensor, det_point,
+                      dp_power, gamma_n, invariant_table, is_cyclic,
+                      law_coefficients, rep_ideal, triple_to_ideal)
+from hilbchow.cli import main  # noqa: E402
+
+FUZZ_FIELDS = (QQ, GF(3), GF(101))
+
+
+def fuzz_settings(max_examples):
+    return settings(max_examples=max_examples, derandomize=True,
+                    database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.data_too_large])
+
+
+def scalar(draw, field):
+    if field is QQ:
+        return draw(st.fractions(-4, 4, max_denominator=3))
+    return field(draw(st.integers(0, field.p - 1)))
+
+
+def matrix(draw, field, n):
+    return Matrix(tuple(tuple(scalar(draw, field) for _ in range(n))
+                        for _ in range(n)))
+
+
+def rep_point(draw, field, max_n=3):
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, 2))
+    return RepPoint(field, tuple(matrix(draw, field, n) for _ in range(m)))
+
+
+def ncpoly(draw, field, m):
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        word = tuple(draw(st.lists(st.integers(0, m - 1), max_size=2)))
+        terms[word] = scalar(draw, field)
+    return NCPoly(field, m, terms)
+
+
+def pointed(draw, field, max_n=3):
+    rep = rep_point(draw, field, max_n)
+    return PointedRep(rep, tuple(scalar(draw, field) for _ in range(rep.n)))
+
+
+def cyclic_point(draw, field):
+    pt = pointed(draw, field)
+    if is_cyclic(pt):
+        return pt
+    # a shift matrix makes e1 cyclic whatever the other generators are
+    n = pt.n
+    shift = Matrix(tuple(tuple(field.one if i == j + 1 else field.zero
+                               for j in range(n)) for i in range(n)))
+    e1 = tuple(field.one if i == 0 else field.zero for i in range(n))
+    return PointedRep(RepPoint(field, (shift,) + pt.rep.mats[1:]), e1)
+
+
+def law_table(draw, field):
+    rep = rep_point(draw, field)
+    # the last generator fixes the arity that from_text infers
+    args = [ncpoly(draw, field, rep.m) for _ in range(draw(st.integers(0, 2)))]
+    args.append(NCPoly.generator(field, rep.m, rep.m - 1))
+    return law_coefficients(rep, args)
+
+
+def cycle(draw, field):
+    m = draw(st.integers(1, 2))
+    points = {}
+    for _ in range(draw(st.integers(1, 3))):
+        tup = tuple(scalar(draw, field) for _ in range(m))
+        points[tup] = draw(st.integers(1, 2))
+    return Cycle(field, m, sum(points.values()), points)
+
+
+def split_failure(draw, field):
+    terms = {(("t", e),) if e else (): scalar(draw, field)
+             for e in range(draw(st.integers(0, 3)) + 1)}
+    return SplitFailure(field, CommPoly(field, terms))
+
+
+def enumeration_report(draw, field):
+    return EnumerationReport(*(draw(st.integers(0, 10 ** 6)) for _ in range(8)))
+
+
+def dp_element(draw, field):
+    a, b = ncpoly(draw, field, 2), ncpoly(draw, field, 2)
+    return dp_power(a, draw(st.integers(0, 2))) * dp_power(b, draw(st.integers(0, 2)))
+
+
+def rep_ideal_of(draw, field):
+    pres = AlgebraPresentation(field, 2, (ncpoly(draw, field, 2),))
+    return rep_ideal(pres, draw(st.integers(1, 2)))
+
+
+BUILDERS = {
+    RepPoint: rep_point,
+    PointedRep: pointed,
+    RepIdeal: rep_ideal_of,
+    InvariantTable: lambda draw, f: invariant_table(rep_point(draw, f),
+                                                    draw(st.integers(1, 3))),
+    IdealPresentation: lambda draw, f: triple_to_ideal(cyclic_point(draw, f)),
+    DPElement: dp_element,
+    SymTensor: lambda draw, f: gamma_n(ncpoly(draw, f, 2), draw(st.integers(0, 3))),
+    LawCoefficientTable: law_table,
+    NormPoint: lambda draw, f: det_point(rep_point(draw, f), draw(st.integers(1, 2))),
+    Cycle: cycle,
+    SplitFailure: split_failure,
+    EnumerationReport: enumeration_report,
+}
+
+
+@st.composite
+def printed_objects(draw, cls):
+    return BUILDERS[cls](draw, draw(st.sampled_from(FUZZ_FIELDS)))
+
+
+every_block_type = pytest.mark.parametrize("cls", list(BUILDERS),
+                                           ids=lambda cls: cls.__name__)
+
+
+MUTATIONS = ("drop-char", "drop-eq", "letter", "dup-line", "drop-line")
+
+
+def mutate(draw, text):
+    "One single-line mutation of a printed block."
+    lines = text.splitlines()
+    # counted from the end, so that shrinking heads for a body line
+    i = len(lines) - 1 - draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "drop-char":
+        j = draw(st.integers(0, len(line) - 1))
+        lines[i] = line[:j] + line[j + 1:]
+    elif kind == "drop-eq":
+        lines[i] = line.replace("=", "", 1)
+    elif kind == "letter":
+        digits = [j for j, ch in enumerate(line) if ch.isdigit()]
+        if digits:
+            j = draw(st.sampled_from(digits))
+            lines[i] = line[:j] + "a" + line[j + 1:]
+    elif kind == "dup-line":
+        lines.insert(i, line)
+    else:
+        del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@every_block_type
+@fuzz_settings(10)
+@given(data=st.data())
+def test_block_roundtrips(cls, data):
+    obj = data.draw(printed_objects(cls))
+    assert cls.from_text(obj.to_text()) == obj
+
+
+@every_block_type
+@fuzz_settings(20)
+@given(data=st.data())
+def test_mutated_block_parses_or_raises_typed_error(cls, data):
+    text = mutate(data.draw, data.draw(printed_objects(cls)).to_text())
+    try:
+        cls.from_text(text)
+    except (ParseError, PreconditionError):
+        pass
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["hc", "ideal-to-triple", "check-rep"])
+@fuzz_settings(15)
+@given(field=st.sampled_from(FUZZ_FIELDS), mutate_point=st.booleans(),
+       data=st.data())
+def test_cli_answers_mutated_input_with_an_exit_code(command, field,
+                                                     mutate_point, data):
+    pt = cyclic_point(data.draw, field)
+    m = pt.m
+    if command == "check-rep":
+        pres = "\n".join([field.header(), "gens " + " ".join(
+            f"x{k + 1}" for k in range(m))] + (["rel x1*x2 - x2*x1"] if m > 1 else []))
+        point = pt.rep.to_text()
+    else:
+        pres = AlgebraPresentation(field, m).to_text()
+        point = (triple_to_ideal(pt) if command == "ideal-to-triple" else pt).to_text()
+    if mutate_point:
+        point = mutate(data.draw, point)
+    else:
+        pres = mutate(data.draw, pres)
+    code, err = run_cli(command, "--presentation", pres, "--point", point,
+                        "--max-len", "2")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from hilbchow import (GF, QQ, AlgebraPresentation, Cycle, DPElement,
                       EnumerationReport, IdealPresentation, InvariantTable,
                       LawCoefficientTable, Matrix, NCPoly, NormPoint,
@@ -127,9 +129,27 @@ def test_canonical_output_is_stable():
         assert table.to_text() == invariant_table(rep).to_text()
 
 
+# one block per malformed body or integer line: no `=` or `*`, or a
+# letter where an integer or a generator goes
+MALFORMED_LINES = [
+    (DPElement, "divided-power\nfield Q\nm 1\nterm (x1)^[2]"),
+    (DPElement, "divided-power\nfield Q\nm x"),
+    (SymTensor, "symtensor\nfield Q\nm 1\ndegree x"),
+    (SymTensor, "symtensor\nfield Q\nm 1\ndegree 1\nterm {x1}"),
+    (NormPoint, "norm-point\nfield Q\nm 1\nn 1\nmax-len 1\ncharpoly xa = t"),
+    (NormPoint, "norm-point\nfield Q\nm 1\nn 1\nmax-len 1\nlaw (a) = 1"),
+    (NormPoint, "norm-point\nfield Q\nm 1\nn 1\nmax-len 1\ncharpoly x1"),
+    (Cycle, "cycle\nfield Q\nm 1\nn 1\npoint (1) * a"),
+    (Cycle, "cycle\nfield Q\nm 1\nn 1\npoint (1)"),
+    (LawCoefficientTable, "law-table\nfield Q\nn 1\nargs x1\ncoeff (1)"),
+    (LawCoefficientTable, "law-table\nfield Q\nn 1\nargs x1\ncoeff (a) = 1"),
+]
+
+
 def test_truncated_blocks_raise_typed_errors():
     # every prefix of a printed block parses or raises one of the errors
-    # the CLI maps to an exit code, never IndexError or KeyError
+    # the CLI maps to an exit code, never IndexError or KeyError, and
+    # every malformed line is a ParseError
     rng = seeded("ser-truncated")
     rep = sample_points(QQ, rng)[0]
     a = rand_ncpoly(QQ, 2, rng, max_terms=3, max_len=2)
@@ -160,3 +180,7 @@ def test_truncated_blocks_raise_typed_errors():
                 cls.from_text("\n".join(lines[:k]))
             except (ParseError, PreconditionError):
                 pass
+    for cls, text in MALFORMED_LINES:
+        with pytest.raises(ParseError):
+            cls.from_text(text)
+

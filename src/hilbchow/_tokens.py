@@ -1,5 +1,24 @@
-"""Tiny tokenizer shared by the polynomial and divided-power parsers, and
-the block reader shared by every `from_text`."""
+"""The one expression grammar, shared by the commutative, free-algebra and
+divided-power parsers, and the block reader shared by every `from_text`.
+
+    sum   := [+|-] prod ((+|-) prod)*
+    prod  := power (* power)*
+    power := atom [^int | ^[ [-]int ]]
+    atom  := int [/int] | name | ( sum )
+
+`parse_expr` turns text into a syntax tree of tuples:
+
+    ("num", a, b)                    the number a/b (b = 1 without a slash)
+    ("name", text)                   a name
+    ("sum", ((negated, term), ...))  a signed sum of two or more terms, or of
+                                     one negated term
+    ("prod", (factor, ...))          a product of two or more factors
+    ("pow", base, k)                 base^k
+    ("dp", base, k)                  the divided power base^[k]
+
+Sums and products are flat, so the tree is only as deep as the
+parentheses, and `fold` evaluates it with the leaves an algebra supplies.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +28,10 @@ from .errors import ParseError
 from .fields import field_from_header
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()\[\],]))")
+
+# parsing takes two frames per level of parentheses and folding at most
+# three, so 250 levels stay inside Python's default limit of 1000 frames
+MAX_DEPTH = 250
 
 
 def tokenize(text):
@@ -65,13 +88,115 @@ class TokenStream:
             raise ParseError(f"expected integer in {self.text!r}")
         return int(val)
 
-    def done(self):
-        return self.i >= len(self.tokens)
-
     def require_done(self):
-        if not self.done():
+        if self.i < len(self.tokens):
             raise ParseError(f"trailing input at token {self.i} in {self.text!r}")
 
+
+def parse_expr(text):
+    "The syntax tree of `text` in the expression grammar."
+    ts = TokenStream(text)
+    tree = _sum(ts, 0)
+    ts.require_done()
+    return tree
+
+
+def _sum(ts, depth):
+    negated = ts.accept_op("-", "+") == "-"
+    terms = []
+    while True:
+        factors = [_power(ts, depth)]
+        while ts.accept_op("*"):
+            factors.append(_power(ts, depth))
+        terms.append((negated, factors[0] if len(factors) == 1
+                      else ("prod", tuple(factors))))
+        op = ts.accept_op("+", "-")
+        if op is None:
+            break
+        negated = op == "-"
+    if len(terms) == 1 and not negated:
+        return terms[0][1]
+    return ("sum", tuple(terms))
+
+
+def _power(ts, depth):
+    kind, val = ts.next()
+    if kind == "int":
+        atom = ("num", int(val), ts.expect_int() if ts.accept_op("/") else 1)
+    elif kind == "name":
+        atom = ("name", val)
+    elif val == "(":
+        if depth == MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}")
+        atom = _sum(ts, depth + 1)
+        ts.expect_op(")")
+    else:
+        raise ParseError(f"unexpected {val or 'end of input'} in {ts.text!r}")
+    if not ts.accept_op("^"):
+        return atom
+    if not ts.accept_op("["):
+        return ("pow", atom, ts.expect_int())
+    k = -ts.expect_int() if ts.accept_op("-") else ts.expect_int()
+    ts.expect_op("]")
+    return ("dp", atom, k)
+
+
+def names(tree):
+    "The text of every name node of `tree`."
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        kind = node[0]
+        if kind == "name":
+            yield node[1]
+        elif kind == "sum":
+            stack.extend(term for _, term in node[1])
+        elif kind == "prod":
+            stack.extend(node[1])
+        elif kind != "num":
+            stack.append(node[1])
+
+
+def number(node, field):
+    """The value in `field` of a num node; a denominator that is zero in
+    `field` is a ParseError."""
+    _, a, b = node
+    if b == 1:
+        return field(a)
+    try:
+        return field(a) / field(b)
+    except ZeroDivisionError:
+        raise ParseError(f"denominator {b} is zero in {field.header()}") from None
+
+
+def fold(tree, leaf, dp=None):
+    """The value of `tree` under + - * **, with `leaf(node)` the value of
+    each num and name node.  Without `dp`, `^[k]` is a ParseError; with it,
+    `dp(base, k)` is the value of each `base^[k]` node and `^k` is a
+    ParseError."""
+    kind = tree[0]
+    if kind == "sum":
+        total = None
+        for negated, term in tree[1]:
+            value = fold(term, leaf, dp)
+            if negated:
+                value = -value
+            total = value if total is None else total + value
+        return total
+    if kind == "prod":
+        total = fold(tree[1][0], leaf, dp)
+        for factor in tree[1][1:]:
+            total = total * fold(factor, leaf, dp)
+        return total
+    if kind == "pow":
+        if dp is not None:
+            raise ParseError(f"^{tree[2]} where a divided power ^[k] is expected")
+        return fold(tree[1], leaf) ** tree[2]
+    if kind == "dp":
+        if dp is None:
+            raise ParseError(f"divided power ^[{tree[2]}] in a polynomial")
+        return dp(tree[1], tree[2])
+    return leaf(tree)
 
 
 def parse_int(text):

@@ -18,8 +18,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from ._tokens import TokenStream
-from .errors import ParseError
+from ._tokens import fold, number, parse_expr
 
 _DIGIT_RUN = re.compile(r"(\d+)")
 
@@ -309,61 +308,9 @@ class CommPoly(SparseElement):
 
 
 def parse_comm_poly(text, field):
-    """Parse the `+`/`-`/`*`/`^` grammar with integer or a/b coefficients."""
-    ts = TokenStream(text)
-    poly = _parse_sum(ts, field)
-    ts.require_done()
-    return poly
-
-
-def _parse_sum(ts, field):
-    negate = False
-    if ts.accept_op("-"):
-        negate = True
-    else:
-        ts.accept_op("+")
-    total = _parse_product(ts, field)
-    if negate:
-        total = -total
-    while True:
-        op = ts.accept_op("+", "-")
-        if op is None:
-            return total
-        term = _parse_product(ts, field)
-        total = total - term if op == "-" else total + term
-
-
-def _parse_product(ts, field):
-    total = _parse_power(ts, field)
-    while ts.accept_op("*"):
-        total = total * _parse_power(ts, field)
-    return total
-
-
-def _parse_power(ts, field):
-    base = _parse_atom(ts, field)
-    if ts.accept_op("^"):
-        return base ** ts.expect_int()
-    return base
-
-
-def _parse_atom(ts, field):
-    kind, val = ts.peek()
-    if kind == "int":
-        ts.next()
-        num = int(val)
-        if ts.accept_op("/"):
-            den = ts.expect_int()
-            if den == 0:
-                raise ParseError("zero denominator")
-            return CommPoly.const(field, field(num) / field(den))
-        return CommPoly.const(field, num)
-    if kind == "name":
-        ts.next()
-        return CommPoly.variable(field, val)
-    if kind == "op" and val == "(":
-        ts.next()
-        inner = _parse_sum(ts, field)
-        ts.expect_op(")")
-        return inner
-    raise ParseError(f"unexpected token in polynomial {ts.text!r}")
+    """Parse the expression grammar of `_tokens`; any name is a variable."""
+    def leaf(node):
+        if node[0] == "name":
+            return CommPoly.variable(field, node[1])
+        return CommPoly.const(field, number(node, field))
+    return fold(parse_expr(text), leaf)

@@ -13,14 +13,15 @@ basis needs no divisions, so everything stays valid over F_p.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
-from ._tokens import Block, TokenStream, block_text
+from ._tokens import Block, block_text, fold, number, parse_expr
 from .commpoly import SparseElement
 from .errors import ParseError, PreconditionError
-from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
-                     word_str)
+from .ncpoly import NCPoly, arity, free_leaf, parse_word, word_key, word_str
+from .ncpoly import parse_nc_poly  # noqa: F401  bench/tracing.py rebinds it by name
 
 
 @dataclass(frozen=True)
@@ -174,147 +175,19 @@ def dp_power(a, k):
 
 
 def parse_dp_expr(text, field, m=None):
-    """Parse sums/products of `(<poly>)^[k]` atoms and scalars."""
-    ts = TokenStream(text)
-    node = _parse_dp_sum(ts)
-    ts.require_done()
-    used = _dp_max_gen(node)
-    if m is None:
-        m = used
-    elif used > m:
-        raise ParseError(f"generator x{used} exceeds arity {m} in {text!r}")
-    return _dp_eval(node, field, m)
+    """Parse sums and products of scalars and divided powers `base^[k]` of
+    free-algebra elements; m defaults to the largest index used."""
+    tree = parse_expr(text)
+    m = arity(tree, text, m)
+    free = free_leaf(field, m)
+    one = DPElement.one(field, m)
 
+    def leaf(node):
+        if node[0] == "name":
+            raise ParseError(f"a bare word needs a ^[k] exponent in {text!r}")
+        return one * number(node, field)
 
-def _parse_dp_sum(ts):
-    sign = -1 if ts.accept_op("-") else 1
-    if sign == 1:
-        ts.accept_op("+")
-    total = ("scale", sign, _parse_dp_product(ts))
-    while True:
-        op = ts.accept_op("+", "-")
-        if op is None:
-            return total
-        term = _parse_dp_product(ts)
-        if op == "-":
-            term = ("scale", -1, term)
-        total = ("add", total, term)
-
-
-def _parse_dp_product(ts):
-    total = _parse_dp_factor(ts)
-    while ts.accept_op("*"):
-        total = ("mul", total, _parse_dp_factor(ts))
-    return total
-
-
-def _parse_dp_factor(ts):
-    kind, val = ts.peek()
-    if kind == "int":
-        ts.next()
-        num = int(val)
-        if ts.accept_op("/"):
-            den = ts.expect_int()
-            if den == 0:
-                raise ParseError("zero denominator")
-            return ("frac", num, den)
-        return _maybe_power(ts, ("poly-int", num))
-    if kind == "name":
-        ts.next()
-        idx = generator_index(val)
-        if idx is None:
-            raise ParseError(f"unknown generator {val!r}")
-        return _maybe_power(ts, ("poly-gen", idx))
-    if kind == "op" and val == "(":
-        ts.next()
-        inner = _parse_nc_inside(ts)
-        ts.expect_op(")")
-        return _maybe_power(ts, inner)
-    raise ParseError(f"unexpected token in divided-power expression {ts.text!r}")
-
-
-def _maybe_power(ts, base):
-    if ts.accept_op("^"):
-        ts.expect_op("[")
-        neg = bool(ts.accept_op("-"))
-        k = ts.expect_int()
-        ts.expect_op("]")
-        return ("dp", base, -k if neg else k)
-    if base[0] == "poly-int":
-        # a bare integer without ^[k] is a scalar factor
-        return ("frac", base[1], 1)
-    raise ParseError(f"expected ^[k] after a word in {ts.text!r}")
-
-
-def _parse_nc_inside(ts):
-    # capture the token span of a parenthesized free-algebra sub-expression
-    depth = 1
-    start = ts.i
-    while True:
-        kind, val = ts.tokens[ts.i] if ts.i < len(ts.tokens) else (None, None)
-        if kind is None:
-            raise ParseError(f"unbalanced parentheses in {ts.text!r}")
-        if kind == "op" and val == "(":
-            depth += 1
-        elif kind == "op" and val == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        ts.i += 1
-    toks = ts.tokens[start:ts.i]
-    return ("poly-toks", tuple(toks))
-
-
-def _dp_max_gen(node):
-    tag = node[0]
-    if tag == "poly-gen":
-        return node[1] + 1
-    if tag in ("frac", "poly-int"):
-        return 0
-    if tag == "poly-toks":
-        best = 0
-        for kind, val in node[1]:
-            if kind == "name":
-                idx = generator_index(val)
-                if idx is not None:
-                    best = max(best, idx + 1)
-        return best
-    if tag == "scale":
-        return _dp_max_gen(node[2])
-    if tag == "dp":
-        return _dp_max_gen(node[1])
-    return max(_dp_max_gen(node[1]), _dp_max_gen(node[2]))
-
-
-def _dp_eval(node, field, m):
-    tag = node[0]
-    if tag == "frac":
-        return DPElement.one(field, m) * (field(node[1]) / field(node[2]))
-    if tag == "scale":
-        return _dp_eval(node[2], field, m) * node[1]
-    if tag == "add":
-        return _dp_eval(node[1], field, m) + _dp_eval(node[2], field, m)
-    if tag == "mul":
-        return _dp_eval(node[1], field, m) * _dp_eval(node[2], field, m)
-    if tag == "dp":
-        return dp_power(_dp_poly(node[1], field, m), node[2])
-    raise ParseError("a bare word needs a ^[k] exponent")
-
-
-def _dp_poly(node, field, m):
-    tag = node[0]
-    if tag == "poly-gen":
-        return NCPoly.generator(field, m, node[1])
-    if tag == "poly-int":
-        return NCPoly.const(field, m, node[1])
-    if tag == "poly-toks":
-        text = _untokenize(node[1])
-        return parse_nc_poly(text, field, m)
-    raise ParseError("expected a free-algebra element under ^[k]")
-
-
-def _untokenize(tokens):
-    return " ".join(val for _, val in tokens)
+    return fold(tree, leaf, lambda base, k: dp_power(fold(base, free), k))
 
 
 # -- symmetric tensors on the orbit-sum basis ---------------------------------
@@ -451,31 +324,37 @@ def gamma_n(a, n):
     return SymTensor(field, a.m, n, terms)
 
 
-def ts_mul(s, t):
-    """Product in the ambient tensor power, re-collected on orbit sums.
+def _orbit_size(key):
+    "Number of distinct slot arrangements of a word multiset."
+    size = factorial(len(key))
+    for mult in Counter(key).values():
+        size //= factorial(mult)
+    return size
 
-    Arrangements multiply slotwise by word concatenation; the result is
-    symmetric, so its orbit-basis coefficients are read off on sorted
-    representatives.  No divisions occur.
+
+def ts_mul(s, t):
+    """Product in the ambient tensor power, computed on orbit sums.
+
+    The arrangements of the first key multiply slotwise by word
+    concatenation with those of the second; by symmetry it is enough to
+    fix the sorted first key.  If a result orbit C is then hit N times,
+    the product of the two orbit sums has coefficient N·|orb(key1)|/|orb(C)|
+    on C, an exact integer, so no divisions occur.
     """
     if not isinstance(s, SymTensor) or not isinstance(t, SymTensor):
         raise PreconditionError("ts_mul expects two symmetric tensors")
     s._check(t)
     field = s.field
-    full = {}
-    for arr1, c1 in s.arrangements().items():
-        for arr2, c2 in t.arrangements().items():
-            arr = tuple(w1 + w2 for w1, w2 in zip(arr1, arr2))
-            c = c1 * c2
-            prev = full.get(arr)
-            prev = c if prev is None else prev + c
-            if prev:
-                full[arr] = prev
-            else:
-                full.pop(arr, None)
+    arrangements = [(set(itertools.permutations(key2)), c2)
+                    for key2, c2 in t.terms.items()]
     terms = {}
-    for arr, c in full.items():
-        key = tuple(sorted(arr, key=word_key))
-        if arr == key:
-            terms[key] = c
+    for key1, c1 in s.terms.items():
+        orbit1 = _orbit_size(key1)
+        for arrs, c2 in arrangements:
+            hits = Counter(tuple(sorted(map(tuple.__add__, key1, arr), key=word_key))
+                           for arr in arrs)
+            c = c1 * c2
+            for key, hit in hits.items():
+                terms[key] = (terms.get(key, field.zero)
+                              + c * field(hit * orbit1 // _orbit_size(key)))
     return SymTensor(field, s.m, s.degree, terms)

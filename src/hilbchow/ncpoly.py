@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from ._tokens import TokenStream
+from ._tokens import fold, names, number, parse_expr
 from .commpoly import CommPoly, SparseElement, var_key
 from .errors import ParseError
 
@@ -141,17 +141,35 @@ def generator_index(name):
     return int(m.group(1)) - 1
 
 
+def arity(tree, text, m=None):
+    """m, or the largest generator index `tree` names when m is None;
+    a name that is no generator, or one above m, is a ParseError."""
+    used = 0
+    for name in names(tree):
+        k = generator_index(name)
+        if k is None:
+            raise ParseError(f"unknown generator {name!r} (expected x1, x2, ...)")
+        used = max(used, k + 1)
+    if m is None:
+        return used
+    if used > m:
+        raise ParseError(f"generator x{used} exceeds arity {m} in {text!r}")
+    return m
+
+
+def free_leaf(field, m):
+    "The `fold` leaf of the free algebra on x1..xm."
+    def leaf(node):
+        if node[0] == "num":
+            return NCPoly.const(field, m, number(node, field))
+        return NCPoly.generator(field, m, generator_index(node[1]))
+    return leaf
+
+
 def parse_nc_poly(text, field, m=None):
     """Parse a free-algebra element; m defaults to the largest index used."""
-    ts = TokenStream(text)
-    node = _parse_sum(ts)
-    ts.require_done()
-    used = _max_gen(node)
-    if m is None:
-        m = used
-    elif used > m:
-        raise ParseError(f"generator x{used} exceeds arity {m} in {text!r}")
-    return _eval_node(node, field, m)
+    tree = parse_expr(text)
+    return fold(tree, free_leaf(field, arity(tree, text, m)))
 
 
 def parse_word(text, field, m):
@@ -163,88 +181,3 @@ def parse_word(text, field, m):
     if c != field.one:
         raise ParseError(f"expected a bare word, got {text!r}")
     return w
-
-
-# The parser builds a tiny AST first so that the arity can be inferred
-# before any NCPoly is constructed.
-
-def _parse_sum(ts):
-    sign = -1 if ts.accept_op("-") else 1
-    if sign == 1:
-        ts.accept_op("+")
-    total = ("scale", sign, _parse_product(ts))
-    while True:
-        op = ts.accept_op("+", "-")
-        if op is None:
-            return total
-        term = _parse_product(ts)
-        if op == "-":
-            term = ("scale", -1, term)
-        total = ("add", total, term)
-
-
-def _parse_product(ts):
-    total = _parse_power(ts)
-    while ts.accept_op("*"):
-        total = ("mul", total, _parse_power(ts))
-    return total
-
-
-def _parse_power(ts):
-    base = _parse_atom(ts)
-    if ts.accept_op("^"):
-        return ("pow", base, ts.expect_int())
-    return base
-
-
-def _parse_atom(ts):
-    kind, val = ts.peek()
-    if kind == "int":
-        ts.next()
-        num = int(val)
-        if ts.accept_op("/"):
-            den = ts.expect_int()
-            if den == 0:
-                raise ParseError("zero denominator")
-            return ("frac", num, den)
-        return ("frac", num, 1)
-    if kind == "name":
-        ts.next()
-        idx = generator_index(val)
-        if idx is None:
-            raise ParseError(f"unknown generator {val!r} (expected x1, x2, ...)")
-        return ("gen", idx)
-    if kind == "op" and val == "(":
-        ts.next()
-        inner = _parse_sum(ts)
-        ts.expect_op(")")
-        return inner
-    raise ParseError(f"unexpected token in polynomial {ts.text!r}")
-
-
-def _max_gen(node):
-    tag = node[0]
-    if tag == "gen":
-        return node[1] + 1
-    if tag == "frac":
-        return 0
-    if tag in ("scale", "pow"):
-        return _max_gen(node[2] if tag == "scale" else node[1])
-    return max(_max_gen(node[1]), _max_gen(node[2]))
-
-
-def _eval_node(node, field, m):
-    tag = node[0]
-    if tag == "gen":
-        return NCPoly.generator(field, m, node[1])
-    if tag == "frac":
-        return NCPoly.const(field, m, field(node[1]) / field(node[2]))
-    if tag == "scale":
-        return _eval_node(node[2], field, m) * node[1]
-    if tag == "pow":
-        return _eval_node(node[1], field, m) ** node[2]
-    if tag == "add":
-        return _eval_node(node[1], field, m) + _eval_node(node[2], field, m)
-    if tag == "mul":
-        return _eval_node(node[1], field, m) * _eval_node(node[2], field, m)
-    raise AssertionError(tag)

@@ -138,9 +138,9 @@ class NormPoint:
                 law[parse_tuple(lhs, parse_int)] = fld.parse(rhs)
             else:
                 dets[parse_word(lhs, fld, m)] = fld.parse(rhs)
+        cps = _per_generator(charpolys, m, "charpoly")
         gens = tuple(NCPoly.generator(fld, m, k) for k in range(m))
         table = LawCoefficientTable(fld, n, gens, law)
-        cps = _per_generator(charpolys, m, "charpoly")
         return cls(fld, m, n, max_len, cps, table, dets)
 
 

@@ -311,10 +311,11 @@ class InvariantTable:
 
 
 def _per_generator(found, m, kind):
-    "(found[0], ..., found[m-1]) from the `kind` lines of a block."
-    missing = [f"x{k + 1}" for k in range(m) if k not in found]
-    if missing:
-        raise ParseError(f"no {kind} line for " + ", ".join(missing))
+    """(found[0], ..., found[m-1]) from the `kind` lines of a block, whose
+    keys all lie in range(m); a gap is named by its first generator."""
+    if len(found) < m:
+        k = min(set(range(len(found) + 1)) - found.keys())
+        raise ParseError(f"no {kind} line for x{k + 1}")
     return tuple(found[k] for k in range(m))
 
 

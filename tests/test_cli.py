@@ -1,4 +1,6 @@
+import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -220,6 +222,49 @@ def test_malformed_block_exit_code(capsys, commuting, command, block):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# Expressions in each of the three grammars' homes: a denominator that is
+# zero in the field, and parentheses nested past the parser's depth limit,
+# are malformed input (exit 2), never a traceback.
+DEEP = "(" * 600 + "x1" + ")" * 600
+BAD_EXPRESSIONS = [
+    ("gamma", "--expr", "1/3*x1", "--n", "2", "--field", "F3"),
+    ("dp-normalize", "--expr", "1/3*x1^[1]", "--field", "F3"),
+    ("rep-ideal", "--presentation", "field F 3|gens x1|rel 1/3*x1", "--n", "1"),
+    ("gamma", "--expr", DEEP, "--n", "2"),
+    ("dp-normalize", "--expr", DEEP + "^[1]"),
+    ("rep-ideal", "--presentation", "field Q|gens x1|rel " + DEEP, "--n", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_EXPRESSIONS, ids=lambda argv: argv[0])
+def test_malformed_expression_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_long_flat_expressions(capsys):
+    code, out, _ = run(capsys, "gamma", "--expr", "+".join(["x1"] * 1500),
+                       "--n", "1")
+    assert code == 0 and "term {x1} = 1500" in out
+    # (x1^[1])^1500 = 1500! x1^[1500]
+    code, out, _ = run(capsys, "dp-normalize", "--expr", "*".join(["x1^[1]"] * 1500))
+    assert code == 0 and out.endswith(f"term (x1)^[1500] = {math.factorial(1500)}\n")
+
+
+def test_readme_inline_examples_run(capsys):
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        lines = [ln.strip() for ln in f]
+    examples = [shlex.split(ln)[1:] for ln in lines
+                if ln.startswith("hilbchow ")
+                and ("--expr" in ln or ln.startswith("hilbchow enumerate"))]
+    assert len(examples) >= 4
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out, (argv, err)
 
 
 def fresh_process(*argv):

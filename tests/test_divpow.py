@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from hilbchow import (GF, QQ, DividedMonomial, DPElement, NCPoly,
+from hilbchow import (GF, QQ, DividedMonomial, DPElement, NCPoly, ParseError,
                       PreconditionError, SymTensor, dp_power, gamma_n,
                       parse_dp_expr, tau, ts_mul)
 
@@ -181,9 +181,11 @@ def test_ts_mul_against_dense_slotwise_oracle():
     rng = seeded("tsmul-dense")
     for field in FIELDS:
         for _ in range(15):
-            a = rand_ncpoly(field, 2, rng, max_terms=2, max_len=1)
-            b = rand_ncpoly(field, 2, rng, max_terms=2, max_len=1)
-            n = rng.randint(0, 3)
+            # three-word supports up to degree 4 give orbits of every shape,
+            # so a wrong orbit-size ratio in ts_mul shows up here
+            a = rand_ncpoly(field, 2, rng, max_terms=3, max_len=1)
+            b = rand_ncpoly(field, 2, rng, max_terms=3, max_len=1)
+            n = rng.randint(0, 4)
             s, t = gamma_n(a, n), gamma_n(b, n)
             ds, dt = s.arrangements(), t.arrangements()
             dense_prod = {}
@@ -222,6 +224,31 @@ def test_dp_expression_parser():
     assert e3 == dp_power(x() + y(), 2)
     e4 = parse_dp_expr("3*x1^[2] - x2^[1]*x2^[1]", QQ)
     assert e4 == dp_power(x(), 2) * 3 - dp_power(y(), 1) * dp_power(y(), 1)
+
+
+@pytest.mark.parametrize("text,m", [
+    ("x1", None),              # a bare word needs ^[k]
+    ("x1^2", None),            # ^k is no divided power
+    ("2^3", None),
+    ("(x1^[2]", None),         # unbalanced
+    ("x1^[", None),            # unfinished exponent
+    ("x3^[1]", 2),             # generator beyond the arity
+    ("(x1^[1])^[2]", None),    # a divided power of a divided power
+    ("1/3*x1^[1]", "F3"),      # denominator zero in F_3
+])
+def test_dp_expression_syntax_errors(text, m):
+    field = GF(3) if m == "F3" else QQ
+    with pytest.raises(ParseError):
+        parse_dp_expr(text, field, None if m == "F3" else m)
+
+
+def test_dp_power_of_parsed_polynomial():
+    rng = seeded("dp-parse")
+    for field in FIELDS:
+        for _ in range(20):
+            p = rand_ncpoly(field, 2, rng, max_terms=3, max_len=2)
+            k = rng.randint(-1, 3)
+            assert parse_dp_expr(f"({p})^[{k}]", field, 2) == dp_power(p, k)
 
 
 def test_dp_text_roundtrip():

@@ -4,7 +4,8 @@ Round trip: from_text(to_text(x)) == x for drawn objects of each block
 type over Q, F_3 and F_101.  Robustness: a single-line mutation of a
 printed block either parses or raises ParseError / PreconditionError,
 and the CLI answers a mutated --point or --presentation with exit code
-0, 2, 3 or 4 instead of an exception.
+0, 2, 3 or 4 instead of an exception.  Expressions: any string of grammar
+tokens either parses or raises ParseError, in all three parsers.
 """
 
 import contextlib
@@ -22,7 +23,8 @@ from hilbchow import (GF, QQ, AlgebraPresentation, CommPoly, Cycle,  # noqa: E40
                       NormPoint, ParseError, PointedRep, PreconditionError,
                       RepIdeal, RepPoint, SplitFailure, SymTensor, det_point,
                       dp_power, gamma_n, invariant_table, is_cyclic,
-                      law_coefficients, rep_ideal, triple_to_ideal)
+                      law_coefficients, parse_comm_poly, parse_dp_expr,
+                      parse_nc_poly, rep_ideal, triple_to_ideal)
 from hilbchow.cli import main  # noqa: E402
 
 FUZZ_FIELDS = (QQ, GF(3), GF(101))
@@ -216,3 +218,36 @@ def test_cli_answers_mutated_input_with_an_exit_code(command, field,
                         "--max-len", "2")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+# Strings of grammar tokens, joined by spaces so that integers stay one
+# digit, and strings the grammar derives, with `^k` on atoms only: both keep
+# degrees small enough to evaluate.
+EXPR_TOKENS = ("x1", "x2", "x3", "y", "0", "1", "2", "3",
+               "+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
+EXPR_ATOMS = ("x1", "x2", "y", "0", "2", "1 / 3", "x1 ^ 2", "x2 ^ [ 1 ]", "3 ^ [ 2 ]")
+
+
+def grow(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children).map(" ".join),
+        children.map("- {}".format),
+        children.map("( {} )".format),
+        st.tuples(children, st.integers(-1, 2)).map(
+            lambda base_k: "( {} ) ^ [ {} ]".format(*base_k)))
+
+
+EXPRESSIONS = st.one_of(
+    st.lists(st.sampled_from(EXPR_TOKENS), max_size=12).map(" ".join),
+    st.recursive(st.sampled_from(EXPR_ATOMS), grow, max_leaves=8))
+
+
+@pytest.mark.parametrize("parse", [parse_comm_poly, parse_nc_poly, parse_dp_expr],
+                         ids=["comm", "nc", "dp"])
+@fuzz_settings(300)
+@given(text=EXPRESSIONS, field=st.sampled_from((QQ, GF(3))))
+def test_expression_parses_or_raises_parse_error(parse, text, field):
+    try:
+        parse(text, field)
+    except ParseError:
+        pass

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hilbchow import GF, QQ, NCPoly, ParseError, parse_comm_poly, parse_nc_poly
+from hilbchow import (GF, QQ, NCPoly, ParseError, parse_comm_poly, parse_dp_expr,
+                      parse_nc_poly)
+from hilbchow._tokens import MAX_DEPTH
 from hilbchow.ncpoly import word_key, word_str, words_up_to
 
 from oracles import FIELDS, rand_ncpoly, seeded
@@ -95,3 +97,36 @@ def test_mixing_arities_rejected():
         gen(0, m=2) + NCPoly.generator(QQ, 3, 0)
     with pytest.raises(ValueError):
         gen(0, m=2) * NCPoly.generator(GF(2), 2, 0)
+
+
+# The three parsers share one grammar; each entry reads an expression the
+# way its algebra does (a word `w` is `w^[1]` for divided powers).
+PARSERS = pytest.mark.parametrize(
+    "parse,atom", [(parse_comm_poly, "x1"), (parse_nc_poly, "x1"),
+                   (parse_dp_expr, "x1^[1]")], ids=["comm", "nc", "dp"])
+
+
+@PARSERS
+def test_flat_sums_and_products_of_1500_terms(parse, atom):
+    total = parse("+".join([atom] * 1500), QQ)
+    assert total == parse(f"1500*{atom}", QQ)
+    product = parse("*".join([atom] * 1500), QQ)
+    assert product == parse(f"{atom}*" * 1499 + atom, QQ)
+    assert parse("-".join([atom] * 1500), QQ) == parse(f"-1498*{atom}", QQ)
+
+
+@PARSERS
+def test_nesting_depth(parse, atom):
+    assert parse("(" * MAX_DEPTH + atom + ")" * MAX_DEPTH, QQ) == parse(atom, QQ)
+    for depth in (MAX_DEPTH + 1, 600):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("(" * depth + atom + ")" * depth, QQ)
+
+
+@PARSERS
+def test_denominator_zero_in_the_field(parse, atom):
+    assert parse(f"1/3*{atom}", GF(5)) == parse(f"2*{atom}", GF(5))
+    for text, field in ((f"1/3*{atom}", GF(3)), (f"2/6*{atom}", GF(2)),
+                        (f"1/0*{atom}", QQ)):
+        with pytest.raises(ParseError, match="denominator"):
+            parse(text, field)

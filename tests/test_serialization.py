@@ -184,3 +184,15 @@ def test_truncated_blocks_raise_typed_errors():
         with pytest.raises(ParseError):
             cls.from_text(text)
 
+
+
+@pytest.mark.parametrize("cls,text", [
+    (NormPoint, "norm-point\nfield Q\nm 1000000\nn 1\nmax-len 1\ncharpoly x1 = t"),
+    (InvariantTable, "invariant-table\nfield Q\nm 1000000\nn 1\nmax-len 1\ndet x1 = 1"),
+    (IdealPresentation, "ideal-presentation\nfield Q\nm 1000000\nn 1\nbasis 1\n"
+                        "cyclic-index 0\nact x1 = 0"),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_missing_generator_line_for_a_large_arity(cls, text):
+    # the error names the first missing generator, whatever m the block declares
+    with pytest.raises(ParseError, match=r"line for x2$"):
+        cls.from_text(text)

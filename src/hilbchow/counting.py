@@ -1,7 +1,10 @@
 """Exhaustive enumeration over prime fields.
 
 Iterates every m-tuple of n x n matrices over F_q, filters by the
-relations, and counts cyclic vectors.  The group order of GL_n(F_q)
+relations, and counts cyclic vectors.  Tuples are plain int rows run
+through `linalg`'s kernels: word products over Z, reduced mod p where a
+relation entry is tested, and the breadth-first word basis on a span
+that works mod p.  The group order of GL_n(F_q)
 must divide the cyclic-pair count exactly (the action on cyclic pairs
 is free); the quotient is the number of Hilbert-scheme points.  The
 tuple space is split into contiguous index ranges ("prefix" blocks of
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from ._tokens import Block, block_text
 from .errors import BudgetExceededError, PreconditionError
 from .fields import PrimeField, is_prime
+from .linalg import Matrix, word_basis, word_sum
 from .repvariety import AlgebraPresentation
 
 BUDGET_ENV = "HILBCHOW_BUDGET"
@@ -88,104 +92,34 @@ class EnumerationReport:
 
 
 def _decode_tuple(index, q, m, n):
-    "Mixed-radix digits of index, row-major per matrix; index 0 is all zeros."
+    """The m matrices (tuples of rows) whose entries are the mixed-radix
+    digits of index, row-major per matrix; index 0 is all zeros."""
     digits = []
     for _ in range(m * n * n):
         digits.append(index % q)
         index //= q
     digits.reverse()
-    return digits
-
-
-# The sweep works on plain integer matrices mod p: the generic field-element
-# objects cost too much in a loop over q^(m n^2) tuples.  Agreement of this
-# fast path with is_representation / is_cyclic is itself under test.
-
-def _int_mat_mul(a, b, p, n):
-    return [[sum(a[i][l] * b[l][j] for l in range(n)) % p for j in range(n)]
-            for i in range(n)]
-
-
-def _int_word_matrix(word, mats, cache, p, n):
-    got = cache.get(word)
-    if got is None:
-        got = _int_mat_mul(mats[word[0]], _int_word_matrix(word[1:], mats,
-                                                           cache, p, n), p, n)
-        cache[word] = got
-    return got
-
-
-def _int_is_rep(rel_data, mats, p, n):
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    cache = {(): identity}
-    for terms in rel_data:
-        for i in range(n):
-            for j in range(n):
-                total = 0
-                for coeff, word in terms:
-                    total += coeff * _int_word_matrix(word, mats, cache,
-                                                      p, n)[i][j]
-                if total % p:
-                    return False
-    return True
-
-
-def _int_cyclic(mats, v, p, n, m):
-    "Breadth-first span growth, echelonized rows of ints mod p."
-    rows = []
-    pivots = []
-
-    def add(vec):
-        vec = list(vec)
-        for row, pv in zip(rows, pivots):
-            f = vec[pv]
-            if f:
-                vec = [(a - f * b) % p for a, b in zip(vec, row)]
-        for idx in range(n):
-            if vec[idx]:
-                inv = pow(vec[idx], -1, p)
-                rows.append([a * inv % p for a in vec])
-                pivots.append(idx)
-                return True
-        return False
-
-    if not add(v):
-        return False
-    level = [v]
-    size = 1
-    while level and size < n:
-        nxt = []
-        for mat in mats:
-            for u in level:
-                image = tuple(sum(mat[i][j] * u[j] for j in range(n)) % p
-                              for i in range(n))
-                if add(image):
-                    nxt.append(image)
-                    size += 1
-        level = nxt
-    return size == n
+    rows = zip(*[iter(digits)] * n)
+    return tuple(zip(*[rows] * n))
 
 
 def count_range(pres_text, n, start, stop):
     """(representation tuples, cyclic pairs) for a contiguous index range."""
     pres = AlgebraPresentation.from_text(pres_text)
-    p = pres.field.p
-    m = pres.m
-    rel_data = [[(c.v, w) for w, c in rel.terms.items()]
-                for rel in pres.relations]
+    p, m = pres.field.p, pres.m
+    relations = [[(w, c.v) for w, c in rel.terms.items()]
+                 for rel in pres.relations if rel.terms]
+    identity = Matrix.identity(n, 1).rows
     vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
-    reps = 0
-    pairs = 0
+    reps = pairs = 0
     for index in range(start, stop):
-        digits = _decode_tuple(index, p, m, n)
-        mats = [[digits[k * n * n + i * n:k * n * n + i * n + n]
-                 for i in range(n)] for k in range(m)]
-        if rel_data and not _int_is_rep(rel_data, mats, p, n):
+        mats = _decode_tuple(index, p, m, n)
+        memo = {(): identity}
+        if any(a % p for terms in relations
+               for row in word_sum(terms, mats, memo) for a in row):
             continue
         reps += 1
-        for v in vectors:
-            if _int_cyclic(mats, v, p, n, m):
-                pairs += 1
+        pairs += sum(len(word_basis(mats, v, p)) == n for v in vectors)
     return reps, pairs
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError
 from .linalg import (IncrementalSpan, Matrix, matrix_inverse, nc_eval,
-                     nullspace)
+                     nullspace, word_basis)
 from .ncpoly import NCPoly, parse_word, word_str
 from .repvariety import (RepPoint, _generator, _per_generator, matrix_row_text,
                          parse_matrix_rows, parse_point_body, point_text)
@@ -59,33 +59,10 @@ class PointedRep:
 
 
 def cyclic_word_basis(pt):
-    """Graded-lex-first words whose images of v are linearly independent.
-
-    Breadth-first: level L+1 candidates are x_k * w over selected level-L
-    words w, scanned in lexicographic order.  Prepending a generator to a
-    word whose image is already dependent can never produce a new
-    independent image, so the scan visits exactly the words it needs and
-    still returns the lexicographically first independent set.
-    """
-    n = pt.n
-    span = IncrementalSpan(n)
-    words, images = [], []
-    if span.add(pt.v):
-        words.append(())
-        images.append(pt.v)
-    level = [((), pt.v)]
-    while level and len(words) < n:
-        nxt = []
-        for k in range(pt.m):
-            for w, u in level:
-                w2 = (k,) + w
-                u2 = pt.rep.mats[k].apply(u)
-                if span.add(u2):
-                    words.append(w2)
-                    images.append(u2)
-                    nxt.append((w2, u2))
-        level = nxt
-    return words, images
+    """Graded-lex-first words whose images of v are linearly independent,
+    and those images (see `linalg.word_basis`)."""
+    basis = word_basis(tuple(M.rows for M in pt.rep.mats), pt.v)
+    return [w for w, _ in basis], [u for _, u in basis]
 
 
 def span_dimension(pt):

@@ -20,7 +20,8 @@ from math import comb, factorial
 from ._tokens import Block, block_text, fold, number, parse_expr
 from .commpoly import SparseElement
 from .errors import ParseError, PreconditionError
-from .ncpoly import NCPoly, arity, free_leaf, parse_word, word_key, word_str
+from .ncpoly import (NCPoly, arity, free_leaf, parse_word, short_words, word_key,
+                     word_str)
 from .ncpoly import parse_nc_poly  # noqa: F401  bench/tracing.py rebinds it by name
 
 
@@ -187,7 +188,8 @@ def parse_dp_expr(text, field, m=None):
             raise ParseError(f"a bare word needs a ^[k] exponent in {text!r}")
         return one * number(node, field)
 
-    return fold(tree, leaf, lambda base, k: dp_power(fold(base, free), k))
+    return fold(tree, leaf, lambda base, k:
+                dp_power(fold(short_words(base, text), free), k))
 
 
 # -- symmetric tensors on the orbit-sum basis ---------------------------------

@@ -10,6 +10,10 @@ are only offered over fields, where Gaussian elimination is exact.
 
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+from operator import add, mul, sub
+
 from .commpoly import CommPoly
 from .errors import PreconditionError, SingularMatrixError
 from .ncpoly import NCPoly
@@ -51,19 +55,18 @@ class Matrix:
         if self.n != other.n:
             raise PreconditionError(f"dimension mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check(other)
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2))
+        return Matrix(tuple(tuple(map(op, r1, r2))
                             for r1, r2 in zip(self.rows, other.rows)))
 
+    def __add__(self, other):
+        return self._entrywise(other, add)
+
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check(other)
-        return Matrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, other.rows)))
+        return self._entrywise(other, sub)
 
     def __neg__(self):
         return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
@@ -71,9 +74,7 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            cols = tuple(zip(*other.rows))
-            return Matrix(tuple(
-                tuple(_dot(row, col) for col in cols) for row in self.rows))
+            return Matrix(mat_mul(self.rows, other.rows))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -97,7 +98,7 @@ class Matrix:
     def apply(self, vec):
         if len(vec) != self.n:
             raise PreconditionError("vector length does not match matrix size")
-        return tuple(_dot(row, vec) for row in self.rows)
+        return mat_vec(self.rows, vec)
 
     def trace(self):
         t = self.rows[0][0]
@@ -126,11 +127,47 @@ class Matrix:
         return f"Matrix([{self}])"
 
 
+# -- kernels on tuples of rows, shared by Matrix and the F_p sweep ------------
+#
+# Entries need only + and *: field elements, polynomials, or plain ints
+# that the caller reduces mod p when it reads them (exact, since Z -> F_p is
+# a ring map).
+
 def _dot(u, v):
-    it = iter(a * b for a, b in zip(u, v))
-    total = next(it)
-    for x in it:
-        total = total + x
+    return reduce(add, map(mul, u, v))
+
+
+def mat_mul(a, b):
+    "Product of two square matrices given as tuples of rows."
+    cols = tuple(zip(*b))
+    return tuple([tuple([reduce(add, map(mul, row, col)) for col in cols])
+                  for row in a])
+
+
+def mat_vec(a, v):
+    return tuple([reduce(add, map(mul, row, v)) for row in a])
+
+
+def word_product(word, mats, memo):
+    """mats[w_0] * mats[w_1] * ... along `word`, memoised in `memo`, which
+    must map the empty word to the identity."""
+    got = memo.get(word)
+    if got is None:
+        got = mats[word[0]]
+        if len(word) > 1:
+            got = mat_mul(got, word_product(word[1:], mats, memo))
+        memo[word] = got
+    return got
+
+
+def word_sum(terms, mats, memo):
+    "Sum of c * word_product(w) over the (w, c) pairs of nonempty `terms`."
+    total = None
+    for word, c in terms:
+        scaled = tuple(tuple(a * c for a in r)
+                       for r in word_product(word, mats, memo))
+        total = scaled if total is None else tuple(
+            tuple(map(add, t, s)) for t, s in zip(total, scaled))
     return total
 
 
@@ -156,7 +193,7 @@ def berkowitz_coeffs(mat):
         u = col
         for _ in range(k):
             s.append(-_dot(row, u))
-            u = tuple(_dot(r, u) for r in sub)
+            u = mat_vec(sub, u)
         new = [zero] * (k + 2)
         for i, si in enumerate(s):
             if not si:
@@ -221,16 +258,7 @@ def det_linear_combination(mats, var_names):
         if M.n != n:
             raise PreconditionError("matrices must share one dimension")
     gens = [CommPoly.variable(field, name) for name in var_names]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = CommPoly.zero(field)
-            for t, M in zip(gens, mats):
-                entry = entry + t * M.rows[i][j]
-            row.append(entry)
-        rows.append(tuple(row))
-    return det(Matrix(rows))
+    return det(reduce(add, [M.scale(t) for t, M in zip(gens, mats)]))
 
 
 # -- evaluation of free-algebra elements on matrix tuples ---------------------
@@ -252,19 +280,11 @@ def nc_eval(poly, mats):
         if M.n != n:
             raise PreconditionError("matrices must share one dimension")
     one = mats[0].rows[0][0] ** 0
-    total = Matrix.zeros(n, one * 0)
-    cache = {(): Matrix.identity(n, one)}
-    for word, c in sorted(poly.terms.items(), key=lambda wc: (len(wc[0]), wc[0])):
-        total = total + _word_matrix(word, mats, cache).scale(c)
-    return total
-
-
-def _word_matrix(word, mats, cache):
-    M = cache.get(word)
-    if M is None:
-        M = mats[word[0]] * _word_matrix(word[1:], mats, cache)
-        cache[word] = M
-    return M
+    if not poly.terms:
+        return Matrix.zeros(n, one * 0)
+    terms = sorted(poly.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
+    memo = {(): Matrix.identity(n, one).rows}
+    return Matrix(word_sum(terms, tuple(M.rows for M in mats), memo))
 
 
 def word_matrices(mats, max_len):
@@ -272,50 +292,34 @@ def word_matrices(mats, max_len):
     if not mats:
         raise PreconditionError("need at least one matrix")
     one = mats[0].rows[0][0] ** 0
-    table = {(): Matrix.identity(mats[0].n, one)}
-    level = [()]
-    for _ in range(max_len):
-        nxt = []
-        for k in range(len(mats)):
-            for w in level:
-                w2 = (k,) + w
-                table[w2] = mats[k] * table[w]
-                nxt.append(w2)
-        # restore lexicographic order within the new length
-        nxt.sort()
-        level = nxt
-    return table
+    memo = {(): Matrix.identity(mats[0].n, one).rows}
+    rows = tuple(M.rows for M in mats)
+    return {w: Matrix(word_product(w, rows, memo))
+            for length in range(max_len + 1)
+            for w in itertools.product(range(len(mats)), repeat=length)}
 
 
 # -- exact Gaussian elimination over a field -----------------------------------
 
 def rref(rows):
-    """Reduced row echelon form (in place on a copied list); returns pivots."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][col]
-        rows[r] = [a / piv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Reduced row echelon form over a field: (nonzero rows, pivot columns).
+
+    The rows go through an IncrementalSpan, are sorted by pivot, and each
+    pivot column is then cleared upwards, last pivot first.
+    """
+    span = IncrementalSpan(len(rows[0]) if rows else 0)
+    for row in rows:
+        span.add(row)
+    order = sorted(range(span.rank), key=span.pivots.__getitem__)
+    pivots = [span.pivots[i] for i in order]
+    red = [span.rows[i] for i in order]
+    for i in reversed(range(len(red))):
+        c = pivots[i]
+        for j in range(i):
+            f = red[j][c]
+            if f:
+                red[j] = [a - f * b for a, b in zip(red[j], red[i])]
+    return red, pivots
 
 
 def rank(rows):
@@ -343,11 +347,8 @@ def nullspace(rows, ncols):
 
 def matrix_inverse(mat):
     n = mat.n
-    one = mat.rows[0][0] ** 0
-    zero = one * 0
-    aug = [list(mat.rows[i]) + [one if j == i else zero for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref(aug)
+    unit = Matrix.identity(n, mat.rows[0][0] ** 0).rows
+    red, pivots = rref([r + e for r, e in zip(mat.rows, unit)])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return Matrix(tuple(tuple(red[i][n:]) for i in range(n)))
@@ -374,36 +375,76 @@ def solve_columns(basis, targets):
 
 
 class IncrementalSpan:
-    """Growing echelonized span of vectors over a field."""
+    """Growing echelonized span of vectors.
 
-    def __init__(self, dim):
+    With p = 0 the entries are field elements (`Fraction`, `FpElem`); with
+    a prime p they are plain ints and the span works mod p.  A stored row
+    is 1 at its pivot and 0 at the pivots stored before it.
+    """
+
+    __slots__ = ("dim", "p", "rows", "pivots")
+
+    def __init__(self, dim, p=0):
         self.dim = dim
+        self.p = p
         self.rows = []
         self.pivots = []
 
-    def residual(self, vec):
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
-    def add(self, vec):
-        "Returns True when vec enlarges the span."
-        res = self.residual(vec)
-        for p in range(self.dim):
-            if res[p]:
-                piv = res[p]
-                res = [a / piv for a in res]
-                self.rows.append(res)
-                self.pivots.append(p)
+    def add(self, vec, keep=True):
+        """True when vec enlarges the span; vec then joins it unless
+        `keep` is false."""
+        rows = self.rows
+        if len(rows) == self.dim:
+            return False
+        p = self.p
+        if p:
+            vec = [a % p for a in vec]
+        for row, c in zip(rows, self.pivots):
+            f = vec[c]
+            if f:
+                vec = ([(a - f * b) % p for a, b in zip(vec, row)] if p
+                       else [a - f * b for a, b in zip(vec, row)])
+        for c, piv in enumerate(vec):
+            if piv:
+                if keep:
+                    if p:
+                        inv = pow(piv, -1, p)
+                        rows.append([a * inv % p for a in vec])
+                    else:
+                        rows.append([a / piv for a in vec])
+                    self.pivots.append(c)
                 return True
         return False
 
     def contains(self, vec):
-        return not any(self.residual(vec))
+        return not self.add(vec, keep=False)
 
     @property
     def rank(self):
         return len(self.rows)
+
+
+def word_basis(mats, v, p=0):
+    """(word, image) pairs for the graded-lex-first words w whose images
+    w.v are linearly independent; `mats` are row tuples, and p is as for
+    IncrementalSpan.
+
+    Breadth-first: level L+1 candidates are x_k * w over selected level-L
+    words w, scanned in lexicographic order.  Prepending a generator to a
+    word whose image is already dependent can never produce a new
+    independent image, so the scan visits exactly the words it needs and
+    still returns the lexicographically first independent set.
+    """
+    n = len(v)
+    grow = IncrementalSpan(n, p).add
+    basis = level = [((), v)] if grow(v) else []
+    while level and len(basis) < n:
+        nxt = []
+        for k, mat in enumerate(mats):
+            for w, u in level:
+                image = mat_vec(mat, u)
+                if grow(image):
+                    nxt.append(((k,) + w, image))
+        basis = basis + nxt
+        level = nxt
+    return basis

@@ -17,6 +17,12 @@ from .errors import ParseError
 
 _GEN_NAME = re.compile(r"^x([1-9][0-9]*)$")
 
+# A word is a tuple with one 8-byte slot per letter, and `^k` squares it
+# repeatedly, so an expression of a few dozen characters could otherwise ask
+# for a word of 2^30 letters.  10^4 letters keep a word under 80 KB, and the
+# relations and word tables (length 2n - 1) of this toolkit stay far shorter.
+MAX_WORD_LENGTH = 10_000
+
 
 def word_key(word):
     return (len(word), word)
@@ -168,8 +174,32 @@ def free_leaf(field, m):
 
 def parse_nc_poly(text, field, m=None):
     """Parse a free-algebra element; m defaults to the largest index used."""
-    tree = parse_expr(text)
+    tree = short_words(parse_expr(text), text)
     return fold(tree, free_leaf(field, arity(tree, text, m)))
+
+
+def short_words(tree, text):
+    """`tree`, once the words it evaluates to are known to be at most
+    MAX_WORD_LENGTH letters long; longer ones are a ParseError."""
+    if _length_bound(tree) > MAX_WORD_LENGTH:
+        raise ParseError(
+            f"words longer than {MAX_WORD_LENGTH} letters in {text!r}")
+    return tree
+
+
+def _length_bound(tree):
+    """Upper bound on the length of the words `tree` evaluates to: 0 for a
+    number, 1 for a name, the max over a sum, the sum over a product, and
+    k * d for base^k or base^[k] when d bounds the base.  One frame per
+    node, as in `fold`."""
+    kind = tree[0]
+    if kind == "sum":
+        return max(map(_length_bound, [term for _, term in tree[1]]))
+    if kind == "prod":
+        return sum(map(_length_bound, tree[1]))
+    if kind in ("pow", "dp"):
+        return max(tree[2], 0) * _length_bound(tree[1])
+    return int(kind == "name")
 
 
 def parse_word(text, field, m):

@@ -54,26 +54,22 @@ class AlgebraPresentation:
         rels = [r for r in self.relations if r]
         words = sorted({w for r in rels for w in r.terms}, key=word_key)
         index = {w: i for i, w in enumerate(words)}
-        span = IncrementalSpan(len(words)) if words else None
-        if span is not None:
-            for r in rels:
-                vec = [self.field.zero] * len(words)
-                for w, c in r.terms.items():
-                    vec[index[w]] = c
-                span.add(vec)
+
+        def vector(poly):
+            vec = [self.field.zero] * len(words)
+            for w, c in poly.terms.items():
+                vec[index[w]] = c
+            return vec
+
+        span = IncrementalSpan(len(words))
+        for r in rels:
+            span.add(vector(r))
         for i in range(self.m):
             for j in range(i + 1, self.m):
-                xi = NCPoly.generator(self.field, self.m, i)
-                xj = NCPoly.generator(self.field, self.m, j)
+                xi, xj = self.generator(i), self.generator(j)
                 comm = xi * xj - xj * xi
-                if span is None:
-                    return False
-                if any(w not in index for w in comm.terms):
-                    return False
-                vec = [self.field.zero] * len(words)
-                for w, c in comm.terms.items():
-                    vec[index[w]] = c
-                if not span.contains(vec):
+                if not (comm.terms.keys() <= index.keys()
+                        and span.contains(vector(comm))):
                     return False
         return True
 

@@ -44,6 +44,75 @@ def _perm_sign(perm):
     return sign
 
 
+# -- brute-force point count over F_p ------------------------------------------
+
+def naive_count(pres, n):
+    """(representation tuples, cyclic pairs) of an F_p presentation.
+
+    Its own arithmetic on ints mod p: a tuple is a representation when
+    every relation vanishes entrywise, and a pair (tuple, v) is cyclic
+    when the images of v under all words of length <= n - 1 have rank n.
+    """
+    p, m = pres.field.p, pres.m
+    relations = [[(w, c.v) for w, c in rel.terms.items()]
+                 for rel in pres.relations]
+    words = [w for length in range(n)
+             for w in itertools.product(range(m), repeat=length)]
+    vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
+    reps = pairs = 0
+    for entries in itertools.product(range(p), repeat=m * n * n):
+        mats = [[entries[k * n * n + i * n:k * n * n + (i + 1) * n]
+                 for i in range(n)] for k in range(m)]
+        if any(_mod_combination(rel, mats, n, p) for rel in relations):
+            continue
+        reps += 1
+        products = [_mod_word(mats, w, n, p) for w in words]
+        for v in vectors:
+            images = [[sum(a * b for a, b in zip(row, v)) % p for row in prod]
+                      for prod in products]
+            if _mod_rank(images, p) == n:
+                pairs += 1
+    return reps, pairs
+
+
+def _mod_word(mats, word, n, p):
+    "Product of the matrices along the word, mod p; the identity for ()."
+    prod = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in word:
+        prod = [[sum(prod[i][l] * mats[k][l][j] for l in range(n)) % p
+                 for j in range(n)] for i in range(n)]
+    return prod
+
+
+def _mod_combination(terms, mats, n, p):
+    "True when sum c * (word product) over the (word, c) terms is nonzero mod p."
+    total = [[0] * n for _ in range(n)]
+    for word, c in terms:
+        prod = _mod_word(mats, word, n, p)
+        total = [[(t + c * a) % p for t, a in zip(r1, r2)]
+                 for r1, r2 in zip(total, prod)]
+    return any(any(r) for r in total)
+
+
+def _mod_rank(rows, p):
+    "Rank mod p by Gauss-Jordan elimination."
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [a * inv % p for a in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 # -- dense tensor-power model of divided powers -------------------------------
 
 def tensor_power(a, k):

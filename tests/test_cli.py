@@ -95,6 +95,11 @@ def test_stab_command(capsys, commuting, ptfile):
     code, out, _ = run(capsys, "stab", "--presentation", commuting,
                        "--point", ptfile)
     assert code == 0 and out == "stabilizer-trivial true\n"
+    # a non-cyclic point: one precondition line, from the one cyclicity check
+    code, out, err = run(capsys, "stab", "--presentation", commuting, "--point",
+                         "point|field Q|n 2|mat 0 1; 0 0|mat 0 0; 0 0|vec 1 0")
+    assert (code, out) == (3, "")
+    assert err == "error: stabilizer check requires a cyclic point\n"
 
 
 def test_invariants_command(capsys, commuting, ptfile):
@@ -244,6 +249,20 @@ def test_malformed_expression_exit_code(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# expressions whose words would have 2^20 and 10^9 letters fail fast
+@pytest.mark.parametrize("expr", ["(" * 20 + "x1" + ")^2" * 20, "x1^1000000000"],
+                         ids=["squared", "power"])
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--n", "2", "--expr", "{}"),
+    ("dp-normalize", "--expr", "({})^[1]"),
+    ("rep-ideal", "--n", "1", "--presentation", "field Q|gens x1|rel {}"),
+], ids=lambda argv: argv[0])
+def test_oversized_words_exit_code(capsys, argv, expr):
+    code, out, err = run(capsys, *(a.format(expr) for a in argv))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "longer than" in err
 
 
 def test_long_flat_expressions(capsys):

@@ -6,6 +6,8 @@ from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError,
                       EnumerationReport, Matrix, PreconditionError, det,
                       enumerate_points, gl_order, parse_nc_poly)
 
+from oracles import naive_count
+
 
 def curve_pres(q):
     "F_q[x]: free on one generator, commutative for free."
@@ -107,33 +109,18 @@ def test_budget_env_override(monkeypatch):
     assert configured_budget() == 2 ** 30
 
 
-def naive_count(pres, n):
-    "Reference sweep using the generic (object-level) operations."
-    from hilbchow import PointedRep, RepPoint, is_cyclic, is_representation
-    field = pres.field
-    elems = list(field.elements())
-    reps = pairs = 0
-    for entries in itertools.product(elems, repeat=pres.m * n * n):
-        mats = tuple(
-            Matrix(tuple(tuple(entries[k * n * n + i * n + j]
-                               for j in range(n)) for i in range(n)))
-            for k in range(pres.m))
-        if not is_representation(pres, mats):
-            continue
-        reps += 1
-        point = RepPoint(field, mats)
-        for v in itertools.product(elems, repeat=n):
-            if any(v) and is_cyclic(PointedRep(point, v)):
-                pairs += 1
-    return reps, pairs
-
-
 def test_fast_sweep_agrees_with_generic_operations():
-    # the integer inner loop must match the object-level route exactly
+    # the sweep on linalg's kernels must match a brute force with its own
+    # matrix product and elimination
     cases = [(curve_pres(2), 2), (curve_pres(3), 2), (curve_pres(2), 3),
              (commuting_pres(2), 2), (AlgebraPresentation(GF(2), 2), 2),
              (AlgebraPresentation(GF(3), 1,
-                                  (parse_nc_poly("x1^2 - 1", GF(3), 1),)), 2)]
+                                  (parse_nc_poly("x1^2 - 1", GF(3), 1),)), 2),
+             (AlgebraPresentation(GF(5), 1,
+                                  (parse_nc_poly("x1^3 - x1", GF(5), 1),)), 2),
+             (AlgebraPresentation(GF(3), 2, tuple(
+                 parse_nc_poly(r, GF(3), 2)
+                 for r in ("x1^2", "x1*x2", "x2*x1", "x2^2"))), 2)]
     for pres, n in cases:
         report = enumerate_points(pres, n)
         reps, pairs = naive_count(pres, n)

@@ -6,10 +6,11 @@ from hilbchow import (GF, QQ, CommPoly, Matrix, NCPoly, PreconditionError,
                       SingularMatrixError, charpoly, det,
                       det_linear_combination, matrix_inverse, nc_eval,
                       parse_comm_poly)
-from hilbchow.linalg import IncrementalSpan, nullspace, rank, solve_columns
+from hilbchow.linalg import (IncrementalSpan, nullspace, rank, rref,
+                             solve_columns, word_matrices)
 
 from oracles import (FIELDS, leibniz_det, rand_invertible, rand_matrix,
-                     rand_ncpoly, seeded)
+                     rand_ncpoly, rand_scalar, seeded)
 
 
 def M(*rows):
@@ -175,3 +176,76 @@ def test_incremental_span():
     assert span.rank == 2
     assert span.contains((Fraction(3), Fraction(3), Fraction(7)))
     assert not span.contains((Fraction(1), Fraction(0), Fraction(0)))
+
+
+def gauss_jordan(rows):
+    "Textbook reduced row echelon form: (nonzero rows, pivot columns)."
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][col]
+        rows[r] = [a / lead for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def rand_rows(field, nrows, ncols, rank, rng):
+    "nrows random combinations of `rank` random rows, plus some zero rows."
+    base = [[rand_scalar(field, rng) for _ in range(ncols)] for _ in range(rank)]
+    out = []
+    for _ in range(nrows):
+        coeffs = [rand_scalar(field, rng) for _ in base]
+        out.append([sum((c * b[j] for c, b in zip(coeffs, base)), field.zero)
+                    for j in range(ncols)])
+    out.insert(rng.randrange(len(out) + 1), [field.zero] * ncols)
+    return out
+
+
+def test_rref_against_gauss_jordan():
+    rng = seeded("rref-oracle")
+    for field in FIELDS:
+        for nrows, ncols in ((1, 1), (2, 2), (3, 3), (3, 5), (2, 6), (5, 3), (4, 4)):
+            for rank_ in range(min(nrows, ncols) + 1):
+                for _ in range(4):
+                    rows = rand_rows(field, nrows, ncols, rank_, rng)
+                    red, pivots = rref(rows)
+                    assert (red, pivots) == gauss_jordan(rows)
+                    assert rank(rows) == len(pivots) <= rank_
+    assert rref([]) == ([], [])
+
+
+def test_span_mod_p_matches_field_elements():
+    rng = seeded("span-mod-p")
+    for p in (2, 3, 5):
+        F = GF(p)
+        for dim in (1, 2, 3, 4):
+            for _ in range(20):
+                # unreduced ints, as the sweep's products over Z give them
+                vecs = [[rng.randint(-3 * p, 3 * p) for _ in range(dim)]
+                        for _ in range(rng.randint(1, dim + 2))]
+                ints, elems = IncrementalSpan(dim, p), IncrementalSpan(dim)
+                for v in vecs:
+                    assert ints.add(v) == elems.add([F(a) for a in v])
+                assert ints.rank == elems.rank
+                assert ints.pivots == elems.pivots
+                assert ints.rows == [[a.v for a in r] for r in elems.rows]
+
+
+def test_word_matrices_graded_lex_keys():
+    A = M((1, 2), (3, 4))
+    B = M((0, 1), (1, 0))
+    table = word_matrices((A, B), 3)
+    keys = list(table)
+    assert keys == sorted(keys, key=lambda w: (len(w), w))
+    assert len(keys) == 1 + 2 + 4 + 8
+    assert table[()] == Matrix.identity(2, Fraction(1))
+    assert table[(0, 1, 1)] == A * B * B

@@ -5,7 +5,7 @@ import pytest
 from hilbchow import (GF, QQ, NCPoly, ParseError, parse_comm_poly, parse_dp_expr,
                       parse_nc_poly)
 from hilbchow._tokens import MAX_DEPTH
-from hilbchow.ncpoly import word_key, word_str, words_up_to
+from hilbchow.ncpoly import MAX_WORD_LENGTH, word_key, word_str, words_up_to
 
 from oracles import FIELDS, rand_ncpoly, seeded
 
@@ -130,3 +130,29 @@ def test_denominator_zero_in_the_field(parse, atom):
                         (f"1/0*{atom}", QQ)):
         with pytest.raises(ParseError, match="denominator"):
             parse(text, field)
+
+
+# 82 characters that square a word 20 times, and one huge exponent: both
+# would ask for words of a million letters or more
+SQUARED_20 = "(" * 20 + "x1" + ")^2" * 20
+HUGE_POWER = "x1^1000000000"
+
+
+@pytest.mark.parametrize("text", [SQUARED_20, HUGE_POWER])
+def test_word_length_is_bounded(text):
+    for parse, expr in ((parse_nc_poly, text), (parse_dp_expr, f"({text})^[1]")):
+        with pytest.raises(ParseError, match="longer than"):
+            parse(expr, QQ)
+
+
+def test_word_length_bound_is_exact_at_the_limit():
+    assert parse_nc_poly(f"x1^{MAX_WORD_LENGTH}", QQ) == \
+        NCPoly(QQ, 1, {(0,) * MAX_WORD_LENGTH: 1})
+    for text in (f"x1^{MAX_WORD_LENGTH + 1}", f"x2 + x1*x1^{MAX_WORD_LENGTH}",
+                 f"(x1^{MAX_WORD_LENGTH // 2 + 1})^2"):
+        with pytest.raises(ParseError, match="longer than"):
+            parse_nc_poly(text, QQ)
+    # a sum is as long as its longest term; a number has no letters
+    assert parse_nc_poly(f"3*x1^{MAX_WORD_LENGTH} + x2", QQ).m == 2
+    # commutative powers stay unbounded
+    assert str(parse_comm_poly("x1^1000000000", QQ)) == "x1^1000000000"

@@ -15,7 +15,7 @@ import sys
 
 from .counting import BUDGET_ENV, enumerate_points
 from .cyclic import (IdealPresentation, PointedRep, ideal_to_triple,
-                     span_dimension, stabilizer_is_trivial, triple_to_ideal,
+                     require_cyclic, stabilizer_is_trivial, triple_to_ideal,
                      triples_equivalent)
 from .divpow import gamma_n, parse_dp_expr
 from .errors import BudgetExceededError, ParseError, PreconditionError
@@ -190,11 +190,7 @@ def _cmd_check_rep(args):
 def _cmd_cyclic(args):
     pres = _presentation(args)
     pt = _pointed_arg(args, pres)
-    d = span_dimension(pt)
-    if d < pt.n:
-        raise PreconditionError(
-            f"not cyclic: word span has dimension {d} < {pt.n}")
-    return f"cyclic true\nspan-dim {d}\n"
+    return f"cyclic true\nspan-dim {len(require_cyclic(pt)[0])}\n"
 
 
 def _cmd_triple_to_ideal(args):

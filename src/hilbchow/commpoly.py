@@ -243,12 +243,6 @@ class CommPoly(SparseElement):
 
     # -- basic queries -----------------------------------------------
 
-    def total_degree(self):
-        "Degree of the zero polynomial is reported as -1."
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
     def coeff(self, mono):
         return self.terms.get(mono, self.field.zero)
 

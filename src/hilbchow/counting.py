@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from ._tokens import Block, block_text
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, ParseError, PreconditionError
 from .fields import PrimeField, is_prime
 from .linalg import Matrix, word_basis, word_sum
 from .repvariety import AlgebraPresentation
@@ -36,17 +36,13 @@ def configured_budget():
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"bad {BUDGET_ENV} value {raw!r}") from None
+        raise ParseError(f"bad {BUDGET_ENV} value {raw!r}") from None
 
 
-def gl_order(n, q, budget=None):
+def gl_order(n, q):
     """|GL_n(F_q)| = prod_{i<n} (q^n - q^i) for prime q."""
-    if budget is None:
-        budget = configured_budget()
     if not (isinstance(q, int) and is_prime(q)):
         raise PreconditionError(f"{q} is not prime (prime powers are excluded)")
-    if q > budget:
-        raise BudgetExceededError(f"field size {q} exceeds budget {budget}")
     total = 1
     qn = q ** n
     for i in range(n):
@@ -160,7 +156,7 @@ def enumerate_points(pres, n, budget=None, workers=1):
                 r, c = fut.result()
                 reps += r
                 pairs += c
-    order = gl_order(n, q, budget)
+    order = gl_order(n, q)
     if pairs % order:
         raise AssertionError(
             f"freeness violated: |GL| = {order} does not divide {pairs}")

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError
-from .linalg import (IncrementalSpan, Matrix, matrix_inverse, nc_eval,
-                     nullspace, word_basis)
+from .linalg import Matrix, matrix_inverse, nc_eval, nullspace, word_basis
 from .ncpoly import NCPoly, parse_word, word_str
 from .repvariety import (RepPoint, _generator, _per_generator, matrix_row_text,
                          parse_matrix_rows, parse_point_body, point_text)
@@ -63,6 +62,16 @@ def cyclic_word_basis(pt):
     and those images (see `linalg.word_basis`)."""
     basis = word_basis(tuple(M.rows for M in pt.rep.mats), pt.v)
     return [w for w, _ in basis], [u for _, u in basis]
+
+
+def require_cyclic(pt):
+    """`cyclic_word_basis(pt)` when v is cyclic: the one check that turns
+    away a point whose word images of v do not span the space."""
+    words, images = cyclic_word_basis(pt)
+    if len(words) < pt.n:
+        raise PreconditionError(
+            f"not cyclic: word span has dimension {len(words)} < {pt.n}")
+    return words, images
 
 
 def span_dimension(pt):
@@ -114,10 +123,7 @@ def triple_to_ideal(pt):
     The quotient basis is the graded-lex-first independent word set; the
     action matrices are the original generators rewritten in that basis.
     """
-    words, images = cyclic_word_basis(pt)
-    if len(words) < pt.n:
-        raise PreconditionError(
-            f"not cyclic: word span has dimension {len(words)} < {pt.n}")
+    words, images = require_cyclic(pt)
     B = Matrix.from_columns(images)
     Binv = matrix_inverse(B)
     action = tuple(Binv * M * B for M in pt.rep.mats)
@@ -186,19 +192,14 @@ def triples_equivalent(p1, p2):
     On cyclic points an equivalence g is pinned down by where it sends
     the word-basis images of the marked vector; the candidate built from
     those images is returned only if it intertwines every generator and
-    matches the vectors.
+    matches the vectors.  Such a g is invertible: p2 is cyclic and every
+    w.v2 = g(w.v1) lies in its image.
     """
     if p1.field != p2.field or p1.m != p2.m or p1.n != p2.n:
         raise PreconditionError("points live on different spaces")
-    words, images1 = cyclic_word_basis(p1)
-    if len(words) < p1.n:
-        raise PreconditionError("first point is not cyclic")
-    if not is_cyclic(p2):
-        raise PreconditionError("second point is not cyclic")
+    words, images1 = require_cyclic(p1)
+    require_cyclic(p2)
     images2 = [_word_image(p2.rep.mats, w, p2.v) for w in words]
-    span = IncrementalSpan(p2.n)
-    if not all(span.add(u) for u in images2):
-        return None
     B1 = Matrix.from_columns(images1)
     B2 = Matrix.from_columns(images2)
     g = B2 * matrix_inverse(B1)
@@ -217,8 +218,7 @@ def stabilizer_is_trivial(pt):
     I plus the kernel of the homogeneous part, so triviality is exactly
     a zero-dimensional kernel.  Cyclic points always pass.
     """
-    if not is_cyclic(pt):
-        raise PreconditionError("stabilizer check requires a cyclic point")
+    require_cyclic(pt)
     n = pt.n
     zero = pt.field.zero
     rows = []

@@ -7,15 +7,20 @@ scalars come out as alpha^k, sums expand as sum over exponent splittings,
 and same-base products merge with binomial coefficients.  Over a field
 the degree-n part is isomorphic to the symmetric tensors of degree n,
 realized here on the orbit-sum basis indexed by word multisets; that
-basis needs no divisions, so everything stays valid over F_p.
+basis needs no divisions, so everything stays valid over F_p.  Both
+normal forms of a^[n], the divided-power monomials and the orbit sums,
+are read off one enumeration of the n-word multisets of the support of
+a; `DividedMonomial` is the one place a monomial and its multiset
+convert into each other.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, factorial
+from functools import partial
+from itertools import combinations_with_replacement, permutations
+from math import comb, factorial, prod
 
 from ._tokens import Block, block_text, fold, number, parse_expr
 from .commpoly import SparseElement
@@ -48,6 +53,18 @@ class DividedMonomial:
 
     def sort_key(self):
         return tuple((word_key(w), a) for w, a in self.factors)
+
+    @classmethod
+    def from_words(cls, words):
+        "The monomial of a word-sorted multiset: each word to its multiplicity."
+        exps = {}
+        for w in words:
+            exps[w] = exps.get(w, 0) + 1
+        return cls(tuple(exps.items()))
+
+    def words(self):
+        "The word-sorted multiset with each word w repeated a_w times."
+        return tuple(w for w, a in self.factors for _ in range(a))
 
     def __str__(self):
         if not self.factors:
@@ -125,54 +142,30 @@ class DPElement(SparseElement):
         return out
 
 
-def _compositions(total, parts):
-    "All tuples of `parts` nonnegative integers summing to `total`."
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(total + parts - 2 - prev)
-        yield tuple(comp)
+def _tensor_power(a, k):
+    """The k-fold tensor power of a free-algebra element, collected on word
+    multisets: (word-sorted multiset, product of its words' coefficients)
+    for each multiset of k words from the support of `a`.  Distinct
+    multisets give distinct keys and the products are never zero."""
+    support = sorted(a.terms, key=word_key)
+    products = map(partial(prod, start=a.field.one),
+                   combinations_with_replacement([a.terms[w] for w in support], k))
+    # both enumerations run in the same order, so they pair up term by term
+    return zip(combinations_with_replacement(support, k), products)
 
 
 def dp_power(a, k):
     """The divided power a^[k] of a free-algebra element, normalized.
 
-    Expands over the word support of a: scalars factor out with power k
-    and the sum rule distributes the exponent over the words.
+    By the scalar and sum rules, a^[k] is the sum over k-word multisets of
+    the support of the product of their coefficients times the monomial
+    with each word's multiplicity as its exponent.
     """
     if not isinstance(a, NCPoly):
         raise PreconditionError("dp_power needs a free-algebra element")
-    field, m = a.field, a.m
-    if k < 0:
-        return DPElement.zero(field, m)
-    if k == 0:
-        return DPElement.one(field, m)
-    support = sorted(a.terms.items(), key=lambda wc: word_key(wc[0]))
-    acc = {}
-    for alpha in _compositions(k, len(support)):
-        coeff = field.one
-        factors = []
-        for (w, c), e in zip(support, alpha):
-            if e == 0:
-                continue
-            coeff = coeff * c ** e
-            factors.append((w, e))
-        if not coeff:
-            continue
-        mono = DividedMonomial(tuple(factors))
-        s = acc.get(mono, field.zero) + coeff
-        if s:
-            acc[mono] = s
-        else:
-            acc.pop(mono, None)
-    return DPElement(field, m, acc)
+    terms = _tensor_power(a, k) if k >= 0 else ()
+    return DPElement.zero(a.field, a.m)._like(
+        {DividedMonomial.from_words(words): c for words, c in terms})
 
 
 def parse_dp_expr(text, field, m=None):
@@ -242,7 +235,7 @@ class SymTensor(SparseElement):
         """Expansion into the full tensor power: tuple-of-words -> coeff."""
         full = {}
         for key, c in self.terms.items():
-            for arr in set(itertools.permutations(key)):
+            for arr in set(permutations(key)):
                 full[arr] = c
         return full
 
@@ -272,9 +265,9 @@ class SymTensor(SparseElement):
 def tau(x, n, field=None, m=None):
     """Orbit-sum image of divided-power data in degree n.
 
-    A monomial prod_w w^[a_w] maps to the orbit sum of the multiset with
-    each word repeated a_w times; extended linearly over a DPElement.
-    Degrees must match.  For a bare monomial the field is required and
+    A monomial prod_w w^[a_w] maps to the orbit sum of its multiset, each
+    word repeated a_w times; distinct monomials have distinct multisets,
+    so a DPElement's terms are relabelled one to one.  Degrees must match.  For a bare monomial the field is required and
     the arity defaults to the largest generator appearing.
     """
     if isinstance(x, DividedMonomial):
@@ -285,19 +278,12 @@ def tau(x, n, field=None, m=None):
         x = DPElement(field, m, {x: field.one})
     if not isinstance(x, DPElement):
         raise PreconditionError("tau expects a DividedMonomial or DPElement")
-    out = SymTensor.zero(x.field, x.m, n)
-    acc = {}
-    for mono, c in x.terms.items():
+    for mono in x.terms:
         if mono.degree != n:
             raise PreconditionError(
                 f"degree mismatch: monomial {mono} has degree {mono.degree}, not {n}")
-        key = []
-        for w, a in mono.factors:
-            key.extend([w] * a)
-        key = tuple(sorted(key, key=word_key))
-        acc[key] = acc.get(key, x.field.zero) + c
-    out.terms = {k: c for k, c in acc.items() if c}
-    return out
+    return SymTensor.zero(x.field, x.m, n)._like(
+        {mono.words(): c for mono, c in x.terms.items()})
 
 
 def gamma_n(a, n):
@@ -311,19 +297,7 @@ def gamma_n(a, n):
         raise PreconditionError("gamma_n needs a free-algebra element")
     if n < 0:
         raise PreconditionError("degree must be >= 0")
-    field = a.field
-    support = sorted(a.terms.items(), key=lambda wc: word_key(wc[0]))
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(len(support)), n):
-        coeff = field.one
-        key = []
-        for idx in combo:
-            w, c = support[idx]
-            coeff = coeff * c
-            key.append(w)
-        if coeff:
-            terms[tuple(key)] = coeff
-    return SymTensor(field, a.m, n, terms)
+    return SymTensor.zero(a.field, a.m, n)._like(dict(_tensor_power(a, n)))
 
 
 def _orbit_size(key):
@@ -347,7 +321,7 @@ def ts_mul(s, t):
         raise PreconditionError("ts_mul expects two symmetric tensors")
     s._check(t)
     field = s.field
-    arrangements = [(set(itertools.permutations(key2)), c2)
+    arrangements = [(set(permutations(key2)), c2)
                     for key2, c2 in t.terms.items()]
     terms = {}
     for key1, c1 in s.terms.items():

@@ -106,9 +106,6 @@ class Matrix:
             t = t + self.rows[i][i]
         return t
 
-    def transpose(self):
-        return Matrix(tuple(zip(*self.rows)))
-
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 

@@ -21,7 +21,7 @@ from math import lcm
 
 from ._tokens import Block, block_text, parse_int, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
-from .cyclic import span_dimension
+from .cyclic import require_cyclic
 from .errors import PreconditionError
 from .fields import PrimeField
 from .linalg import (Matrix, charpoly, det, det_linear_combination, nc_eval,
@@ -162,10 +162,7 @@ def det_point(rep, max_len=None):
 def hc_point(pt, max_len=None):
     """Norm point of a Hilbert-scheme point: check cyclicity, then forget
     the vector.  Always equal to det_point of the underlying tuple."""
-    d = span_dimension(pt)
-    if d < pt.n:
-        raise PreconditionError(
-            f"not a Hilbert-scheme point: word span has dimension {d} < {pt.n}")
+    require_cyclic(pt)
     return det_point(pt.rep, max_len)
 
 

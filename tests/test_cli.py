@@ -99,7 +99,7 @@ def test_stab_command(capsys, commuting, ptfile):
     code, out, err = run(capsys, "stab", "--presentation", commuting, "--point",
                          "point|field Q|n 2|mat 0 1; 0 0|mat 0 0; 0 0|vec 1 0")
     assert (code, out) == (3, "")
-    assert err == "error: stabilizer check requires a cyclic point\n"
+    assert err == "error: not cyclic: word span has dimension 1 < 2\n"
 
 
 def test_invariants_command(capsys, commuting, ptfile):
@@ -186,6 +186,15 @@ def test_enumerate_command(capsys):
     code3, out3, _ = run(capsys, "enumerate", "--presentation", pres,
                          "--n", "2", "--workers", "2")
     assert code3 == 0 and out3 == out
+
+
+def test_malformed_budget_env_exit_code(capsys, monkeypatch):
+    # a budget that is not an integer is malformed input, not a traceback
+    monkeypatch.setenv("HILBCHOW_BUDGET", "abc")
+    code, out, err = run(capsys, "enumerate", "--presentation",
+                         "field F 2|gens x1", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: bad HILBCHOW_BUDGET value 'abc'\n"
 
 
 def test_parse_error_exit_code(capsys, commuting):

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError,
-                      EnumerationReport, Matrix, PreconditionError, det,
-                      enumerate_points, gl_order, parse_nc_poly)
+                      EnumerationReport, Matrix, ParseError, PreconditionError,
+                      det, enumerate_points, gl_order, parse_nc_poly)
 
 from oracles import naive_count
 
@@ -40,8 +40,6 @@ def test_gl_order_exhaustive_crosscheck_n2_q2():
 def test_gl_order_rejects_non_prime():
     with pytest.raises(PreconditionError):
         gl_order(2, 4)
-    with pytest.raises(BudgetExceededError):
-        gl_order(2, 7, budget=5)
 
 
 def test_curve_orbit_counts_are_qn():
@@ -107,6 +105,16 @@ def test_budget_env_override(monkeypatch):
     assert configured_budget() == 123
     monkeypatch.delenv(BUDGET_ENV)
     assert configured_budget() == 2 ** 30
+
+
+def test_malformed_budget_env_is_parse_error(monkeypatch):
+    from hilbchow.counting import BUDGET_ENV, configured_budget
+    monkeypatch.setenv(BUDGET_ENV, "2**20")
+    with pytest.raises(ParseError, match="bad HILBCHOW_BUDGET value"):
+        configured_budget()
+    # ParseError is a ValueError, so callers that catch ValueError keep working
+    with pytest.raises(ValueError):
+        enumerate_points(curve_pres(2), 1)
 
 
 def test_fast_sweep_agrees_with_generic_operations():

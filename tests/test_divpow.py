@@ -152,6 +152,7 @@ def test_gamma_matches_tensor_power():
             a = rand_ncpoly(field, 2, rng, max_terms=3, max_len=2)
             for n in (0, 1, 2, 3):
                 assert gamma_n(a, n).arrangements() == tensor_power(a, n)
+                assert dense(dp_power(a, n), n) == tensor_power(a, n)
 
 
 def test_gamma_equals_tau_of_power():

@@ -56,10 +56,10 @@ class SparseElement:
     A subclass names its extra metadata slots in `_META` (copied onto
     results and compared by `==`), its unit key in `_UNIT` (None when
     scalars do not coerce to elements and `**` is not offered), its key
-    order `_order` and key printer `_key_str`, and supplies `_times`, its
-    own term-by-term product.  Results are built by `_like`, which skips
-    `__init__`: sums and scalar multiples sit in the Berkowitz inner
-    loop.
+    order `_order` and key printer `_key_str`, and either its key product
+    `_key_mul` or its own term-by-term product `_times`.  Results are
+    built by `_like`, which skips `__init__`: sums and scalar multiples
+    sit in the Berkowitz inner loop.
     """
 
     __slots__ = ("field", "terms")
@@ -168,6 +168,20 @@ class SparseElement:
     # scalars only: a same-type left operand never reaches here
     __rmul__ = __mul__
 
+    def _times(self, other):
+        key_mul = self._key_mul
+        acc = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = key_mul(k1, k2)
+                s = acc.get(k)
+                s = c1 * c2 if s is None else s + c1 * c2
+                if s:
+                    acc[k] = s
+                else:
+                    acc.pop(k, None)
+        return self._like(acc)
+
     def __pow__(self, e):
         if self._UNIT is None:
             return NotImplemented
@@ -226,6 +240,7 @@ class CommPoly(SparseElement):
     _UNIT = ()
     _order = staticmethod(mono_key)
     _key_str = staticmethod(mono_str)
+    _key_mul = staticmethod(mono_mul)
 
     # -- constructors ------------------------------------------------
 
@@ -256,21 +271,6 @@ class CommPoly(SparseElement):
     def sort_tuple(self):
         "Total-order key; used when lists of polynomials are serialized."
         return tuple((mono_key(m), str(c)) for m, c in self.sorted_terms())
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _times(self, other):
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = acc.get(m)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return self._like(acc)
 
     # -- evaluation ----------------------------------------------------
 

@@ -9,18 +9,17 @@ the degree-n part is isomorphic to the symmetric tensors of degree n,
 realized here on the orbit-sum basis indexed by word multisets; that
 basis needs no divisions, so everything stays valid over F_p.  Both
 normal forms of a^[n], the divided-power monomials and the orbit sums,
-are read off one enumeration of the n-word multisets of the support of
-a; `DividedMonomial` is the one place a monomial and its multiset
-convert into each other.
+are read off one enumeration of the splits of n into exponents over the
+support of a, that is of its n-word multisets; `DividedMonomial.words`
+is the one place a monomial becomes its multiset.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, prod
+from itertools import permutations
+from math import comb, factorial
 
 from ._tokens import Block, block_text, fold, number, parse_expr
 from .commpoly import SparseElement
@@ -37,15 +36,20 @@ class DividedMonomial:
     factors: tuple
 
     def __post_init__(self):
-        factors = tuple((tuple(w), int(a)) for w, a in self.factors)
+        factors = tuple(sorted(((tuple(w), int(a)) for w, a in self.factors),
+                               key=lambda fa: word_key(fa[0])))
         if any(a < 1 for _, a in factors):
             raise PreconditionError("divided-power exponents must be >= 1")
-        words = [w for w, _ in factors]
-        if len(set(words)) != len(words):
+        if len({w for w, _ in factors}) != len(factors):
             raise PreconditionError("divided-power monomial with repeated word")
-        if sorted(words, key=word_key) != words:
-            factors = tuple(sorted(factors, key=lambda fa: word_key(fa[0])))
         object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def of_sorted(cls, factors):
+        "The monomial of factors already word-sorted, distinct and >= 1."
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "factors", factors)
+        return mono
 
     @property
     def degree(self):
@@ -53,14 +57,6 @@ class DividedMonomial:
 
     def sort_key(self):
         return tuple((word_key(w), a) for w, a in self.factors)
-
-    @classmethod
-    def from_words(cls, words):
-        "The monomial of a word-sorted multiset: each word to its multiplicity."
-        exps = {}
-        for w in words:
-            exps[w] = exps.get(w, 0) + 1
-        return cls(tuple(exps.items()))
 
     def words(self):
         "The word-sorted multiset with each word w repeated a_w times."
@@ -73,10 +69,7 @@ class DividedMonomial:
 
 
 def _merge_monomials(m1, m2):
-    """Product of two monomials: shared words merge with binomials.
-
-    Returns (monomial, integer coefficient).
-    """
+    "Product of two monomials and its integer coefficient (binomials)."
     exps = dict(m1.factors)
     mult = 1
     for w, a in m2.factors:
@@ -85,7 +78,8 @@ def _merge_monomials(m1, m2):
             exps[w] += a
         else:
             exps[w] = a
-    mono = DividedMonomial(tuple(sorted(exps.items(), key=lambda fa: word_key(fa[0]))))
+    mono = DividedMonomial.of_sorted(
+        tuple(sorted(exps.items(), key=lambda fa: word_key(fa[0]))))
     return mono, mult
 
 
@@ -143,29 +137,41 @@ class DPElement(SparseElement):
 
 
 def _tensor_power(a, k):
-    """The k-fold tensor power of a free-algebra element, collected on word
-    multisets: (word-sorted multiset, product of its words' coefficients)
-    for each multiset of k words from the support of `a`.  Distinct
-    multisets give distinct keys and the products are never zero."""
-    support = sorted(a.terms, key=word_key)
-    products = map(partial(prod, start=a.field.one),
-                   combinations_with_replacement([a.terms[w] for w in support], k))
-    # both enumerations run in the same order, so they pair up term by term
-    return zip(combinations_with_replacement(support, k), products)
+    """The k-fold tensor power of a free-algebra element collected on word
+    multisets, k >= 0: (prod w^[e_w], prod c_w^e_w) for each split of k
+    into exponents e_w over the words w of the support, c_w their
+    coefficients.  A split costs O(|supp a|) however large k is; distinct
+    splits give distinct monomials and the products are never zero."""
+    support = sorted(a.terms.items(), key=lambda wc: word_key(wc[0]))
+    if k and not support:  # 0^[k] = 0 for k > 0
+        return
+    exps = [k] + [0] * (len(support) - 1)
+    while True:
+        factors, coeff = [], a.field.one
+        for (w, c), e in zip(support, exps):
+            if e:
+                factors.append((w, e))
+                coeff = coeff * (c if e == 1 else c ** e)
+        yield DividedMonomial.of_sorted(tuple(factors)), coeff
+        # next split in reverse lexicographic order: the last nonzero
+        # exponent before the final one moves 1 and the final one right
+        tail, exps[-1] = exps[-1], 0
+        i = len(exps) - 2
+        while i >= 0 and not exps[i]:
+            i -= 1
+        if i < 0:
+            return
+        exps[i] -= 1
+        exps[i + 1] = tail + 1
 
 
 def dp_power(a, k):
-    """The divided power a^[k] of a free-algebra element, normalized.
-
-    By the scalar and sum rules, a^[k] is the sum over k-word multisets of
-    the support of the product of their coefficients times the monomial
-    with each word's multiplicity as its exponent.
-    """
+    """The divided power a^[k] of a free-algebra element, normalized: by
+    the scalar and sum rules, the terms of the tensor power."""
     if not isinstance(a, NCPoly):
         raise PreconditionError("dp_power needs a free-algebra element")
     terms = _tensor_power(a, k) if k >= 0 else ()
-    return DPElement.zero(a.field, a.m)._like(
-        {DividedMonomial.from_words(words): c for words, c in terms})
+    return DPElement.zero(a.field, a.m)._like(dict(terms))
 
 
 def parse_dp_expr(text, field, m=None):
@@ -267,8 +273,9 @@ def tau(x, n, field=None, m=None):
 
     A monomial prod_w w^[a_w] maps to the orbit sum of its multiset, each
     word repeated a_w times; distinct monomials have distinct multisets,
-    so a DPElement's terms are relabelled one to one.  Degrees must match.  For a bare monomial the field is required and
-    the arity defaults to the largest generator appearing.
+    so a DPElement's terms are relabelled one to one.  Degrees must match.
+    For a bare monomial the field is required and the arity defaults to
+    the largest generator appearing.
     """
     if isinstance(x, DividedMonomial):
         if field is None:
@@ -287,17 +294,14 @@ def tau(x, n, field=None, m=None):
 
 
 def gamma_n(a, n):
-    """The n-th divided power of a free-algebra element, as a tensor.
-
-    Coefficient of a multiset is the product of the coefficients of its
-    words; this is the expansion of the n-fold tensor power of `a`
-    collected on orbit sums.
-    """
+    """The n-th divided power of a free-algebra element, as a tensor: the
+    n-fold tensor power of `a` collected on orbit sums."""
     if not isinstance(a, NCPoly):
         raise PreconditionError("gamma_n needs a free-algebra element")
     if n < 0:
         raise PreconditionError("degree must be >= 0")
-    return SymTensor.zero(a.field, a.m, n)._like(dict(_tensor_power(a, n)))
+    return SymTensor.zero(a.field, a.m, n)._like(
+        {mono.words(): c for mono, c in _tensor_power(a, n)})
 
 
 def _orbit_size(key):

@@ -55,6 +55,7 @@ class NCPoly(SparseElement):
     _META = ("m",)
     _UNIT = ()
     _key_str = staticmethod(word_str)
+    _key_mul = staticmethod(tuple.__add__)
 
     def __init__(self, field, m, terms=None):
         self.m = m
@@ -106,19 +107,6 @@ class NCPoly(SparseElement):
     def _check(self, other):
         if not self._same_field(other) or other.m != self.m:
             raise ValueError("mixing free algebras with different field or arity")
-
-    def _times(self, other):
-        acc = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = acc.get(w)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    acc[w] = s
-                else:
-                    acc.pop(w, None)
-        return self._like(acc)
 
     # -- maps ---------------------------------------------------------------
 

@@ -52,6 +52,20 @@ def test_negative_and_zero_exponents():
     assert dp_power(NCPoly.zero(QQ, 2), 2).is_zero()
 
 
+def test_large_exponents_cost_one_step_per_term():
+    # a split of k over the support is built in O(|supp a|) steps, not O(k)
+    k = 10 ** 9
+    assert dp_power(x(), k).terms == {
+        DividedMonomial((((0,), k),)): Fraction(1)}
+    F = GF(7)
+    assert dp_power(x(F) * 3, k) == dp_power(x(F), k) * pow(3, k, 7)
+    k = 10 ** 6
+    assert dp_power(x() * 2, k) == dp_power(x(), k) * 2 ** k
+    assert parse_dp_expr(f"(2*x1)^[{k}]", QQ, 2) == dp_power(x(), k) * 2 ** k
+    s = dp_power(x() + y(), 2000)
+    assert len(s.terms) == 2001 and set(s.terms.values()) == {1}
+
+
 def test_dp_rules_exhaustive_small():
     # scalar rule, sum rule, same-base product rule on all expressions
     # over up to 3 words with exponents up to 3

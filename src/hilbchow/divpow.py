@@ -24,8 +24,8 @@ from math import comb, factorial
 from ._tokens import Block, block_text, fold, number, parse_expr
 from .commpoly import SparseElement
 from .errors import ParseError, PreconditionError
-from .ncpoly import (NCPoly, arity, free_leaf, parse_word, short_words, word_key,
-                     word_str)
+from .ncpoly import (MAX_WORD_LENGTH, NCPoly, arity, free_leaf, parse_word,
+                     short_words, word_key, word_str)
 from .ncpoly import parse_nc_poly  # noqa: F401  bench/tracing.py rebinds it by name
 
 
@@ -295,11 +295,14 @@ def tau(x, n, field=None, m=None):
 
 def gamma_n(a, n):
     """The n-th divided power of a free-algebra element, as a tensor: the
-    n-fold tensor power of `a` collected on orbit sums."""
+    n-fold tensor power of `a` collected on orbit sums.  Each key lists n
+    words, so n is capped at MAX_WORD_LENGTH."""
     if not isinstance(a, NCPoly):
         raise PreconditionError("gamma_n needs a free-algebra element")
     if n < 0:
         raise PreconditionError("degree must be >= 0")
+    if n > MAX_WORD_LENGTH:
+        raise ParseError(f"degree {n} exceeds the limit of {MAX_WORD_LENGTH}")
     return SymTensor.zero(a.field, a.m, n)._like(
         {mono.words(): c for mono, c in _tensor_power(a, n)})
 

@@ -4,19 +4,29 @@ Entries only need `+`, `-`, `*` and `** 0`, so the same Matrix class
 carries concrete field points and generic matrices of indeterminates.
 Characteristic polynomials use the Berkowitz scheme: no divisions occur,
 hence the results stay valid over F_2 and F_3 where fraction-based
-elimination would divide by the characteristic.  Inversion and kernels
-are only offered over fields, where Gaussian elimination is exact.
+elimination would divide by the characteristic.  Being division-free,
+Berkowitz and word products run on plain ints: `lift` maps scalar
+matrices over Q or F_p to integer ones (representatives mod p, or
+entries times a common denominator) and gives the map that reads an
+integer result back in the field.  Inversion and kernels are only
+offered over fields, where Gaussian elimination is exact.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import add, mul, sub
 
 from .commpoly import CommPoly
-from .errors import PreconditionError, SingularMatrixError
+from .errors import BudgetExceededError, PreconditionError, SingularMatrixError
+from .fields import GF, QQ, FpElem
 from .ncpoly import NCPoly
+
+# word tables (`word_matrices`) above this many words are refused
+MAX_TABLE_WORDS = 1 << 16
 
 
 class Matrix:
@@ -170,11 +180,39 @@ def word_sum(terms, mats, memo):
 
 # -- division-free characteristic polynomial --------------------------------
 
+def lift(mats):
+    """Integer matrices with the same ring arithmetic as scalar matrices
+    over one field, and `back(c, k)`, which reads an integer result of
+    degree k in the entries back in the field.
+
+    Over F_p the entries become their representatives, and back reduces
+    mod p (Z -> F_p is a ring map).  Over Q every entry is multiplied by
+    the common denominator d, so a degree-k result is d**k times the
+    true one and back divides by d**k.
+    """
+    first = mats[0].rows[0][0]
+    if isinstance(first, FpElem):
+        p = first.p
+        return (_map_entries(mats, lambda a: a.v if isinstance(a, FpElem) else a),
+                lambda c, k: FpElem(p, c))
+    d = lcm(*(a.denominator for M in mats for r in M.rows for a in r))
+    return (_map_entries(mats, lambda a: a.numerator * (d // a.denominator)),
+            lambda c, k: Fraction(c, d ** k))
+
+
+def _map_entries(mats, f):
+    return tuple(Matrix(tuple(tuple(map(f, r)) for r in M.rows)) for M in mats)
+
+
 def berkowitz_coeffs(mat):
     """Coefficients of det(t*I - M), leading one first, via Berkowitz.
 
     Works over any commutative ring: only +, * and negation are used.
+    Matrices over Q or F_p run on their integer lift.
     """
+    if isinstance(mat.rows[0][0], (Fraction, FpElem)):
+        (ints,), back = lift((mat,))
+        return [back(c, k) for k, c in enumerate(berkowitz_coeffs(ints))]
     n = mat.n
     one = mat.rows[0][0] ** 0
     zero = one * 0
@@ -227,9 +265,6 @@ def _entry_field(mat):
     entry = mat.rows[0][0]
     if isinstance(entry, CommPoly):
         return entry.field
-    from fractions import Fraction
-
-    from .fields import GF, QQ, FpElem
     if isinstance(entry, FpElem):
         return GF(entry.p)
     if isinstance(entry, (Fraction, int)):
@@ -285,9 +320,19 @@ def nc_eval(poly, mats):
 
 
 def word_matrices(mats, max_len):
-    """Products along all words of length <= max_len, in graded-lex order."""
+    """Products along all words of length <= max_len, in graded-lex order.
+
+    Tables of more than MAX_TABLE_WORDS words are refused up front."""
     if not mats:
         raise PreconditionError("need at least one matrix")
+    words, level = 0, 1
+    for _ in range(max_len + 1):
+        words += level
+        level *= len(mats)
+        if words > MAX_TABLE_WORDS:
+            raise BudgetExceededError(
+                f"a word table to length {max_len} on {len(mats)} matrices "
+                f"has more than {MAX_TABLE_WORDS} words")
     one = mats[0].rows[0][0] ** 0
     memo = {(): Matrix.identity(mats[0].n, one).rows}
     rows = tuple(M.rows for M in mats)

@@ -24,8 +24,8 @@ from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import require_cyclic
 from .errors import PreconditionError
 from .fields import PrimeField
-from .linalg import (Matrix, charpoly, det, det_linear_combination, nc_eval,
-                     nullspace, solve_columns, word_matrices)
+from .linalg import (Matrix, charpoly, det, det_linear_combination, lift,
+                     nc_eval, nullspace, solve_columns, word_matrices)
 from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
 from .repvariety import _generator, _per_generator, default_table_len
 
@@ -145,7 +145,10 @@ class NormPoint:
 
 
 def det_point(rep, max_len=None):
-    """Norm point of a plain representation point (no cyclicity needed)."""
+    """Norm point of a plain representation point (no cyclicity needed).
+
+    The word products and their determinants run on the integer lift of
+    the tuple; a word w's determinant has degree n*|w| in the entries."""
     if max_len is None:
         max_len = default_table_len(rep.n)
     if max_len < 1:
@@ -153,8 +156,9 @@ def det_point(rep, max_len=None):
     gen_charpolys = tuple(charpoly(M) for M in rep.mats)
     gens = tuple(NCPoly.generator(rep.field, rep.m, k) for k in range(rep.m))
     mixed = law_coefficients(rep, gens)
-    table = word_matrices(rep.mats, max_len)
-    word_dets = {w: det(M) for w, M in table.items()}
+    ints, back = lift(rep.mats)
+    word_dets = {w: back(det(M), rep.n * len(w))
+                 for w, M in word_matrices(ints, max_len).items()}
     return NormPoint(rep.field, rep.m, rep.n, max_len, gen_charpolys, mixed,
                      word_dets)
 

@@ -17,8 +17,8 @@ from functools import cached_property
 from ._tokens import Block, block_text
 from .commpoly import CommPoly, parse_comm_poly
 from .errors import ParseError, PreconditionError, SingularMatrixError
-from .linalg import (IncrementalSpan, Matrix, det, matrix_inverse, nc_eval,
-                     word_matrices)
+from .linalg import (IncrementalSpan, Matrix, det, lift, matrix_inverse,
+                     nc_eval, word_matrices)
 from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
                      word_str)
 
@@ -329,12 +329,15 @@ def default_table_len(n):
 
 
 def invariant_table(pt, max_len=None):
-    """Traces of all word images up to the bound, plus generator dets."""
+    """Traces of all word images up to the bound, plus generator dets.
+
+    The word products run on the integer lift of the tuple."""
     if max_len is None:
         max_len = default_table_len(pt.n)
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
-    table = word_matrices(pt.mats, max_len)
-    traces = {w: M.trace() for w, M in table.items() if w}
+    ints, back = lift(pt.mats)
+    traces = {w: back(M.trace(), len(w))
+              for w, M in word_matrices(ints, max_len).items() if w}
     dets = tuple(det(M) for M in pt.mats)
     return InvariantTable(pt.field, pt.m, pt.n, max_len, traces, dets)

@@ -274,6 +274,32 @@ def test_oversized_words_exit_code(capsys, argv, expr):
     assert len(err.splitlines()) == 1 and "longer than" in err
 
 
+# word tables of 2^41 - 1 words, or 10^9 + 1 on one generator, are refused
+# before any product is formed
+FREE2 = ("field Q|gens x1 x2", "point|field Q|n 2|mat 1 2; 3 4|mat 0 1; 1 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("det-point", "--presentation", FREE2[0], "--point", FREE2[1], "--max-len", "40"),
+    ("hc", "--presentation", FREE2[0], "--point", FREE2[1] + "|vec 1 0",
+     "--max-len", "40"),
+    ("invariants", "--presentation", FREE2[0], "--point", FREE2[1] + "|vec 1 0",
+     "--max-len", "40"),
+    ("det-point", "--presentation", "field Q|gens x1", "--point",
+     "point|field Q|n 2|mat 1 2; 3 4", "--max-len", "1000000000"),
+], ids=["det-point", "hc", "invariants", "one-generator"])
+def test_oversized_word_tables_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1 and "more than 65536 words" in err
+
+
+def test_oversized_gamma_degree_exit_code(capsys):
+    code, out, err = run(capsys, "gamma", "--expr", "x1", "--n", "10000000")
+    assert (code, out) == (2, "")
+    assert err == "error: degree 10000000 exceeds the limit of 10000\n"
+
+
 def test_long_flat_expressions(capsys):
     code, out, _ = run(capsys, "gamma", "--expr", "+".join(["x1"] * 1500),
                        "--n", "1")

@@ -170,12 +170,20 @@ def test_gamma_matches_tensor_power():
 
 
 def test_gamma_equals_tau_of_power():
+    # gamma_n and tau(dp_power) read one enumeration, so their agreement
+    # alone checks little; each is also held to gamma_n(l*a) = l^n gamma_n(a),
+    # with l of multiplicative order > n, which a coefficient carrying the
+    # wrong power of some word's scalar breaks
     rng = seeded("gamma-tau")
-    for field in FIELDS:
-        for _ in range(15):
-            a = rand_ncpoly(field, 2, rng, max_terms=2, max_len=2)
-            n = rng.randint(0, 3)
-            assert gamma_n(a, n) == tau(dp_power(a, n), n)
+    for field, lam in ((QQ, 2), (GF(101), 2), (GF(7), 3)):
+        lam = field(lam)
+        for _ in range(10):
+            a = rand_ncpoly(field, 2, rng, max_terms=3, max_len=2)
+            for n in range(6):
+                gamma = gamma_n(a, n)
+                assert gamma == tau(dp_power(a, n), n)
+                assert gamma_n(a * lam, n) == gamma * lam ** n
+                assert tau(dp_power(a * lam, n), n) == gamma * lam ** n
 
 
 def test_ts_mul_frozen_examples():

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from hilbchow import (GF, QQ, CommPoly, Matrix, NCPoly, PreconditionError,
-                      SingularMatrixError, charpoly, det,
-                      det_linear_combination, matrix_inverse, nc_eval,
+from hilbchow import (GF, QQ, BudgetExceededError, CommPoly, Matrix, NCPoly,
+                      PreconditionError, RepPoint, SingularMatrixError,
+                      charpoly, det, det_linear_combination, det_point,
+                      invariant_table, matrix_inverse, nc_eval,
                       parse_comm_poly)
-from hilbchow.linalg import (IncrementalSpan, nullspace, rank, rref,
-                             solve_columns, word_matrices)
+from hilbchow.linalg import (MAX_TABLE_WORDS, IncrementalSpan, nullspace, rank,
+                             rref, solve_columns, word_matrices)
 
 from oracles import (FIELDS, leibniz_det, rand_invertible, rand_matrix,
                      rand_ncpoly, rand_scalar, seeded)
@@ -50,10 +53,15 @@ def test_charpoly_monic_and_degree():
             assert len(coeffs) == n + 1 and coeffs[-1] == field.one
 
 
+# Berkowitz and the word tables run on integer lifts; over Q, rand_matrix's
+# entries have denominators 2 and 3, so the lift scales by some d > 1
+LIFT_FIELDS = FIELDS + (GF(101),)
+
+
 def test_charpoly_against_leibniz_oracle():
     # det(tI - A) expanded by permutations, fully independently
     rng = seeded("charpoly-oracle")
-    for field in FIELDS:
+    for field in LIFT_FIELDS:
         for n in (1, 2, 3, 4):
             for _ in range(10):
                 A = rand_matrix(field, n, rng)
@@ -249,3 +257,37 @@ def test_word_matrices_graded_lex_keys():
     assert len(keys) == 1 + 2 + 4 + 8
     assert table[()] == Matrix.identity(2, Fraction(1))
     assert table[(0, 1, 1)] == A * B * B
+
+
+def test_word_matrices_refuses_oversized_tables():
+    # refused before any product is formed, however long the words
+    A, B = M((1, 2), (3, 4)), M((0, 1), (1, 0))
+    assert len(word_matrices((A, B), 8)) == 2 ** 9 - 1
+    for mats, max_len in (((A, B), 16), ((A, B), 40), ((A,), MAX_TABLE_WORDS),
+                          ((A,), 10 ** 9)):
+        with pytest.raises(BudgetExceededError):
+            word_matrices(mats, max_len)
+
+
+def test_lifted_word_tables_against_direct_products():
+    # each word's product taken over the field with Matrix.__mul__, its
+    # determinant by permutations: independent of the integer lift that
+    # det_point and invariant_table run on
+    rng = seeded("lifted-word-tables")
+    for field in LIFT_FIELDS:
+        for m in (2, 3):
+            for n in (1, 2, 3, 4):
+                mats = tuple(rand_matrix(field, n, rng) for _ in range(m))
+                rep = RepPoint(field, mats)
+                max_len = min(2 * n - 1, 3)
+                dets = det_point(rep, max_len).word_dets
+                table = invariant_table(rep, max_len)
+                assert len(dets) == sum(m ** k for k in range(max_len + 1))
+                for w, d in dets.items():
+                    prod = reduce(mul, (mats[k] for k in w),
+                                  Matrix.identity(n, field.one))
+                    assert type(d) is type(field.one)
+                    assert d == leibniz_det(prod)
+                    if w:
+                        assert table.traces[w] == prod.trace()
+                assert table.gen_dets == tuple(map(leibniz_det, mats))

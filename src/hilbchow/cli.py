@@ -1,9 +1,11 @@
 """Command-line frontend.
 
-Every subcommand prints the canonical text form of its result on
-stdout.  Exit codes: 0 success, 2 malformed input, 3 precondition
-violation, 4 budget exceeded.  Timing goes to stderr so stdout stays
-byte-stable across runs.
+Each subcommand takes only the options that `COMMANDS` lists for it,
+and `_OPTIONS` declares each option once.  Every subcommand prints the
+canonical text form of its result on stdout; timing goes to stderr so
+stdout stays byte-stable across runs.  Exit codes: 0 success, 2
+malformed input (argument errors included), 3 precondition violation,
+4 budget exceeded; each error is one `error: ` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .cyclic import (IdealPresentation, PointedRep, ideal_to_triple,
                      triples_equivalent)
 from .divpow import gamma_n, parse_dp_expr
 from .errors import BudgetExceededError, ParseError, PreconditionError
-from .fields import QQ, GF, field_from_header
+from .fields import field_from_header
 from .ncpoly import parse_nc_poly
 from .normpoints import cycle_extract, det_point, hc_point, law_coefficients
 from .repvariety import (AlgebraPresentation, RepPoint, invariant_table,
@@ -41,173 +43,98 @@ def _read_input(value):
 
 
 def _field_of(args):
-    if args.field is None:
-        return QQ
-    label = args.field.strip()
-    if label in ("Q", "q"):
-        return QQ
-    if label.upper().startswith("F"):
-        try:
-            return GF(int(label[1:]))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+    "The --field label, Q (the default) or F<p>, read as a `field` header."
+    label = "Q" if args.field is None else args.field.strip().upper()
+    if label.startswith("F"):
+        label = "F " + label[1:]
     return field_from_header("field " + label)
 
 
 def _presentation(args):
-    if args.presentation is None:
-        raise ParseError("this command needs --presentation")
     return AlgebraPresentation.from_text(_read_input(args.presentation))
 
 
-def _checked_point(text, pres):
-    "(RepPoint, vec or None) from a point block, validated against pres."
-    fld, mats, vec = parse_point_body(text)
+def _point(args, pres, k=0, pointed=False):
+    """The k-th --point, validated against pres: a RepPoint, or with
+    `pointed` a PointedRep, which needs a vec line."""
+    fld, mats, vec = parse_point_body(_read_input(args.point[k]))
     if fld != pres.field:
         raise PreconditionError("point and presentation use different fields")
-    if len(mats) != pres.m:
-        raise PreconditionError(
-            f"point has {len(mats)} matrices but the presentation has {pres.m} generators")
     if not is_representation(pres, mats):
         raise PreconditionError("matrices do not satisfy the relations")
-    return RepPoint(fld, mats), vec
-
-
-def _first_point_text(args):
-    if not args.point:
-        raise ParseError("this command needs --point")
-    return _read_input(args.point[0])
-
-
-def _rep_arg(args, pres):
-    rep, _vec = _checked_point(_first_point_text(args), pres)
-    return rep
-
-
-def _pointed_arg(args, pres, text=None):
-    rep, vec = _checked_point(text or _first_point_text(args), pres)
+    rep = RepPoint(fld, mats)
+    if not pointed:
+        return rep
     if vec is None:
         raise ParseError("this command needs a point with a vec line")
     return PointedRep(rep, vec)
 
 
+class _Parser(argparse.ArgumentParser):
+    "An argument parser whose errors are ParseErrors, so `main` prints one line."
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         out = args.handler(args)
         if out:
             sys.stdout.write(out)
         return EXIT_OK
-    except ParseError as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (ParseError, PreconditionError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return (EXIT_BUDGET if isinstance(exc, BudgetExceededError) else
+                EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_PARSE)
 
 
 @functools.cache
 def _build_parser():
     "The argument parser, built on first use and shared by every `main` call."
-    parser = argparse.ArgumentParser(
-        prog="hilbchow",
-        description="exact computations on representation schemes, "
-                    "Hilbert-scheme points and their norm images")
+    parser = _Parser(prog="hilbchow",
+                     description="exact computations on representation schemes, "
+                                 "Hilbert-scheme points and their norm images")
     sub = parser.add_subparsers(required=True, metavar="command")
-
-    def add(name, handler, help_text):
+    for name, (handler, options, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--presentation", help="presentation file or inline text")
-        p.add_argument("--point", action="append", default=[],
-                       help="point file or inline text (repeatable)")
-        p.add_argument("--field", help="base field: Q or F<p> (default Q)")
-        p.add_argument("--n", type=int, help="matrix dimension")
-        p.add_argument("--max-len", type=int, dest="max_len",
-                       help="word-length bound for tables")
-        p.add_argument("--budget", type=int,
-                       help=f"candidate budget (default ${BUDGET_ENV} or 2^30)")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--expr", help="polynomial or divided-power expression")
-        p.add_argument("--args", dest="law_args",
-                       help="semicolon-separated argument polynomials")
+        for opt in options.split():
+            key = opt.strip("[]")
+            required = opt == key and _OPTIONS[key].get("required", False)
+            p.add_argument("--" + key, **{**_OPTIONS[key], "required": required})
         p.set_defaults(handler=handler)
-        return p
-
-    add("rep-ideal", _cmd_rep_ideal, "defining ideal of the representation scheme")
-    add("check-rep", _cmd_check_rep, "test whether matrices satisfy the relations")
-    add("cyclic", _cmd_cyclic, "assert that the marked vector is cyclic")
-    add("triple-to-ideal", _cmd_triple_to_ideal,
-        "left-ideal presentation of a cyclic point")
-    add("ideal-to-triple", _cmd_ideal_to_triple,
-        "pointed representation carried by an ideal presentation")
-    add("equiv", _cmd_equiv, "intertwiner between two pointed representations")
-    add("stab", _cmd_stab, "check that the stabilizer of a cyclic point is trivial")
-    add("invariants", _cmd_invariants, "trace-word table of a representation point")
-    add("gamma", _cmd_gamma, "divided power of a free-algebra element")
-    add("dp-normalize", _cmd_dp_normalize, "normal form of a divided-power expression")
-    add("law-coeffs", _cmd_law_coeffs, "coefficient table of det on given arguments")
-    add("hc", _cmd_hc, "norm image of a Hilbert-scheme point")
-    add("det-point", _cmd_det_point, "norm image of a representation point")
-    add("cycle", _cmd_cycle, "0-cycle of a commuting split representation")
-    add("enumerate", _cmd_enumerate, "full point count over a prime field")
     return parser
 
 
-def _require_n(args):
-    if args.n is None:
-        raise ParseError("this command needs --n")
-    if args.n < 1:
-        raise PreconditionError("dimension must be at least 1")
-    return args.n
-
-
 def _cmd_rep_ideal(args):
-    pres = _presentation(args)
-    return rep_ideal(pres, _require_n(args)).to_text()
+    return rep_ideal(_presentation(args), args.n).to_text()
 
 
 def _cmd_check_rep(args):
     pres = _presentation(args)
-    if not args.point:
-        raise ParseError("this command needs --point")
     fld, mats, _vec = parse_point_body(_read_input(args.point[0]))
     if fld != pres.field:
         raise PreconditionError("point and presentation use different fields")
-    ok = is_representation(pres, mats)
-    return f"is-representation {'true' if ok else 'false'}\n"
+    return f"is-representation {'true' if is_representation(pres, mats) else 'false'}\n"
 
 
 def _cmd_cyclic(args):
-    pres = _presentation(args)
-    pt = _pointed_arg(args, pres)
+    pt = _point(args, _presentation(args), pointed=True)
     return f"cyclic true\nspan-dim {len(require_cyclic(pt)[0])}\n"
 
 
 def _cmd_triple_to_ideal(args):
-    pres = _presentation(args)
-    return triple_to_ideal(_pointed_arg(args, pres)).to_text()
+    return triple_to_ideal(_point(args, _presentation(args), pointed=True)).to_text()
 
 
 def _cmd_ideal_to_triple(args):
-    if not args.point:
-        raise ParseError("this command needs --point with an ideal presentation")
-    ip = IdealPresentation.from_text(_read_input(args.point[0]))
-    pt = ideal_to_triple(ip)
-    if args.presentation:
-        pres = _presentation(args)
-        if not is_representation(pres, pt.rep.mats):
-            raise PreconditionError(
-                "action matrices do not satisfy the presentation relations")
+    pt = ideal_to_triple(IdealPresentation.from_text(_read_input(args.point[0])))
+    if args.presentation and not is_representation(_presentation(args), pt.rep.mats):
+        raise PreconditionError(
+            "action matrices do not satisfy the presentation relations")
     return pt.to_text()
 
 
@@ -215,76 +142,110 @@ def _cmd_equiv(args):
     pres = _presentation(args)
     if len(args.point) != 2:
         raise ParseError("equiv needs --point twice")
-    p1 = _pointed_arg(args, pres, _read_input(args.point[0]))
-    p2 = _pointed_arg(args, pres, _read_input(args.point[1]))
-    g = triples_equivalent(p1, p2)
+    g = triples_equivalent(_point(args, pres, 0, pointed=True),
+                           _point(args, pres, 1, pointed=True))
     if g is None:
         return "equivalent none\n"
     return "equivalent\ng " + matrix_row_text(pres.field, g) + "\n"
 
 
 def _cmd_stab(args):
-    pres = _presentation(args)
-    ok = stabilizer_is_trivial(_pointed_arg(args, pres))
+    ok = stabilizer_is_trivial(_point(args, _presentation(args), pointed=True))
     return f"stabilizer-trivial {'true' if ok else 'false'}\n"
 
 
 def _cmd_invariants(args):
-    pres = _presentation(args)
-    return invariant_table(_rep_arg(args, pres), args.max_len).to_text()
+    return invariant_table(_point(args, _presentation(args)), args.max_len).to_text()
 
 
 def _cmd_gamma(args):
-    if args.expr is None:
-        raise ParseError("gamma needs --expr")
-    n = _require_n(args)
-    fld = _field_of(args)
-    poly = parse_nc_poly(args.expr, fld)
-    return gamma_n(poly, n).to_text()
+    return gamma_n(parse_nc_poly(args.expr, _field_of(args)), args.n).to_text()
 
 
 def _cmd_dp_normalize(args):
-    if args.expr is None:
-        raise ParseError("dp-normalize needs --expr")
-    fld = _field_of(args)
-    return parse_dp_expr(args.expr, fld).to_text()
+    return parse_dp_expr(args.expr, _field_of(args)).to_text()
 
 
 def _cmd_law_coeffs(args):
     pres = _presentation(args)
-    rep = _rep_arg(args, pres)
+    rep = _point(args, pres)
+    polys = [pres.generator(k) for k in range(pres.m)]
     if args.law_args:
         polys = [parse_nc_poly(tok.strip(), pres.field, pres.m)
                  for tok in args.law_args.split(";")]
-    else:
-        polys = [pres.generator(k) for k in range(pres.m)]
     return law_coefficients(rep, polys).to_text()
 
 
 def _cmd_hc(args):
-    pres = _presentation(args)
-    return hc_point(_pointed_arg(args, pres), args.max_len).to_text()
+    pt = _point(args, _presentation(args), pointed=True)
+    return hc_point(pt, args.max_len).to_text()
 
 
 def _cmd_det_point(args):
-    pres = _presentation(args)
-    return det_point(_rep_arg(args, pres), args.max_len).to_text()
+    return det_point(_point(args, _presentation(args)), args.max_len).to_text()
 
 
 def _cmd_cycle(args):
     pres = _presentation(args)
     if not pres.is_commutative:
-        raise PreconditionError(
-            "cycle extraction needs a commutative presentation")
-    return cycle_extract(_rep_arg(args, pres)).to_text()
+        raise PreconditionError("cycle extraction needs a commutative presentation")
+    return cycle_extract(_point(args, pres)).to_text()
 
 
 def _cmd_enumerate(args):
-    pres = _presentation(args)
-    report = enumerate_points(pres, _require_n(args), budget=args.budget,
+    report = enumerate_points(_presentation(args), args.n, budget=args.budget,
                               workers=args.workers)
     print(f"elapsed {report.elapsed_ms} ms", file=sys.stderr)
     return report.to_text(include_elapsed=False)
+
+
+# each option's argparse spec; a command that lists a required option in
+# brackets takes it as optional
+_OPTIONS = {
+    "presentation": dict(required=True, help="presentation file or inline text"),
+    "point": dict(required=True, action="append",
+                  help="point file or inline text (repeatable)"),
+    "field": dict(help="base field: Q or F<p> (default Q)"),
+    "n": dict(type=int, required=True, help="matrix dimension or degree"),
+    "max-len": dict(type=int, help="word-length bound for tables"),
+    "budget": dict(type=int, help=f"candidate budget (default ${BUDGET_ENV} or 2^30)"),
+    "workers": dict(type=int, default=1, help="worker processes (default 1)"),
+    "expr": dict(required=True, help="polynomial or divided-power expression"),
+    "args": dict(dest="law_args", help="semicolon-separated argument polynomials"),
+}
+
+
+COMMANDS = {  # subcommand -> (handler, the options it reads, help line)
+    "rep-ideal": (_cmd_rep_ideal, "presentation n",
+                  "defining ideal of the representation scheme"),
+    "check-rep": (_cmd_check_rep, "presentation point",
+                  "test whether matrices satisfy the relations"),
+    "cyclic": (_cmd_cyclic, "presentation point",
+               "assert that the marked vector is cyclic"),
+    "triple-to-ideal": (_cmd_triple_to_ideal, "presentation point",
+                        "left-ideal presentation of a cyclic point"),
+    "ideal-to-triple": (_cmd_ideal_to_triple, "point [presentation]",
+                        "pointed representation carried by an ideal presentation"),
+    "equiv": (_cmd_equiv, "presentation point",
+              "intertwiner between two pointed representations"),
+    "stab": (_cmd_stab, "presentation point",
+             "check that the stabilizer of a cyclic point is trivial"),
+    "invariants": (_cmd_invariants, "presentation point max-len",
+                   "trace-word table of a representation point"),
+    "gamma": (_cmd_gamma, "expr n field", "divided power of a free-algebra element"),
+    "dp-normalize": (_cmd_dp_normalize, "expr field",
+                     "normal form of a divided-power expression"),
+    "law-coeffs": (_cmd_law_coeffs, "presentation point args",
+                   "coefficient table of det on given arguments"),
+    "hc": (_cmd_hc, "presentation point max-len",
+           "norm image of a Hilbert-scheme point"),
+    "det-point": (_cmd_det_point, "presentation point max-len",
+                  "norm image of a representation point"),
+    "cycle": (_cmd_cycle, "presentation point",
+              "0-cycle of a commuting split representation"),
+    "enumerate": (_cmd_enumerate, "presentation n budget workers",
+                  "full point count over a prime field"),
+}
 
 
 if __name__ == "__main__":

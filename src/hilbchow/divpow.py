@@ -23,7 +23,8 @@ from math import comb, factorial
 
 from ._tokens import Block, block_text, fold, number, parse_expr
 from .commpoly import SparseElement
-from .errors import ParseError, PreconditionError
+from .errors import BudgetExceededError, ParseError, PreconditionError
+from .linalg import MAX_TABLE_WORDS
 from .ncpoly import (MAX_WORD_LENGTH, NCPoly, arity, free_leaf, parse_word,
                      short_words, word_key, word_str)
 from .ncpoly import parse_nc_poly  # noqa: F401  bench/tracing.py rebinds it by name
@@ -136,15 +137,23 @@ class DPElement(SparseElement):
         return out
 
 
-def _tensor_power(a, k):
+def _tensor_power(a, k, width):
     """The k-fold tensor power of a free-algebra element collected on word
     multisets, k >= 0: (prod w^[e_w], prod c_w^e_w) for each split of k
     into exponents e_w over the words w of the support, c_w their
     coefficients.  A split costs O(|supp a|) however large k is; distinct
-    splits give distinct monomials and the products are never zero."""
+    splits give distinct monomials and the products are never zero.
+    Each of the C(k+s-1, s-1) splits over s words lists `width` words in
+    the result, which is refused before enumerating if that makes more
+    than MAX_TABLE_WORDS words."""
     support = sorted(a.terms.items(), key=lambda wc: word_key(wc[0]))
     if k and not support:  # 0^[k] = 0 for k > 0
         return
+    splits = comb(k + len(support) - 1, k) if support else 1
+    if splits * width > MAX_TABLE_WORDS:
+        raise BudgetExceededError(
+            f"a divided power of degree {k} has {splits} terms of {width} words, "
+            f"more than {MAX_TABLE_WORDS} words")
     exps = [k] + [0] * (len(support) - 1)
     while True:
         factors, coeff = [], a.field.one
@@ -170,7 +179,7 @@ def dp_power(a, k):
     the scalar and sum rules, the terms of the tensor power."""
     if not isinstance(a, NCPoly):
         raise PreconditionError("dp_power needs a free-algebra element")
-    terms = _tensor_power(a, k) if k >= 0 else ()
+    terms = _tensor_power(a, k, len(a.terms)) if k >= 0 else ()
     return DPElement.zero(a.field, a.m)._like(dict(terms))
 
 
@@ -304,7 +313,7 @@ def gamma_n(a, n):
     if n > MAX_WORD_LENGTH:
         raise ParseError(f"degree {n} exceeds the limit of {MAX_WORD_LENGTH}")
     return SymTensor.zero(a.field, a.m, n)._like(
-        {mono.words(): c for mono, c in _tensor_power(a, n)})
+        {mono.words(): c for mono, c in _tensor_power(a, n, n)})
 
 
 def _orbit_size(key):

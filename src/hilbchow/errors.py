@@ -18,4 +18,4 @@ class SingularMatrixError(PreconditionError):
 
 
 class BudgetExceededError(RuntimeError):
-    "An enumeration would exceed the configured candidate budget."
+    "Work would exceed a size bound: the enumeration budget or a fixed table limit."

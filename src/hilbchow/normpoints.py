@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from ._tokens import Block, block_text, parse_int, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import require_cyclic
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .fields import PrimeField
 from .linalg import (Matrix, charpoly, det, det_linear_combination, lift,
                      nc_eval, nullspace, solve_columns, word_matrices)
@@ -233,8 +233,20 @@ def _synthetic_divide(coeffs, r):
     return out, acc
 
 
+# the most field elements, rational root candidates or trial divisions one
+# root search may try; a larger scan is refused before it starts
+MAX_ROOT_SCAN = 1 << 20
+
+
+def _bound_scan(size, what):
+    if size > MAX_ROOT_SCAN:
+        raise BudgetExceededError(
+            f"root search would try {size} {what}, more than {MAX_ROOT_SCAN}")
+
+
 def _divisors(n):
     n = abs(n)
+    _bound_scan(isqrt(n), "trial divisions")
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -258,9 +270,11 @@ def _rational_root_candidates(coeffs):
     lowest = next((c for c in ints if c != 0), None)
     if lowest is None:
         return [Fraction(0)]
+    nums, dens = _divisors(lowest), _divisors(lead)
+    _bound_scan(2 * len(nums) * len(dens), "rational candidates")
     cands = {Fraction(0)}
-    for p in _divisors(lowest):
-        for q in _divisors(lead):
+    for p in nums:
+        for q in dens:
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     return sorted(cands)
@@ -272,6 +286,7 @@ def field_roots(poly, var="t"):
     Returns (sorted list of (root, multiplicity), fully_split flag).
     Over F_p all p candidates are tried; over Q the candidates come from
     the rational root bound.  No algebraic extensions are considered.
+    A search of more than MAX_ROOT_SCAN steps is refused up front.
     """
     field = poly.field
     coeffs = poly.univar_coeffs(var)
@@ -281,6 +296,7 @@ def field_roots(poly, var="t"):
         raise PreconditionError("root finding needs positive degree")
     degree = len(coeffs) - 1
     if isinstance(field, PrimeField):
+        _bound_scan(field.p, "field elements")
         candidates = list(field.elements())
     else:
         candidates = [field(c) for c in _rational_root_candidates(coeffs)]

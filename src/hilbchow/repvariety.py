@@ -16,9 +16,10 @@ from functools import cached_property
 
 from ._tokens import Block, block_text
 from .commpoly import CommPoly, parse_comm_poly
-from .errors import ParseError, PreconditionError, SingularMatrixError
-from .linalg import (IncrementalSpan, Matrix, det, lift, matrix_inverse,
-                     nc_eval, word_matrices)
+from .errors import (BudgetExceededError, ParseError, PreconditionError,
+                     SingularMatrixError)
+from .linalg import (MAX_TABLE_WORDS, IncrementalSpan, Matrix, det, lift,
+                     matrix_inverse, nc_eval, word_matrices)
 from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
                      word_str)
 
@@ -101,9 +102,14 @@ class GenericMatrixSystem:
 
 
 def build_generic(pres, n):
-    """The m generic n x n matrices with entries xi_k_i_j."""
+    """The m generic n x n matrices with entries xi_k_i_j; more than
+    MAX_TABLE_WORDS entries in all are refused before any is built."""
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
+    if pres.m * n * n > MAX_TABLE_WORDS:
+        raise BudgetExceededError(
+            f"{pres.m} generic {n} x {n} matrices have more than "
+            f"{MAX_TABLE_WORDS} entries")
     mats = []
     for k in range(1, pres.m + 1):
         rows = tuple(tuple(CommPoly.variable(pres.field, generic_var(k, i, j))

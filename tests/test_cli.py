@@ -1,8 +1,11 @@
+import argparse
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -91,6 +94,13 @@ def test_equiv_command(capsys, commuting, ptfile):
     assert code == 0
 
 
+def test_equiv_reads_both_points(capsys, commuting, ptfile):
+    # an empty second point is a truncated block, not the first point again
+    code, out, err = run(capsys, "equiv", "--presentation", commuting,
+                         "--point", ptfile, "--point", "")
+    assert (code, out, err) == (2, "", "error: truncated point block\n")
+
+
 def test_stab_command(capsys, commuting, ptfile):
     code, out, _ = run(capsys, "stab", "--presentation", commuting,
                        "--point", ptfile)
@@ -115,6 +125,9 @@ def test_gamma_command(capsys):
     assert code == 0
     assert out.splitlines()[0] == "symtensor"
     assert "term {x1, x2} = 1" in out
+    # degree 0 is the empty multiset with coefficient 1
+    code, out, _ = run(capsys, "gamma", "--expr", "x1+x2", "--n", "0")
+    assert (code, out) == (0, "symtensor\nfield Q\nm 2\ndegree 0\nterm {} = 1\n")
 
 
 def test_dp_normalize_command(capsys):
@@ -364,3 +377,109 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert done.stdout == "False\n"
+
+
+def parser_options():
+    "subcommand -> {(option, required)} as the parser declares them."
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {(a.option_strings[0][2:], a.required) for a in p._actions
+                   if not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()}
+
+
+def test_parser_options_match_readme():
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        text = f.read()
+    block = text.split("Subcommands:\n\n```\n", 1)[1].split("```", 1)[0]
+    readme = {}
+    for line in block.splitlines():
+        # `[--opt V]` is optional, a bare `--opt V` required
+        readme[line.split()[0]] = {(name, not bracket) for bracket, name
+                                   in re.findall(r"(\[?)--([a-z-]+)", line)}
+    assert parser_options() == readme
+    assert sum(map(len, readme.values())) == 37
+
+
+# one value each option accepts, for building valid command lines
+SAMPLE = {"presentation": "field Q|gens x1", "point": "point|field Q|n 1|mat 1",
+          "field": "Q", "n": "1", "max-len": "1", "budget": "1", "workers": "1",
+          "expr": "x1", "args": "x1"}
+
+
+@pytest.mark.parametrize("command", sorted(parser_options()))
+def test_each_command_rejects_options_it_does_not_read(capsys, command):
+    options = parser_options()[command]
+    argv = [command]
+    for name, required in sorted(options):
+        if required:
+            argv += ["--" + name, SAMPLE[name]]
+    foreign = min(set(SAMPLE) - {name for name, _ in options})
+    code, out, err = run(capsys, *argv, "--" + foreign, SAMPLE[foreign])
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: --{foreign} {SAMPLE[foreign]}\n"
+
+
+PT = "point|field Q|n 2|mat 1 0; 0 2|vec 1 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("hc", "--field", "F7", "--presentation", "field Q|gens x1", "--point", PT),
+    ("det-point", "--n", "4", "--presentation", "field Q|gens x1", "--point", PT),
+    ("gamma", "--presentation", "field Q|gens x1", "--expr", "x1", "--n", "2"),
+    ("hc", "--presentation", "field Q|gens x1", "--point", PT, "--bogus"),
+    ("gamma", "--expr", "x1", "--n", "abc"),
+    ("gamma", "--expr", "x1"),
+    ("equiv", "--presentation", "field Q|gens x1"),
+    ("no-such-command",),
+    (),
+], ids=["foreign-field", "foreign-n", "foreign-presentation", "unknown-option",
+        "bad-int", "missing-n", "missing-point", "unknown-command", "no-command"])
+def test_argument_errors_are_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("gamma", "--help")])
+def test_help_exits_zero(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: hilbchow")
+
+
+def test_ideal_to_triple_presentation_is_optional(capsys, commuting, ptfile):
+    _, ideal, _ = run(capsys, "triple-to-ideal", "--presentation", commuting,
+                      "--point", ptfile)
+    code, bare, _ = run(capsys, "ideal-to-triple", "--point", ideal)
+    assert code == 0 and bare.splitlines()[0] == "point"
+    # with a presentation the action matrices are checked against it
+    code, out, err = run(capsys, "ideal-to-triple", "--point", ideal,
+                         "--presentation", "field Q|gens x1 x2|rel x1")
+    assert (code, out) == (3, "")
+    assert err == "error: action matrices do not satisfy the presentation relations\n"
+
+
+# inputs whose root search, divided power or generic matrices would run for
+# minutes or exhaust memory are refused before the work starts
+@pytest.mark.parametrize("argv,message", [
+    (("cycle", "--presentation", "field F 1000000007|gens x1", "--point",
+      "point|field F 1000000007|n 2|mat 1 0; 0 2"),
+     "root search would try 1000000007 field elements, more than 1048576"),
+    (("cycle", "--presentation", "field Q|gens x1", "--point",
+      "point|field Q|n 2|mat 1000000007 0; 0 1000000009"),
+     "root search would try 1000000007 trial divisions, more than 1048576"),
+    (("gamma", "--expr", "x1+x2+x1*x2", "--n", "300"),
+     "a divided power of degree 300 has 45451 terms of 300 words, "
+     "more than 65536 words"),
+    (("dp-normalize", "--expr", "(x1+x2+x3+x4)^[1000]"),
+     "a divided power of degree 1000 has 167668501 terms of 4 words, "
+     "more than 65536 words"),
+    (("rep-ideal", "--presentation", "field Q|gens x1", "--n", "3000"),
+     "1 generic 3000 x 3000 matrices have more than 65536 entries"),
+], ids=["cycle-fp", "cycle-q", "gamma", "dp-normalize", "rep-ideal"])
+def test_oversized_work_exit_code(capsys, argv, message):
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 1
+    assert (code, out, err) == (4, "", f"error: {message}\n")

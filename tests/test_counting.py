@@ -1,4 +1,6 @@
+import concurrent.futures
 import itertools
+import os
 
 import pytest
 
@@ -142,3 +144,36 @@ def test_curve_cross_check_all_small_cases():
         for n in (1, 2, 3):
             report = enumerate_points(curve_pres(q), n, workers=2)
             assert report.orbit_count == q ** n
+
+
+class RecordingPool:
+    "In-process stand-in for ProcessPoolExecutor; records max_workers."
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("n,cpus,expected", [(1, 4, 2), (2, 4, 4), (2, 1, None)],
+                         ids=["two-tuples", "four-cpus", "one-cpu"])
+def test_worker_count_is_capped(monkeypatch, n, cpus, expected):
+    # a pool starts all its processes at once, so --workers 100000 must not
+    # ask for more than the candidate tuples (2 for n = 1) or the CPUs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    RecordingPool.made = []
+    report = enumerate_points(curve_pres(2), n, workers=100000)
+    assert RecordingPool.made == ([] if expected is None else [expected])
+    assert report == enumerate_points(curve_pres(2), n, workers=1)

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from hilbchow import (GF, QQ, DividedMonomial, DPElement, NCPoly, ParseError,
+from hilbchow import (GF, QQ, BudgetExceededError, DividedMonomial, DPElement,
+                      NCPoly, ParseError,
                       PreconditionError, SymTensor, dp_power, gamma_n,
                       parse_dp_expr, tau, ts_mul)
 
@@ -307,3 +308,17 @@ def test_printed_forms():
     b = NCPoly(GF(3), 2, {(1, 0): 1, (0,): -1, (): 4})
     assert str(gamma_n(b, 2)) == ("{1, 1} + 2*{1, x1} + {1, x2*x1} + {x1, x1}"
                                   " + 2*{x1, x2*x1} + {x2*x1, x2*x1}")
+
+
+def test_oversized_divided_powers_are_refused():
+    # gamma_n lists n words per key, dp_power |supp a| words per term; at
+    # most 65536 words in all: 256 keys of 255 words pass, 257 of 256 do not
+    a = x() + y()
+    assert len(gamma_n(a, 255).terms) == 256
+    with pytest.raises(BudgetExceededError, match="257 terms of 256 words"):
+        gamma_n(a, 256)
+    b = a + x() * y() + y() * x()
+    assert len(dp_power(b, 44).terms) == comb(47, 3)  # 16215 terms of 4 words
+    with pytest.raises(BudgetExceededError, match="17296 terms of 4 words"):
+        dp_power(b, 45)
+    assert len(gamma_n(x(), 10000).terms) == 1

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hilbchow import (GF, QQ, Cycle, LawCoefficientTable, Matrix, NCPoly,
-                      NormPoint, PointedRep, PreconditionError, RepPoint,
+                      BudgetExceededError, NormPoint, PointedRep,
+                      PreconditionError, RepPoint,
                       SplitFailure, conjugate, cycle_extract,
                       cycle_product_poly, det_linear_combination, det_point,
                       field_roots, hc_point, law_coefficients,
@@ -245,3 +246,18 @@ def test_law_table_text_roundtrip():
     args = [NCPoly.one(QQ, 1), NCPoly.generator(QQ, 1, 0)]
     table = law_coefficients(rep, args)
     assert LawCoefficientTable.from_text(table.to_text()) == table
+
+
+def test_field_roots_refuses_long_scans():
+    # 2^20 field elements, trial divisions or rational candidates at most
+    F = GF(1048583)  # the least prime above 2^20
+    with pytest.raises(BudgetExceededError, match="1048583 field elements"):
+        field_roots(parse_comm_poly("t^2 - 3*t + 2", F))
+    big = (1 << 20) + 1
+    with pytest.raises(BudgetExceededError, match=f"{big} trial divisions"):
+        field_roots(parse_comm_poly(f"t^2 - {big * big}", QQ))
+    assert field_roots(parse_comm_poly(f"t^2 - {(big - 1) ** 2}", QQ)) == (
+        [(Fraction(-(big - 1)), 1), (Fraction(big - 1), 1)], True)
+    # 735134400 has 1344 divisors, and 2 * 1344^2 > 2^20
+    with pytest.raises(BudgetExceededError, match="3612672 rational candidates"):
+        field_roots(parse_comm_poly("735134400*t^2 - 735134400", QQ))

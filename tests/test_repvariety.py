@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hilbchow import (GF, QQ, AlgebraPresentation, CommPoly, Matrix,
+from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError,
+                      CommPoly, Matrix,
                       ParseError, RepPoint, SingularMatrixError,
                       build_generic, conjugate, invariant_table,
                       is_representation, parse_nc_poly, rep_ideal)
@@ -200,3 +201,13 @@ def test_rep_ideal_text_roundtrip():
     from hilbchow import RepIdeal
     ideal = rep_ideal(commuting_pres(GF(5)), 2)
     assert RepIdeal.from_text(ideal.to_text()) == ideal
+
+
+def test_build_generic_refuses_oversized_systems():
+    # at most 65536 generic entries m * n^2 in all
+    assert build_generic(free_pres(2), 40).mats[1].n == 40
+    assert build_generic(free_pres(1), 256).n == 256
+    with pytest.raises(BudgetExceededError, match="more than 65536 entries"):
+        build_generic(free_pres(1), 257)
+    with pytest.raises(BudgetExceededError):
+        rep_ideal(free_pres(1), 3000)

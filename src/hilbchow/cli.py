@@ -1,11 +1,10 @@
 """Command-line frontend.
 
-Each subcommand takes only the options that `COMMANDS` lists for it,
-and `_OPTIONS` declares each option once.  Every subcommand prints the
-canonical text form of its result on stdout; timing goes to stderr so
-stdout stays byte-stable across runs.  Exit codes: 0 success, 2
-malformed input (argument errors included), 3 precondition violation,
-4 budget exceeded; each error is one `error: ` line on stderr.
+Each subcommand takes only the options `COMMANDS` lists for it, and
+`_OPTIONS` declares each option once.  Results print in canonical text
+form on stdout and timing on stderr, so stdout stays byte-stable.  Exit
+codes: 0 success, 2 malformed input or arguments, 3 precondition
+violation, 4 budget exceeded; each error is one `error: ` line on stderr.
 """
 
 from __future__ import annotations
@@ -118,7 +117,8 @@ def _cmd_check_rep(args):
     fld, mats, _vec = parse_point_body(_read_input(args.point[0]))
     if fld != pres.field:
         raise PreconditionError("point and presentation use different fields")
-    return f"is-representation {'true' if is_representation(pres, mats) else 'false'}\n"
+    ok = is_representation(pres, mats)
+    return f"is-representation {'true' if ok else 'false'}\n"
 
 
 def _cmd_cyclic(args):
@@ -169,10 +169,11 @@ def _cmd_dp_normalize(args):
 def _cmd_law_coeffs(args):
     pres = _presentation(args)
     rep = _point(args, pres)
-    polys = [pres.generator(k) for k in range(pres.m)]
     if args.law_args:
         polys = [parse_nc_poly(tok.strip(), pres.field, pres.m)
                  for tok in args.law_args.split(";")]
+    else:
+        polys = [pres.generator(k) for k in range(pres.m)]
     return law_coefficients(rep, polys).to_text()
 
 
@@ -188,7 +189,8 @@ def _cmd_det_point(args):
 def _cmd_cycle(args):
     pres = _presentation(args)
     if not pres.is_commutative:
-        raise PreconditionError("cycle extraction needs a commutative presentation")
+        raise PreconditionError(
+            "cycle extraction needs a commutative presentation")
     return cycle_extract(_point(args, pres)).to_text()
 
 

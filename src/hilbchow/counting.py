@@ -149,10 +149,11 @@ def enumerate_points(pres, n, budget=None, workers=1):
     else:
         # imported here: loading the pool adds ~40 ms to every `import hilbchow`
         from concurrent.futures import ProcessPoolExecutor
+        chunks = _ranges(candidates, workers)
         reps = pairs = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(count_range, pres_text, n, a, b)
-                       for a, b in _ranges(candidates, workers)]
+                       for a, b in chunks]
             for fut in futures:
                 r, c = fut.result()
                 reps += r
@@ -167,7 +168,12 @@ def enumerate_points(pres, n, budget=None, workers=1):
 
 
 def _ranges(total, parts):
-    """`parts` contiguous nonempty index ranges covering range(total), for
-    parts <= total (prefix blocks of the digit encoding)."""
-    bounds = [total * i // parts for i in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
+    "Contiguous index ranges (prefix blocks of the digit encoding)."
+    base, extra = divmod(total, parts)
+    out = []
+    start = 0
+    for i in range(parts):
+        size = base + (1 if i < extra else 0)
+        out.append((start, start + size))
+        start += size
+    return out

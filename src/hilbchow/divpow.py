@@ -137,23 +137,25 @@ class DPElement(SparseElement):
         return out
 
 
-def _tensor_power(a, k, width):
-    """The k-fold tensor power of a free-algebra element collected on word
-    multisets, k >= 0: (prod w^[e_w], prod c_w^e_w) for each split of k
-    into exponents e_w over the words w of the support, c_w their
-    coefficients.  A split costs O(|supp a|) however large k is; distinct
-    splits give distinct monomials and the products are never zero.
-    Each of the C(k+s-1, s-1) splits over s words lists `width` words in
-    the result, which is refused before enumerating if that makes more
-    than MAX_TABLE_WORDS words."""
-    support = sorted(a.terms.items(), key=lambda wc: word_key(wc[0]))
-    if k and not support:  # 0^[k] = 0 for k > 0
-        return
-    splits = comb(k + len(support) - 1, k) if support else 1
+def _check_size(a, k, width):
+    "Refuse, before enumerating, an a^[k] whose terms list more than MAX_TABLE_WORDS words."
+    s = len(a.terms)
+    splits = comb(k + s - 1, k) if s else 1
     if splits * width > MAX_TABLE_WORDS:
         raise BudgetExceededError(
             f"a divided power of degree {k} has {splits} terms of {width} words, "
             f"more than {MAX_TABLE_WORDS} words")
+
+
+def _tensor_power(a, k):
+    """The k-fold tensor power of a free-algebra element collected on word
+    multisets, k >= 0: (prod w^[e_w], prod c_w^e_w) for each split of k
+    into exponents e_w over the words w of the support, c_w their
+    coefficients.  A split costs O(|supp a|) however large k is; distinct
+    splits give distinct monomials and the products are never zero."""
+    support = sorted(a.terms.items(), key=lambda wc: word_key(wc[0]))
+    if k and not support:  # 0^[k] = 0 for k > 0
+        return
     exps = [k] + [0] * (len(support) - 1)
     while True:
         factors, coeff = [], a.field.one
@@ -179,7 +181,10 @@ def dp_power(a, k):
     the scalar and sum rules, the terms of the tensor power."""
     if not isinstance(a, NCPoly):
         raise PreconditionError("dp_power needs a free-algebra element")
-    terms = _tensor_power(a, k, len(a.terms)) if k >= 0 else ()
+    terms = ()
+    if k >= 0:
+        _check_size(a, k, len(a.terms))
+        terms = _tensor_power(a, k)
     return DPElement.zero(a.field, a.m)._like(dict(terms))
 
 
@@ -312,8 +317,9 @@ def gamma_n(a, n):
         raise PreconditionError("degree must be >= 0")
     if n > MAX_WORD_LENGTH:
         raise ParseError(f"degree {n} exceeds the limit of {MAX_WORD_LENGTH}")
+    _check_size(a, n, n)
     return SymTensor.zero(a.field, a.m, n)._like(
-        {mono.words(): c for mono, c in _tensor_power(a, n, n)})
+        {mono.words(): c for mono, c in _tensor_power(a, n)})
 
 
 def _orbit_size(key):

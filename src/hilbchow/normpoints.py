@@ -247,15 +247,8 @@ def _bound_scan(size, what):
 def _divisors(n):
     n = abs(n)
     _bound_scan(isqrt(n), "trial divisions")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _rational_root_candidates(coeffs):

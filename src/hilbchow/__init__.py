@@ -13,8 +13,8 @@ from .cyclic import (IdealPresentation, PointedRep, cyclic_word_basis,
                      span_dimension, stabilizer_is_trivial, triple_to_ideal,
                      triples_equivalent)
 from .commpoly import CommPoly, parse_comm_poly
-from .divpow import (DividedMonomial, DPElement, SymTensor, dp_power, gamma_n,
-                     parse_dp_expr, tau, ts_mul)
+from .divpow import (DPElement, SymTensor, dp_power, gamma_n, parse_dp_expr, tau,
+                     ts_mul)
 from .errors import (BudgetExceededError, ParseError, PreconditionError,
                      SingularMatrixError)
 from .fields import GF, QQ, FpElem, PrimeField, RationalField, field_from_header
@@ -25,15 +25,14 @@ from .ncpoly import NCPoly, parse_nc_poly, word_key, word_str, words_up_to
 from .normpoints import (Cycle, LawCoefficientTable, NormPoint, SplitFailure,
                          cycle_extract, cycle_product_poly, det_point,
                          field_roots, hc_point, law_coefficients)
-from .repvariety import (AlgebraPresentation, GenericMatrixSystem,
-                         InvariantTable, RepIdeal, RepPoint, build_generic,
-                         conjugate, generic_var, invariant_table,
+from .repvariety import (AlgebraPresentation, InvariantTable, RepIdeal, RepPoint,
+                         build_generic, conjugate, generic_var, invariant_table,
                          is_representation, rep_ideal)
 
 __all__ = [
     "AlgebraPresentation", "BudgetExceededError", "CommPoly", "Cycle",
-    "DPElement", "DividedMonomial", "EnumerationReport", "FpElem", "GF",
-    "GenericMatrixSystem", "IdealPresentation", "InvariantTable",
+    "DPElement", "EnumerationReport", "FpElem", "GF",
+    "IdealPresentation", "InvariantTable",
     "LawCoefficientTable", "Matrix", "NCPoly", "NormPoint", "ParseError",
     "PointedRep", "PreconditionError", "PrimeField", "QQ", "RationalField",
     "RepIdeal", "RepPoint", "SingularMatrixError", "SplitFailure", "SymTensor",

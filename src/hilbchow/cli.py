@@ -79,6 +79,9 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
+        if args.points and len(args.point) != args.points:
+            raise ParseError(f"{args.command} needs --point "
+                             f"{'once' if args.points == 1 else 'twice'}")
         out = args.handler(args)
         if out:
             sys.stdout.write(out)
@@ -97,14 +100,15 @@ def _build_parser():
     parser = _Parser(prog="hilbchow",
                      description="exact computations on representation schemes, "
                                  "Hilbert-scheme points and their norm images")
-    sub = parser.add_subparsers(required=True, metavar="command")
+    sub = parser.add_subparsers(required=True, metavar="command", dest="command")
     for name, (handler, options, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for opt in options.split():
+        options = options.split()
+        for opt in dict.fromkeys(options):
             key = opt.strip("[]")
             required = opt == key and _OPTIONS[key].get("required", False)
             p.add_argument("--" + key, **{**_OPTIONS[key], "required": required})
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, points=options.count("point"))
     return parser
 
 
@@ -140,8 +144,6 @@ def _cmd_ideal_to_triple(args):
 
 def _cmd_equiv(args):
     pres = _presentation(args)
-    if len(args.point) != 2:
-        raise ParseError("equiv needs --point twice")
     g = triples_equivalent(_point(args, pres, 0, pointed=True),
                            _point(args, pres, 1, pointed=True))
     if g is None:
@@ -206,7 +208,7 @@ def _cmd_enumerate(args):
 _OPTIONS = {
     "presentation": dict(required=True, help="presentation file or inline text"),
     "point": dict(required=True, action="append",
-                  help="point file or inline text (repeatable)"),
+                  help="point file or inline text (twice for equiv)"),
     "field": dict(help="base field: Q or F<p> (default Q)"),
     "n": dict(type=int, required=True, help="matrix dimension or degree"),
     "max-len": dict(type=int, help="word-length bound for tables"),
@@ -217,7 +219,9 @@ _OPTIONS = {
 }
 
 
-COMMANDS = {  # subcommand -> (handler, the options it reads, help line)
+# subcommand -> (handler, the options it reads, help line); `--point` must be
+# given exactly as often as `point` is listed, so twice for equiv only
+COMMANDS = {
     "rep-ideal": (_cmd_rep_ideal, "presentation n",
                   "defining ideal of the representation scheme"),
     "check-rep": (_cmd_check_rep, "presentation point",
@@ -228,7 +232,7 @@ COMMANDS = {  # subcommand -> (handler, the options it reads, help line)
                         "left-ideal presentation of a cyclic point"),
     "ideal-to-triple": (_cmd_ideal_to_triple, "point [presentation]",
                         "pointed representation carried by an ideal presentation"),
-    "equiv": (_cmd_equiv, "presentation point",
+    "equiv": (_cmd_equiv, "presentation point point",
               "intertwiner between two pointed representations"),
     "stab": (_cmd_stab, "presentation point",
              "check that the stabilizer of a cyclic point is trivial"),

@@ -10,14 +10,13 @@ realized here on the orbit-sum basis indexed by word multisets; that
 basis needs no divisions, so everything stays valid over F_p.  Both
 normal forms of a^[n], the divided-power monomials and the orbit sums,
 are read off one enumeration of the splits of n into exponents over the
-support of a, that is of its n-word multisets; `DividedMonomial.words`
-is the one place a monomial becomes its multiset.
+support of a, that is of its n-word multisets; `_words` is the one
+place a monomial key becomes its multiset.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations
 from math import comb, factorial
 
@@ -30,67 +29,33 @@ from .ncpoly import (MAX_WORD_LENGTH, NCPoly, arity, free_leaf, parse_word,
 from .ncpoly import parse_nc_poly  # noqa: F401  bench/tracing.py rebinds it by name
 
 
-@dataclass(frozen=True)
-class DividedMonomial:
-    """Product of w^[a] factors over distinct words, exponents >= 1."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        factors = tuple(sorted(((tuple(w), int(a)) for w, a in self.factors),
-                               key=lambda fa: word_key(fa[0])))
-        if any(a < 1 for _, a in factors):
-            raise PreconditionError("divided-power exponents must be >= 1")
-        if len({w for w, _ in factors}) != len(factors):
-            raise PreconditionError("divided-power monomial with repeated word")
-        object.__setattr__(self, "factors", factors)
-
-    @classmethod
-    def of_sorted(cls, factors):
-        "The monomial of factors already word-sorted, distinct and >= 1."
-        mono = object.__new__(cls)
-        object.__setattr__(mono, "factors", factors)
-        return mono
-
-    @property
-    def degree(self):
-        return sum(a for _, a in self.factors)
-
-    def sort_key(self):
-        return tuple((word_key(w), a) for w, a in self.factors)
-
-    def words(self):
-        "The word-sorted multiset with each word w repeated a_w times."
-        return tuple(w for w, a in self.factors for _ in range(a))
-
-    def __str__(self):
-        if not self.factors:
-            return "(1)^[0]"
-        return "*".join(f"({word_str(w)})^[{a}]" for w, a in self.factors)
-
-
-def _merge_monomials(m1, m2):
-    "Product of two monomials and its integer coefficient (binomials)."
-    exps = dict(m1.factors)
+def _merge_monomials(k1, k2):
+    "Product of two monomial keys and its integer coefficient (binomials)."
+    exps = dict(k1)
     mult = 1
-    for w, a in m2.factors:
+    for w, a in k2:
         if w in exps:
             mult *= comb(exps[w] + a, a)
             exps[w] += a
         else:
             exps[w] = a
-    mono = DividedMonomial.of_sorted(
-        tuple(sorted(exps.items(), key=lambda fa: word_key(fa[0]))))
-    return mono, mult
+    return tuple(sorted(exps.items(), key=lambda fa: word_key(fa[0]))), mult
+
+
+def _words(key):
+    "The word-sorted multiset of a monomial key, each word w repeated a_w times."
+    return tuple(w for w, a in key for _ in range(a))
 
 
 class DPElement(SparseElement):
-    """Normalized linear combination of divided-power monomials."""
+    """Normalized linear combination of divided-power monomials.
+
+    The key of a monomial prod_w w^[a_w] is its factor tuple ((w, a_w), ...):
+    distinct words in `word_key` order, every a_w >= 1; () is the unit.
+    """
 
     __slots__ = ("m",)
     _META = ("m",)
-    _order = staticmethod(DividedMonomial.sort_key)
-    _key_str = staticmethod(str)
 
     def __init__(self, field, m, terms=None):
         self.m = m
@@ -98,33 +63,44 @@ class DPElement(SparseElement):
 
     @classmethod
     def one(cls, field, m):
-        return cls(field, m, {DividedMonomial(()): field.one})
+        return cls(field, m, {(): field.one})
 
-    def degrees(self):
-        return sorted({mono.degree for mono in self.terms})
+    @staticmethod
+    def _order(key):
+        return tuple((word_key(w), a) for w, a in key)
+
+    @staticmethod
+    def _key_str(key):
+        if not key:
+            return "(1)^[0]"
+        return "*".join(f"({word_str(w)})^[{a}]" for w, a in key)
 
     def _check(self, other):
         if not self._same_field(other) or other.m != self.m:
             raise ValueError("mixing divided powers over different algebras")
 
     def _times(self, other):
+        if len(self.terms) * len(other.terms) > MAX_TABLE_WORDS:
+            raise BudgetExceededError(
+                f"a divided-power product of {len(self.terms)} by "
+                f"{len(other.terms)} terms has more than {MAX_TABLE_WORDS} term pairs")
         acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono, mult = _merge_monomials(m1, m2)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key, mult = _merge_monomials(k1, k2)
                 c = c1 * c2 * self.field(mult)
-                s = acc.get(mono)
+                s = acc.get(key)
                 s = c if s is None else s + c
                 if s:
-                    acc[mono] = s
+                    acc[key] = s
                 else:
-                    acc.pop(mono, None)
+                    acc.pop(key, None)
         return self._like(acc)
 
     def to_text(self):
         return block_text("divided-power", self.field, {"m": self.m},
-                          [f"term {mono} = {self.field.format(c)}"
-                           for mono, c in self.sorted_terms()])
+                          [f"term {self._key_str(key)} = {self.field.format(c)}"
+                           for key, c in self.sorted_terms()])
 
     @classmethod
     def from_text(cls, text):
@@ -149,7 +125,7 @@ def _check_size(a, k, width):
 
 def _tensor_power(a, k):
     """The k-fold tensor power of a free-algebra element collected on word
-    multisets, k >= 0: (prod w^[e_w], prod c_w^e_w) for each split of k
+    multisets, k >= 0: (key of prod w^[e_w], prod c_w^e_w) for each split of k
     into exponents e_w over the words w of the support, c_w their
     coefficients.  A split costs O(|supp a|) however large k is; distinct
     splits give distinct monomials and the products are never zero."""
@@ -163,7 +139,7 @@ def _tensor_power(a, k):
             if e:
                 factors.append((w, e))
                 coeff = coeff * (c if e == 1 else c ** e)
-        yield DividedMonomial.of_sorted(tuple(factors)), coeff
+        yield tuple(factors), coeff
         # next split in reverse lexicographic order: the last nonzero
         # exponent before the final one moves 1 and the final one right
         tail, exps[-1] = exps[-1], 0
@@ -282,29 +258,22 @@ class SymTensor(SparseElement):
         return cls(fld, m, degree, terms)
 
 
-def tau(x, n, field=None, m=None):
-    """Orbit-sum image of divided-power data in degree n.
+def tau(x, n):
+    """Orbit-sum image of a divided-power element in degree n.
 
     A monomial prod_w w^[a_w] maps to the orbit sum of its multiset, each
     word repeated a_w times; distinct monomials have distinct multisets,
-    so a DPElement's terms are relabelled one to one.  Degrees must match.
-    For a bare monomial the field is required and the arity defaults to
-    the largest generator appearing.
+    so the terms are relabelled one to one.  Degrees must match.
     """
-    if isinstance(x, DividedMonomial):
-        if field is None:
-            raise PreconditionError("tau on a bare monomial needs the field")
-        if m is None:
-            m = max((k + 1 for w, _ in x.factors for k in w), default=0)
-        x = DPElement(field, m, {x: field.one})
     if not isinstance(x, DPElement):
-        raise PreconditionError("tau expects a DividedMonomial or DPElement")
-    for mono in x.terms:
-        if mono.degree != n:
-            raise PreconditionError(
-                f"degree mismatch: monomial {mono} has degree {mono.degree}, not {n}")
+        raise PreconditionError("tau expects a DPElement")
+    for key in x.terms:
+        degree = sum(a for _, a in key)
+        if degree != n:
+            raise PreconditionError(f"degree mismatch: monomial {x._key_str(key)} "
+                                    f"has degree {degree}, not {n}")
     return SymTensor.zero(x.field, x.m, n)._like(
-        {mono.words(): c for mono, c in x.terms.items()})
+        {_words(key): c for key, c in x.terms.items()})
 
 
 def gamma_n(a, n):
@@ -319,7 +288,7 @@ def gamma_n(a, n):
         raise ParseError(f"degree {n} exceeds the limit of {MAX_WORD_LENGTH}")
     _check_size(a, n, n)
     return SymTensor.zero(a.field, a.m, n)._like(
-        {mono.words(): c for mono, c in _tensor_power(a, n)})
+        {_words(key): c for key, c in _tensor_power(a, n)})
 
 
 def _orbit_size(key):

@@ -14,7 +14,6 @@ offered over fields, where Gaussian elimination is exact.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -23,7 +22,7 @@ from operator import add, mul, sub
 from .commpoly import CommPoly
 from .errors import BudgetExceededError, PreconditionError, SingularMatrixError
 from .fields import GF, QQ, FpElem
-from .ncpoly import NCPoly
+from .ncpoly import NCPoly, words_up_to
 
 # word tables (`word_matrices`) above this many words are refused
 MAX_TABLE_WORDS = 1 << 16
@@ -57,9 +56,6 @@ class Matrix:
 
     def __getitem__(self, i):
         return self.rows[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
 
     def _check(self, other):
         if self.n != other.n:
@@ -337,8 +333,7 @@ def word_matrices(mats, max_len):
     memo = {(): Matrix.identity(mats[0].n, one).rows}
     rows = tuple(M.rows for M in mats)
     return {w: Matrix(word_product(w, rows, memo))
-            for length in range(max_len + 1)
-            for w in itertools.product(range(len(mats)), repeat=length)}
+            for w in words_up_to(len(mats), max_len)}
 
 
 # -- exact Gaussian elimination over a field -----------------------------------

@@ -40,14 +40,10 @@ def word_str(word):
     return "*".join(pieces)
 
 
-def words_of_length(m, length):
-    "All words of the given length, in lexicographic order."
-    return itertools.product(range(m), repeat=length)
-
-
 def words_up_to(m, max_len, start_len=0):
+    "All words of length start_len..max_len, in graded-lex order."
     for length in range(start_len, max_len + 1):
-        yield from words_of_length(m, length)
+        yield from itertools.product(range(m), repeat=length)
 
 
 class NCPoly(SparseElement):

@@ -95,14 +95,8 @@ class AlgebraPresentation:
         return cls(block.field, m, rels)
 
 
-@dataclass(frozen=True)
-class GenericMatrixSystem:
-    n: int
-    mats: tuple
-
-
 def build_generic(pres, n):
-    """The m generic n x n matrices with entries xi_k_i_j; more than
+    """The tuple of m generic n x n matrices with entries xi_k_i_j; more than
     MAX_TABLE_WORDS entries in all are refused before any is built."""
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
@@ -116,7 +110,7 @@ def build_generic(pres, n):
                            for j in range(1, n + 1))
                      for i in range(1, n + 1))
         mats.append(Matrix(rows))
-    return GenericMatrixSystem(n, tuple(mats))
+    return tuple(mats)
 
 
 @dataclass(frozen=True)
@@ -145,11 +139,11 @@ def rep_ideal(pres, n):
     Zero polynomials are dropped and syntactic duplicates removed; the
     survivors are sorted in graded-lex term order.
     """
-    system = build_generic(pres, n)
+    mats = build_generic(pres, n)
     gens = []
     seen = set()
     for rel in pres.relations:
-        M = nc_eval(rel, system.mats)
+        M = nc_eval(rel, mats)
         for i in range(n):
             for j in range(n):
                 p = M.rows[i][j]

@@ -432,10 +432,13 @@ PT = "point|field Q|n 2|mat 1 0; 0 2|vec 1 1"
     ("gamma", "--expr", "x1", "--n", "abc"),
     ("gamma", "--expr", "x1"),
     ("equiv", "--presentation", "field Q|gens x1"),
+    ("det-point", "--presentation", "field Q|gens x1", "--point", PT, "--point", PT),
+    ("equiv", "--presentation", "field Q|gens x1", "--point", PT),
     ("no-such-command",),
     (),
 ], ids=["foreign-field", "foreign-n", "foreign-presentation", "unknown-option",
-        "bad-int", "missing-n", "missing-point", "unknown-command", "no-command"])
+        "bad-int", "missing-n", "missing-point", "repeated-point", "one-equiv-point",
+        "unknown-command", "no-command"])
 def test_argument_errors_are_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -460,8 +463,9 @@ def test_ideal_to_triple_presentation_is_optional(capsys, commuting, ptfile):
     assert err == "error: action matrices do not satisfy the presentation relations\n"
 
 
-# inputs whose root search, divided power or generic matrices would run for
-# minutes or exhaust memory are refused before the work starts
+# inputs whose root search, divided power, divided-power product or generic
+# matrices would run for minutes or exhaust memory are refused before the work
+# starts
 @pytest.mark.parametrize("argv,message", [
     (("cycle", "--presentation", "field F 1000000007|gens x1", "--point",
       "point|field F 1000000007|n 2|mat 1 0; 0 2"),
@@ -477,7 +481,9 @@ def test_ideal_to_triple_presentation_is_optional(capsys, commuting, ptfile):
      "more than 65536 words"),
     (("rep-ideal", "--presentation", "field Q|gens x1", "--n", "3000"),
      "1 generic 3000 x 3000 matrices have more than 65536 entries"),
-], ids=["cycle-fp", "cycle-q", "gamma", "dp-normalize", "rep-ideal"])
+    (("dp-normalize", "--expr", "(x1+x2+x3)^[40]*(x1+x2+x4)^[40]"),
+     "a divided-power product of 861 by 861 terms has more than 65536 term pairs"),
+], ids=["cycle-fp", "cycle-q", "gamma", "dp-normalize", "rep-ideal", "dp-product"])
 def test_oversized_work_exit_code(capsys, argv, message):
     started = time.monotonic()
     code, out, err = run(capsys, *argv)

@@ -61,14 +61,14 @@ def test_commutativity_flag():
 
 
 def test_build_generic_counts():
-    assert build_generic(free_pres(1), 1).mats[0].rows[0][0] == \
+    assert build_generic(free_pres(1), 1)[0].rows[0][0] == \
         CommPoly.variable(QQ, generic_var(1, 1, 1))
-    system = build_generic(free_pres(2), 2)
-    names = {v for Mk in system.mats for row in Mk.rows
+    mats = build_generic(free_pres(2), 2)
+    names = {v for Mk in mats for row in Mk.rows
              for entry in row for v in entry.variables()}
     assert len(names) == 8
-    system3 = build_generic(free_pres(3), 2)
-    names3 = {v for Mk in system3.mats for row in Mk.rows
+    mats3 = build_generic(free_pres(3), 2)
+    names3 = {v for Mk in mats3 for row in Mk.rows
               for entry in row for v in entry.variables()}
     assert len(names3) == 12
 
@@ -205,8 +205,8 @@ def test_rep_ideal_text_roundtrip():
 
 def test_build_generic_refuses_oversized_systems():
     # at most 65536 generic entries m * n^2 in all
-    assert build_generic(free_pres(2), 40).mats[1].n == 40
-    assert build_generic(free_pres(1), 256).n == 256
+    assert build_generic(free_pres(2), 40)[1].n == 40
+    assert build_generic(free_pres(1), 256)[0].n == 256
     with pytest.raises(BudgetExceededError, match="more than 65536 entries"):
         build_generic(free_pres(1), 257)
     with pytest.raises(BudgetExceededError):

@@ -1,15 +1,18 @@
 """Exhaustive enumeration over prime fields.
 
-Iterates every m-tuple of n x n matrices over F_q, filters by the
-relations, and counts cyclic vectors.  Tuples are plain int rows run
-through `linalg`'s kernels: word products over Z, reduced mod p where a
-relation entry is tested, and the breadth-first word basis on a span
-that works mod p.  The group order of GL_n(F_q)
-must divide the cyclic-pair count exactly (the action on cyclic pairs
-is free); the quotient is the number of Hilbert-scheme points.  The
-tuple space is split into contiguous index ranges ("prefix" blocks of
-the entry digits), so per-range counts merge by addition and the report
-is identical for any worker count.
+Walks every m-tuple of n x n matrices over F_q one generator at a time.
+Each relation is tested as soon as the last generator it uses is fixed (a
+constant relation, or one in x1 alone, once per first matrix), and a
+failing prefix skips its whole subtree.  Cyclicity is tested at e_1 only:
+GL_n(F_q) preserves the relations and is transitive on nonzero vectors, so
+the cyclic-pair count is q^n - 1 times the count at e_1.  Tuples are plain
+int rows run through `linalg`'s kernels: word products over Z, reduced mod
+p where a relation entry is tested, and the breadth-first word basis on a
+span that works mod p.  |GL_n(F_q)| must divide the cyclic-pair count
+exactly (the action on cyclic pairs is free); the quotient is the number
+of Hilbert-scheme points.  Worker ranges split the index of the first
+matrix, so per-range counts merge by addition and the report is the same
+for any worker count.
 """
 
 from __future__ import annotations
@@ -87,36 +90,45 @@ class EnumerationReport:
         return cls(*vals, elapsed)
 
 
-def _decode_tuple(index, q, m, n):
-    """The m matrices (tuples of rows) whose entries are the mixed-radix
-    digits of index, row-major per matrix; index 0 is all zeros."""
-    digits = []
-    for _ in range(m * n * n):
-        digits.append(index % q)
-        index //= q
-    digits.reverse()
-    rows = zip(*[iter(digits)] * n)
-    return tuple(zip(*[rows] * n))
+def _matrices(q, n, start=0, stop=None):
+    """The n x n matrices over F_q (tuples of int rows) with index in
+    [start, stop), in the order of their row-major entry digits."""
+    for digits in itertools.islice(itertools.product(range(q), repeat=n * n),
+                                   start, stop):
+        yield tuple(zip(*[iter(digits)] * n))
 
 
 def count_range(pres_text, n, start, stop):
-    """(representation tuples, cyclic pairs) for a contiguous index range."""
+    """(representation tuples, cyclic pairs) over the tuples whose first
+    matrix has an index in [start, stop).  Each relation is tested once the
+    last generator it uses is fixed, and a failing prefix skips its subtree;
+    the pairs are q^n - 1 times the tuples for which e_1 is cyclic."""
     pres = AlgebraPresentation.from_text(pres_text)
     p, m = pres.field.p, pres.m
-    relations = [[(w, c.v) for w, c in rel.terms.items()]
-                 for rel in pres.relations if rel.terms]
+    levels = [[] for _ in range(m)]
+    for rel in pres.relations:
+        if rel.terms:
+            levels[max(max(w, default=0) for w in rel.terms)].append(
+                [(w, c.v) for w, c in rel.terms.items()])
     identity = Matrix.identity(n, 1).rows
-    vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
-    reps = pairs = 0
-    for index in range(start, stop):
-        mats = _decode_tuple(index, p, m, n)
+    later = list(_matrices(p, n)) if m > 1 else []
+
+    def walk(mats):
         memo = {(): identity}
-        if any(a % p for terms in relations
-               for row in word_sum(terms, mats, memo) for a in row):
-            continue
-        reps += 1
-        pairs += sum(len(word_basis(mats, v, p)) == n for v in vectors)
-    return reps, pairs
+        if mats and any(a % p for terms in levels[len(mats) - 1]
+                        for row in word_sum(terms, mats, memo) for a in row):
+            return 0, 0
+        if len(mats) == m:
+            return 1, len(word_basis(mats, identity[0], p)) == n
+        reps = pairs = 0
+        for mat in later if mats else _matrices(p, n, start, stop):
+            r, c = walk(mats + (mat,))
+            reps += r
+            pairs += c
+        return reps, pairs
+
+    reps, pairs = walk(())
+    return reps, pairs * (p ** n - 1)
 
 
 def enumerate_points(pres, n, budget=None, workers=1):
@@ -142,14 +154,16 @@ def enumerate_points(pres, n, budget=None, workers=1):
     pres_text = pres.to_text()
     if workers < 1:
         raise PreconditionError("worker count must be at least 1")
-    # no more processes than ranges or CPUs: the pool starts them all at once
-    workers = min(workers, candidates, os.cpu_count() or 1)
+    # ranges split the first matrix; no more processes than ranges or CPUs,
+    # since the pool starts them all at once
+    firsts = q ** (n * n)
+    workers = min(workers, firsts, os.cpu_count() or 1)
     if workers == 1:
-        reps, pairs = count_range(pres_text, n, 0, candidates)
+        reps, pairs = count_range(pres_text, n, 0, firsts)
     else:
         # imported here: loading the pool adds ~40 ms to every `import hilbchow`
         from concurrent.futures import ProcessPoolExecutor
-        chunks = _ranges(candidates, workers)
+        chunks = _ranges(firsts, workers)
         reps = pairs = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(count_range, pres_text, n, a, b)
@@ -158,6 +172,8 @@ def enumerate_points(pres, n, budget=None, workers=1):
                 r, c = fut.result()
                 reps += r
                 pairs += c
+    # freeness: the stabiliser of e_1, of order |GL_n| / (q^n - 1), must
+    # divide the count at e_1
     order = gl_order(n, q)
     if pairs % order:
         raise AssertionError(
@@ -168,7 +184,7 @@ def enumerate_points(pres, n, budget=None, workers=1):
 
 
 def _ranges(total, parts):
-    "Contiguous index ranges (prefix blocks of the digit encoding)."
+    "Contiguous index ranges, split as evenly as they go."
     base, extra = divmod(total, parts)
     out = []
     start = 0

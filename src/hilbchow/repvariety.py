@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from ._tokens import Block, block_text
 from .commpoly import CommPoly, parse_comm_poly
@@ -137,9 +138,17 @@ def rep_ideal(pres, n):
     """Entries of every relation evaluated at the generic matrices.
 
     Zero polynomials are dropped and syntactic duplicates removed; the
-    survivors are sorted in graded-lex term order.
+    survivors are sorted in graded-lex term order.  A word w gives each
+    entry at most min(n^(|w|-1), C(|w|+N-1, N-1)) terms, N = m n^2; more
+    than MAX_TABLE_WORDS in all are refused before any is built.
     """
     mats = build_generic(pres, n)
+    size = pres.m * n * n
+    terms = n * n * sum(min(n ** max(len(w) - 1, 0), comb(len(w) + size - 1, size - 1))
+                        for rel in pres.relations for w in rel.terms)
+    if terms > MAX_TABLE_WORDS:
+        raise BudgetExceededError(f"relations at generic {n} x {n} matrices would "
+                                  f"build {terms} entry terms, more than {MAX_TABLE_WORDS}")
     gens = []
     seen = set()
     for rel in pres.relations:

@@ -113,6 +113,66 @@ def _mod_rank(rows, p):
     return rank
 
 
+# -- closed forms for the point counts over F_q -------------------------------
+
+def gl_count(q, n):
+    "|GL_n(F_q)|: the ordered bases of F_q^n."
+    total = 1
+    for i in range(n):
+        total *= q ** n - q ** i
+    return total
+
+
+def commuting_pairs(q, n):
+    """Commuting pairs in M_n(F_q), from the Feit-Fine series
+    sum_n |C_n|/|GL_n| x^n = prod_{i>=1} prod_{j>=0} (1 - q^(1-j) x^i)^(-1)
+    (Duke Math. J. 27 (1960)).  By the q-binomial theorem the j-product is
+    sum_k q^k y^k / prod_{l<=k} (1 - q^(-l)) with y = x^i."""
+    euler = [Fraction(1)]
+    for k in range(1, n + 1):
+        euler.append(euler[-1] * q / (1 - Fraction(1, q ** k)))
+    series = [Fraction(1)] + [Fraction(0)] * n
+    for i in range(1, n + 1):
+        series = [sum(euler[k] * series[d - i * k] for k in range(d // i + 1))
+                  for d in range(n + 1)]
+    count = series[n] * gl_count(q, n)
+    assert count.denominator == 1
+    return int(count)
+
+
+def partitions(n, most=None):
+    "The partitions of n into parts of at most `most`, largest part first."
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def plane_hilbert_points(q, n):
+    """|Hilb^n(A^2)(F_q)| = sum over partitions lambda of n of q^(n + len
+    lambda), from the cell decomposition of Ellingsrud and Stromme
+    (Invent. Math. 87 (1987))."""
+    return sum(q ** (n + len(lam)) for lam in partitions(n))
+
+
+def nilpotent_count(q, n):
+    "Nilpotent n x n matrices over F_q: q^(n^2 - n) (Fine and Herstein, 1958)."
+    return q ** (n * n - n)
+
+
+def curve_hilbert_points(q, n):
+    "|Hilb^n(A^1)(F_q)|: the monic polynomials of degree n."
+    return q ** n
+
+
+def free2_hilbert_points(q):
+    """|Hilb^2| of the free algebra on two generators: q^6 + q^5, the
+    cells of the two word trees {1, x1} and {1, x2} (Reineke, 2005)."""
+    return q ** 6 + q ** 5
+
+
 # -- dense tensor-power model of divided powers -------------------------------
 
 def tensor_power(a, k):

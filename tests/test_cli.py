@@ -463,9 +463,9 @@ def test_ideal_to_triple_presentation_is_optional(capsys, commuting, ptfile):
     assert err == "error: action matrices do not satisfy the presentation relations\n"
 
 
-# inputs whose root search, divided power, divided-power product or generic
-# matrices would run for minutes or exhaust memory are refused before the work
-# starts
+# inputs whose root search, divided power, divided-power product, generic
+# matrices or relations on them would run for minutes or exhaust memory are
+# refused before the work starts
 @pytest.mark.parametrize("argv,message", [
     (("cycle", "--presentation", "field F 1000000007|gens x1", "--point",
       "point|field F 1000000007|n 2|mat 1 0; 0 2"),
@@ -483,7 +483,11 @@ def test_ideal_to_triple_presentation_is_optional(capsys, commuting, ptfile):
      "1 generic 3000 x 3000 matrices have more than 65536 entries"),
     (("dp-normalize", "--expr", "(x1+x2+x3)^[40]*(x1+x2+x4)^[40]"),
      "a divided-power product of 861 by 861 terms has more than 65536 term pairs"),
-], ids=["cycle-fp", "cycle-q", "gamma", "dp-normalize", "rep-ideal", "dp-product"])
+    (("rep-ideal", "--presentation", "field Q|gens x1|rel x1^4", "--n", "16"),
+     "relations at generic 16 x 16 matrices would build 1048576 entry terms, "
+     "more than 65536"),
+], ids=["cycle-fp", "cycle-q", "gamma", "dp-normalize", "rep-ideal", "dp-product",
+        "rep-ideal-relations"])
 def test_oversized_work_exit_code(capsys, argv, message):
     started = time.monotonic()
     code, out, err = run(capsys, *argv)

@@ -8,7 +8,8 @@ from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError,
                       EnumerationReport, Matrix, ParseError, PreconditionError,
                       det, enumerate_points, gl_order, parse_nc_poly)
 
-from oracles import naive_count
+from oracles import (commuting_pairs, curve_hilbert_points, free2_hilbert_points,
+                     naive_count, nilpotent_count, plane_hilbert_points)
 
 
 def curve_pres(q):
@@ -76,6 +77,42 @@ def test_commuting_regression_n2_q2():
     assert report.orbit_count == 24  # q^4 + q^3 at q = 2
 
 
+def nilpotent_pres(q, d):
+    return AlgebraPresentation(GF(q), 1, (parse_nc_poly(f"x1^{d}", GF(q), 1),))
+
+
+# (presentation, n, rep-points, orbit-count) from theorems, not from this harness;
+# the commuting plane at (q, n) = (2, 3) agrees too but costs ~10 s
+CLOSED_FORMS = [
+    *[(commuting_pres(q), 2, commuting_pairs(q, 2), plane_hilbert_points(q, 2))
+      for q in (2, 3)],
+    *[(curve_pres(q), n, q ** (n * n), curve_hilbert_points(q, n))
+      for q, n in ((2, 3), (3, 2))],
+    # every n x n matrix with x^d = 0 (d >= n) is nilpotent, and F_q[x]/(x^d)
+    # has one ideal of colength n
+    *[(nilpotent_pres(q, d), n, nilpotent_count(q, n), 1)
+      for q, d, n in ((2, 2, 2), (3, 2, 2), (2, 3, 3))],
+    *[(AlgebraPresentation(GF(q), 2), 2, q ** 8, free2_hilbert_points(q))
+      for q in (2, 3)],
+]
+
+
+@pytest.mark.parametrize("pres,n,reps,orbits", CLOSED_FORMS, ids=[
+    "plane-q2", "plane-q3", "curve-q2-n3", "curve-q3-n2", "nilpotent-q2-n2",
+    "nilpotent-q3-n2", "nilpotent-q2-n3", "free-q2", "free-q3"])
+def test_counts_match_closed_forms(pres, n, reps, orbits):
+    report = enumerate_points(pres, n)
+    assert (report.total_rep_points, report.orbit_count) == (reps, orbits)
+
+
+def test_closed_form_oracle_values():
+    # the series agree with the brute force where it is cheap, and with the
+    # published values
+    assert naive_count(commuting_pres(2), 2)[0] == commuting_pairs(2, 2) == 88
+    assert commuting_pairs(3, 2) == 945
+    assert plane_hilbert_points(2, 2) == 24 and plane_hilbert_points(3, 2) == 108
+
+
 def test_budget_checks():
     with pytest.raises(BudgetExceededError):
         enumerate_points(curve_pres(2), 2, budget=15)
@@ -90,6 +127,29 @@ def test_worker_count_independence():
     assert solo == multi
     assert solo.to_text(include_elapsed=False) == \
         multi.to_text(include_elapsed=False)
+
+
+SQUARE_ZERO = ("x1^2", "x1*x2", "x2*x1", "x2^2")
+
+
+@pytest.mark.parametrize("rels", [("x1*x2 - x2*x1",), SQUARE_ZERO],
+                         ids=["commuting", "square-zero"])
+def test_worker_split_over_first_matrix(monkeypatch, rels):
+    # with m = 2 a worker's range covers first matrices, not whole tuples
+    from hilbchow.counting import _ranges, count_range
+    pres = AlgebraPresentation(GF(2), 2, tuple(parse_nc_poly(r, GF(2), 2)
+                                               for r in rels))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    RecordingPool.made = []
+    multi = enumerate_points(pres, 2, workers=3)
+    assert RecordingPool.made == [3]
+    assert multi == enumerate_points(pres, 2, workers=1)
+    text = pres.to_text()
+    parts = [count_range(text, 2, a, b) for a, b in _ranges(2 ** 4, 3)]
+    whole = count_range(text, 2, 0, 2 ** 4)
+    assert tuple(map(sum, zip(*parts))) == whole
+    assert whole == (multi.total_rep_points, multi.total_cyclic_pairs)
 
 
 def test_report_text_roundtrip():

@@ -211,3 +211,23 @@ def test_build_generic_refuses_oversized_systems():
         build_generic(free_pres(1), 257)
     with pytest.raises(BudgetExceededError):
         rep_ideal(free_pres(1), 3000)
+
+
+# a word w gives each of the n^2 entries at most min(n^(|w|-1),
+# C(|w| + N - 1, N - 1)) terms, N = m n^2: at n = 2, x1^2 gives 4 * 2 and
+# x1^10 + 1 gives 4 * (C(13, 3) + 1); the bound is lowered so both stay cheap
+@pytest.mark.parametrize("rel,terms", [("x1^2", 8), ("x1^10 + 1", 1148)])
+def test_rep_ideal_refuses_oversized_relations(monkeypatch, rel, terms):
+    import hilbchow.repvariety
+    pres = poly_pres([rel], 1)
+    monkeypatch.setattr(hilbchow.repvariety, "MAX_TABLE_WORDS", terms)
+    assert len(rep_ideal(pres, 2).gens) == 4
+    monkeypatch.setattr(hilbchow.repvariety, "MAX_TABLE_WORDS", terms - 1)
+    with pytest.raises(BudgetExceededError,
+                       match=f"build {terms} entry terms, more than {terms - 1}"):
+        rep_ideal(pres, 2)
+
+
+def test_rep_ideal_accepts_long_words_on_small_matrices():
+    # n^(|w|-1) alone would refuse x1^20 at n = 2 (4 * 2^19 terms)
+    assert rep_ideal(poly_pres(["x1^20"], 1), 2).n == 2

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from ._tokens import Block, block_text
-from .errors import BudgetExceededError, ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, require
 from .fields import PrimeField, is_prime
 from .linalg import Matrix, word_basis, word_sum
 from .repvariety import AlgebraPresentation
@@ -146,10 +146,7 @@ def enumerate_points(pres, n, budget=None, workers=1):
         raise PreconditionError("dimension must be at least 1")
     q = pres.field.p
     m = pres.m
-    candidates = q ** (m * n * n)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"{candidates} candidate tuples exceed budget {budget}")
+    require(q ** (m * n * n), budget, "a sweep would test {} candidate tuples")
     started = time.monotonic_ns()
     pres_text = pres.to_text()
     if workers < 1:

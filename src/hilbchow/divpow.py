@@ -22,8 +22,8 @@ from math import comb, factorial
 
 from ._tokens import Block, block_text, fold, number, parse_expr
 from .commpoly import SparseElement
-from .errors import BudgetExceededError, ParseError, PreconditionError
-from .linalg import MAX_TABLE_WORDS
+from . import errors
+from .errors import ParseError, PreconditionError, require
 from .ncpoly import (MAX_WORD_LENGTH, NCPoly, arity, free_leaf, parse_word,
                      short_words, word_key, word_str)
 from .ncpoly import parse_nc_poly  # noqa: F401  bench/tracing.py rebinds it by name
@@ -80,10 +80,9 @@ class DPElement(SparseElement):
             raise ValueError("mixing divided powers over different algebras")
 
     def _times(self, other):
-        if len(self.terms) * len(other.terms) > MAX_TABLE_WORDS:
-            raise BudgetExceededError(
+        require(len(self.terms) * len(other.terms), errors.MAX_TABLE_WORDS,
                 f"a divided-power product of {len(self.terms)} by "
-                f"{len(other.terms)} terms has more than {MAX_TABLE_WORDS} term pairs")
+                f"{len(other.terms)} terms has {{}} term pairs")
         acc = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -114,13 +113,11 @@ class DPElement(SparseElement):
 
 
 def _check_size(a, k, width):
-    "Refuse, before enumerating, an a^[k] whose terms list more than MAX_TABLE_WORDS words."
+    "Refuse, before enumerating, an a^[k] whose terms list over MAX_TABLE_WORDS words."
     s = len(a.terms)
     splits = comb(k + s - 1, k) if s else 1
-    if splits * width > MAX_TABLE_WORDS:
-        raise BudgetExceededError(
-            f"a divided power of degree {k} has {splits} terms of {width} words, "
-            f"more than {MAX_TABLE_WORDS} words")
+    require(splits * width, errors.MAX_TABLE_WORDS, f"a divided power of degree {k} "
+            f"lists {{}} words in {splits} terms of {width}")
 
 
 def _tensor_power(a, k):

@@ -20,12 +20,10 @@ from math import lcm
 from operator import add, mul, sub
 
 from .commpoly import CommPoly
-from .errors import BudgetExceededError, PreconditionError, SingularMatrixError
+from . import errors
+from .errors import PreconditionError, SingularMatrixError, require
 from .fields import GF, QQ, FpElem
 from .ncpoly import NCPoly, words_up_to
-
-# word tables (`word_matrices`) above this many words are refused
-MAX_TABLE_WORDS = 1 << 16
 
 
 class Matrix:
@@ -153,12 +151,18 @@ def mat_vec(a, v):
 
 def word_product(word, mats, memo):
     """mats[w_0] * mats[w_1] * ... along `word`, memoised in `memo`, which
-    must map the empty word to the identity."""
+    must map the empty word to the identity.  Built leftwards from the longest
+    proper suffix in `memo`, else the last letter; only `word` is stored."""
     got = memo.get(word)
     if got is None:
-        got = mats[word[0]]
-        if len(word) > 1:
-            got = mat_mul(got, word_product(word[1:], mats, memo))
+        i = len(word) - 1
+        got = mats[word[i]]
+        for j in range(1, i):
+            if word[j:] in memo:
+                i, got = j, memo[word[j:]]
+                break
+        for letter in reversed(word[:i]):
+            got = mat_mul(mats[letter], got)
         memo[word] = got
     return got
 
@@ -268,23 +272,27 @@ def _entry_field(mat):
     raise TypeError(f"unsupported entry type {type(entry).__name__}")
 
 
+def shared_dimension(mats):
+    "The size n of the n x n matrices `mats`, of which there is at least one."
+    if not mats:
+        raise PreconditionError("need at least one matrix")
+    if any(M.n != mats[0].n for M in mats):
+        raise PreconditionError("matrices must share one dimension")
+    return mats[0].n
+
+
 def det_linear_combination(mats, var_names):
     """det(sum_s t_s * M_s) as a polynomial in the given indeterminates.
 
     Homogeneous of total degree n; evaluating the variables at scalars
     agrees with the determinant of the corresponding linear combination.
     """
-    if not mats:
-        raise PreconditionError("need at least one matrix")
+    shared_dimension(mats)
     if len(mats) != len(var_names):
         raise PreconditionError("one variable is required per matrix")
     if len(set(var_names)) != len(var_names):
         raise PreconditionError("variable names must be distinct")
-    n = mats[0].n
     field = _entry_field(mats[0])
-    for M in mats:
-        if M.n != n:
-            raise PreconditionError("matrices must share one dimension")
     gens = [CommPoly.variable(field, name) for name in var_names]
     return det(reduce(add, [M.scale(t) for t, M in zip(gens, mats)]))
 
@@ -301,12 +309,7 @@ def nc_eval(poly, mats):
     if len(mats) != poly.m:
         raise PreconditionError(
             f"arity mismatch: <{poly.m}> generators vs {len(mats)} matrices")
-    if not mats:
-        raise PreconditionError("need at least one matrix to fix the dimension")
-    n = mats[0].n
-    for M in mats:
-        if M.n != n:
-            raise PreconditionError("matrices must share one dimension")
+    n = shared_dimension(mats)
     one = mats[0].rows[0][0] ** 0
     if not poly.terms:
         return Matrix.zeros(n, one * 0)
@@ -319,18 +322,15 @@ def word_matrices(mats, max_len):
     """Products along all words of length <= max_len, in graded-lex order.
 
     Tables of more than MAX_TABLE_WORDS words are refused up front."""
-    if not mats:
-        raise PreconditionError("need at least one matrix")
-    words, level = 0, 1
-    for _ in range(max_len + 1):
-        words += level
-        level *= len(mats)
-        if words > MAX_TABLE_WORDS:
-            raise BudgetExceededError(
-                f"a word table to length {max_len} on {len(mats)} matrices "
-                f"has more than {MAX_TABLE_WORDS} words")
+    n = shared_dimension(mats)
+    what = (f"a word table to length {max_len} on {len(mats)} matrices "
+            "has at least {} words")
+    words = 0
+    for length in range(max_len + 1):
+        words += len(mats) ** length
+        require(words, errors.MAX_TABLE_WORDS, what)
     one = mats[0].rows[0][0] ** 0
-    memo = {(): Matrix.identity(mats[0].n, one).rows}
+    memo = {(): Matrix.identity(n, one).rows}
     rows = tuple(M.rows for M in mats)
     return {w: Matrix(word_product(w, rows, memo))
             for w in words_up_to(len(mats), max_len)}

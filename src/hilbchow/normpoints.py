@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from ._tokens import Block, block_text, parse_int, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import require_cyclic
-from .errors import BudgetExceededError, PreconditionError
+from . import errors
+from .errors import PreconditionError, require
 from .fields import PrimeField
 from .linalg import (Matrix, charpoly, det, det_linear_combination, lift,
                      nc_eval, nullspace, solve_columns, word_matrices)
@@ -81,7 +82,8 @@ def law_coefficients(rep, args):
     """Coefficient table of det∘rho on the given free-algebra arguments.
 
     Computed from det(sum_s t_s * rho(a_s)) by reading off monomials in
-    the t_s; only weight-n exponent vectors can occur.
+    the t_s; only weight-n exponent vectors can occur.  The det takes about
+    n^3 steps per coefficient; over MAX_TABLE_WORDS in all are refused.
     """
     args = tuple(args)
     if not args:
@@ -89,13 +91,16 @@ def law_coefficients(rep, args):
     for a in args:
         if not isinstance(a, NCPoly) or a.m != rep.m or a.field != rep.field:
             raise PreconditionError("argument with mismatched field or arity")
+    n, k = rep.n, len(args)
+    require(n ** 3 * comb(n + k - 1, n), errors.MAX_TABLE_WORDS,
+            f"a law table of {k} arguments on {n} x {n} matrices takes {{}} steps")
     images = [nc_eval(a, rep.mats) for a in args]
-    names = [f"t{s + 1}" for s in range(len(args))]
+    names = [f"t{s + 1}" for s in range(k)]
     poly = det_linear_combination(images, names)
     index = {name: s for s, name in enumerate(names)}
     coeffs = {}
     for mono, c in poly.terms.items():
-        xi = [0] * len(args)
+        xi = [0] * k
         for v, e in mono:
             xi[index[v]] = e
         coeffs[tuple(xi)] = c
@@ -233,20 +238,10 @@ def _synthetic_divide(coeffs, r):
     return out, acc
 
 
-# the most field elements, rational root candidates or trial divisions one
-# root search may try; a larger scan is refused before it starts
-MAX_ROOT_SCAN = 1 << 20
-
-
-def _bound_scan(size, what):
-    if size > MAX_ROOT_SCAN:
-        raise BudgetExceededError(
-            f"root search would try {size} {what}, more than {MAX_ROOT_SCAN}")
-
-
 def _divisors(n):
     n = abs(n)
-    _bound_scan(isqrt(n), "trial divisions")
+    require(isqrt(n), errors.MAX_ROOT_SCAN,
+            "a root search would try {} trial divisions")
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
 
@@ -264,7 +259,8 @@ def _rational_root_candidates(coeffs):
     if lowest is None:
         return [Fraction(0)]
     nums, dens = _divisors(lowest), _divisors(lead)
-    _bound_scan(2 * len(nums) * len(dens), "rational candidates")
+    require(2 * len(nums) * len(dens), errors.MAX_ROOT_SCAN,
+            "a root search would try {} rational candidates")
     cands = {Fraction(0)}
     for p in nums:
         for q in dens:
@@ -289,7 +285,8 @@ def field_roots(poly, var="t"):
         raise PreconditionError("root finding needs positive degree")
     degree = len(coeffs) - 1
     if isinstance(field, PrimeField):
-        _bound_scan(field.p, "field elements")
+        require(field.p, errors.MAX_ROOT_SCAN,
+                "a root search would try {} field elements")
         candidates = list(field.elements())
     else:
         candidates = [field(c) for c in _rational_root_candidates(coeffs)]

@@ -17,10 +17,10 @@ from math import comb
 
 from ._tokens import Block, block_text
 from .commpoly import CommPoly, parse_comm_poly
-from .errors import (BudgetExceededError, ParseError, PreconditionError,
-                     SingularMatrixError)
-from .linalg import (MAX_TABLE_WORDS, IncrementalSpan, Matrix, det, lift,
-                     matrix_inverse, nc_eval, word_matrices)
+from . import errors
+from .errors import ParseError, PreconditionError, SingularMatrixError, require
+from .linalg import (IncrementalSpan, Matrix, det, lift, matrix_inverse, nc_eval,
+                     shared_dimension, word_matrices)
 from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
                      word_str)
 
@@ -101,10 +101,8 @@ def build_generic(pres, n):
     MAX_TABLE_WORDS entries in all are refused before any is built."""
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
-    if pres.m * n * n > MAX_TABLE_WORDS:
-        raise BudgetExceededError(
-            f"{pres.m} generic {n} x {n} matrices have more than "
-            f"{MAX_TABLE_WORDS} entries")
+    require(pres.m * n * n, errors.MAX_TABLE_WORDS,
+            f"{pres.m} generic {n} x {n} matrices have {{}} entries")
     mats = []
     for k in range(1, pres.m + 1):
         rows = tuple(tuple(CommPoly.variable(pres.field, generic_var(k, i, j))
@@ -146,9 +144,8 @@ def rep_ideal(pres, n):
     size = pres.m * n * n
     terms = n * n * sum(min(n ** max(len(w) - 1, 0), comb(len(w) + size - 1, size - 1))
                         for rel in pres.relations for w in rel.terms)
-    if terms > MAX_TABLE_WORDS:
-        raise BudgetExceededError(f"relations at generic {n} x {n} matrices would "
-                                  f"build {terms} entry terms, more than {MAX_TABLE_WORDS}")
+    require(terms, errors.MAX_TABLE_WORDS,
+            f"relations at generic {n} x {n} matrices would build {{}} entry terms")
     gens = []
     seen = set()
     for rel in pres.relations:
@@ -178,10 +175,7 @@ def is_representation(pres, mats):
     if len(mats) != pres.m:
         raise PreconditionError(
             f"arity mismatch: presentation has {pres.m} generators, got {len(mats)}")
-    n = mats[0].n
-    for M in mats:
-        if M.n != n:
-            raise PreconditionError("matrices must share one dimension")
+    shared_dimension(mats)
     return all(nc_eval(rel, mats).is_zero() for rel in pres.relations)
 
 

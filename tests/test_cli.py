@@ -302,15 +302,34 @@ FREE2 = ("field Q|gens x1 x2", "point|field Q|n 2|mat 1 2; 3 4|mat 0 1; 1 0")
      "point|field Q|n 2|mat 1 2; 3 4", "--max-len", "1000000000"),
 ], ids=["det-point", "hc", "invariants", "one-generator"])
 def test_oversized_word_tables_exit_code(capsys, argv):
+    # the count stops once it passes the limit, so it is a lower bound
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (4, "")
-    assert len(err.splitlines()) == 1 and "more than 65536 words" in err
+    k, words = (2, 131071) if argv[2] == FREE2[0] else (1, 65537)
+    assert (code, out, err) == (4, "", f"error: a word table to length {argv[-1]} on "
+                                f"{k} matrices has at least {words} words, "
+                                "more than the limit of 65536\n")
 
 
 def test_oversized_gamma_degree_exit_code(capsys):
     code, out, err = run(capsys, "gamma", "--expr", "x1", "--n", "10000000")
     assert (code, out) == (2, "")
     assert err == "error: degree 10000000 exceeds the limit of 10000\n"
+
+
+# words far longer than the recursion limit evaluate: products are built
+# letter by letter without recursing
+@pytest.mark.parametrize("argv,expected", [
+    (("check-rep", "--presentation", "field Q|gens x1|rel x1^2000", "--point",
+      "point|field Q|n 1|mat 0"), "is-representation true\n"),
+    (("rep-ideal", "--presentation", "field Q|gens x1|rel x1^2000", "--n", "1"),
+     "rep-ideal\nfield Q\nm 1\nn 1\ngen xi_1_1_1^2000\n"),
+    (("enumerate", "--presentation", "field F 2|gens x1|rel x1^2000", "--n", "1"),
+     "enumeration-report\nq 2\nn 1\nm 1\nrep-points 1\ncyclic-pairs 1\n"
+     "gl-order 1\norbit-count 1\n"),
+], ids=["check-rep", "rep-ideal", "enumerate"])
+def test_long_relation_words(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, expected)
 
 
 def test_long_flat_expressions(capsys):
@@ -464,30 +483,36 @@ def test_ideal_to_triple_presentation_is_optional(capsys, commuting, ptfile):
 
 
 # inputs whose root search, divided power, divided-power product, generic
-# matrices or relations on them would run for minutes or exhaust memory are
-# refused before the work starts
+# matrices, relations on them or a law table would run for minutes or exhaust
+# memory are refused before the work starts
 @pytest.mark.parametrize("argv,message", [
     (("cycle", "--presentation", "field F 1000000007|gens x1", "--point",
       "point|field F 1000000007|n 2|mat 1 0; 0 2"),
-     "root search would try 1000000007 field elements, more than 1048576"),
+     "a root search would try 1000000007 field elements, more than the limit of 1048576"),
     (("cycle", "--presentation", "field Q|gens x1", "--point",
       "point|field Q|n 2|mat 1000000007 0; 0 1000000009"),
-     "root search would try 1000000007 trial divisions, more than 1048576"),
+     "a root search would try 1000000007 trial divisions, more than the limit of 1048576"),
     (("gamma", "--expr", "x1+x2+x1*x2", "--n", "300"),
-     "a divided power of degree 300 has 45451 terms of 300 words, "
-     "more than 65536 words"),
+     "a divided power of degree 300 lists 13635300 words in 45451 terms of 300, "
+     "more than the limit of 65536"),
     (("dp-normalize", "--expr", "(x1+x2+x3+x4)^[1000]"),
-     "a divided power of degree 1000 has 167668501 terms of 4 words, "
-     "more than 65536 words"),
+     "a divided power of degree 1000 lists 670674004 words in 167668501 terms of 4, "
+     "more than the limit of 65536"),
     (("rep-ideal", "--presentation", "field Q|gens x1", "--n", "3000"),
-     "1 generic 3000 x 3000 matrices have more than 65536 entries"),
+     "1 generic 3000 x 3000 matrices have 9000000 entries, more than the limit of 65536"),
     (("dp-normalize", "--expr", "(x1+x2+x3)^[40]*(x1+x2+x4)^[40]"),
-     "a divided-power product of 861 by 861 terms has more than 65536 term pairs"),
+     "a divided-power product of 861 by 861 terms has 741321 term pairs, "
+     "more than the limit of 65536"),
     (("rep-ideal", "--presentation", "field Q|gens x1|rel x1^4", "--n", "16"),
      "relations at generic 16 x 16 matrices would build 1048576 entry terms, "
-     "more than 65536"),
+     "more than the limit of 65536"),
+    (("law-coeffs", "--presentation", "field Q|gens x1", "--point",
+      "point|field Q|n 5|mat 1 2 0 0 0; 0 1 3 0 0; 0 0 2 1 0; 0 0 0 3 1; 1 0 0 0 1",
+      "--args", "; ".join(["x1"] + [f"x1^{i} + {i}" for i in range(1, 16)])),
+     "a law table of 16 arguments on 5 x 5 matrices takes 1938000 steps, "
+     "more than the limit of 65536"),
 ], ids=["cycle-fp", "cycle-q", "gamma", "dp-normalize", "rep-ideal", "dp-product",
-        "rep-ideal-relations"])
+        "rep-ideal-relations", "law-coeffs"])
 def test_oversized_work_exit_code(capsys, argv, message):
     started = time.monotonic()
     code, out, err = run(capsys, *argv)

@@ -312,11 +312,13 @@ def test_oversized_divided_powers_are_refused():
     # most 65536 words in all: 256 keys of 255 words pass, 257 of 256 do not
     a = x() + y()
     assert len(gamma_n(a, 255).terms) == 256
-    with pytest.raises(BudgetExceededError, match="257 terms of 256 words"):
+    with pytest.raises(BudgetExceededError, match="degree 256 lists 65792 words in 257 "
+                       "terms of 256, more than the limit of 65536"):
         gamma_n(a, 256)
     b = a + x() * y() + y() * x()
     assert len(dp_power(b, 44).terms) == comb(47, 3)  # 16215 terms of 4 words
-    with pytest.raises(BudgetExceededError, match="17296 terms of 4 words"):
+    with pytest.raises(BudgetExceededError, match="degree 45 lists 69184 words in 17296 "
+                       "terms of 4, more than the limit of 65536"):
         dp_power(b, 45)
     assert len(gamma_n(x(), 10000).terms) == 1
 
@@ -324,11 +326,12 @@ def test_oversized_divided_powers_are_refused():
 def test_oversized_products_are_refused(monkeypatch):
     # the term pairs |s|*|t| of a product are bounded like a power's words;
     # the bound is lowered here so the boundary product stays cheap
-    import hilbchow.divpow
+    import hilbchow.errors
     z = NCPoly.generator(QQ, 3, 2)
     s = dp_power(x(m=3) + y(m=3), 2)  # 3 terms
     t = dp_power(z + 1, 1)  # 2 terms
-    monkeypatch.setattr(hilbchow.divpow, "MAX_TABLE_WORDS", 6)
+    monkeypatch.setattr(hilbchow.errors, "MAX_TABLE_WORDS", 6)
     assert len((s * t).terms) == 6
-    with pytest.raises(BudgetExceededError, match="3 by 3 terms has more than 6"):
+    with pytest.raises(BudgetExceededError,
+                       match="3 by 3 terms has 9 term pairs, more than the limit of 6"):
         s * (t + dp_power(x(m=3), 1))

@@ -3,13 +3,15 @@
 Round trip: from_text(to_text(x)) == x for drawn objects of each block
 type over Q, F_3 and F_101.  Robustness: a single-line mutation of a
 printed block either parses or raises ParseError / PreconditionError,
-and the CLI answers a mutated --point or --presentation with exit code
-0, 2, 3 or 4 instead of an exception.  Expressions: any string of grammar
-tokens either parses or raises ParseError, in all three parsers.
+and every subcommand answers drawn input, with one line of its --point
+or --presentation mutated, within a deadline and with exit code 0, 2, 3
+or 4 instead of an exception.  Expressions: any string of grammar tokens
+either parses or raises ParseError, in all three parsers.
 """
 
 import contextlib
 import io
+import time
 
 import pytest
 
@@ -25,7 +27,7 @@ from hilbchow import (GF, QQ, AlgebraPresentation, CommPoly, Cycle,  # noqa: E40
                       dp_power, gamma_n, invariant_table, is_cyclic,
                       law_coefficients, parse_comm_poly, parse_dp_expr,
                       parse_nc_poly, rep_ideal, triple_to_ideal)
-from hilbchow.cli import main  # noqa: E402
+from hilbchow.cli import COMMANDS, main  # noqa: E402
 
 FUZZ_FIELDS = (QQ, GF(3), GF(101))
 
@@ -170,7 +172,7 @@ def mutate(draw, text):
 
 
 @every_block_type
-@fuzz_settings(10)
+@fuzz_settings(15)
 @given(data=st.data())
 def test_block_roundtrips(cls, data):
     obj = data.draw(printed_objects(cls))
@@ -190,34 +192,85 @@ def test_mutated_block_parses_or_raises_typed_error(cls, data):
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
+    started = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, err.getvalue()
+    return code, err.getvalue(), time.monotonic() - started
 
 
-@pytest.mark.parametrize("command", ["hc", "ideal-to-triple", "check-rep"])
-@fuzz_settings(15)
-@given(field=st.sampled_from(FUZZ_FIELDS), mutate_point=st.booleans(),
-       data=st.data())
-def test_cli_answers_mutated_input_with_an_exit_code(command, field,
-                                                     mutate_point, data):
-    pt = cyclic_point(data.draw, field)
+POINTED = ("cyclic", "triple-to-ideal", "equiv", "stab", "hc")
+LABELS = dict(zip(("Q", "F3", "F101"), FUZZ_FIELDS))
+# above the small ranges, a value every input refuses: 2^16 words on one
+# generator, or a degree past gamma's 10^4
+MAX_LEN = st.one_of(st.integers(0, 3), st.integers(1 << 16, 10 ** 9))
+DEGREE = st.one_of(st.integers(0, 5), st.integers(10 ** 4 + 1, 10 ** 7))
+
+
+def cli_args(draw, command):
+    """Options for one call of `command`: its presentation and point, one
+    of which has a line mutated, or an expression that is drawn from the
+    grammar tokens or printed from a free-algebra element."""
+    if command in ("gamma", "dp-normalize"):
+        label = draw(st.sampled_from(sorted(LABELS)))
+        expr = draw(EXPRESSIONS)
+        if draw(st.booleans()):
+            expr = str(ncpoly(draw, LABELS[label], 2))
+            if command == "dp-normalize":
+                expr = f"({expr})^[{draw(st.integers(0, 5))}]"
+        argv = ["--expr", expr, "--field", label]
+        return argv + (["--n", str(draw(DEGREE))] if command == "gamma" else [])
+    if command in ("rep-ideal", "enumerate"):
+        field = draw(st.sampled_from((GF(2), GF(3)) if command == "enumerate"
+                                     else FUZZ_FIELDS))
+        m = draw(st.integers(1, 2))
+        pres = AlgebraPresentation(field, m, tuple(
+            ncpoly(draw, field, m) for _ in range(draw(st.integers(0, 2)))))
+        argv = ["--presentation", mutate(draw, pres.to_text()),
+                "--n", str(draw(st.integers(1, 3)))]
+        if command == "enumerate":  # q^(m n^2) > 5000 tuples exit 4
+            argv += ["--budget", str(draw(st.integers(1, 5000)))]
+        return argv
+    field = draw(st.sampled_from(FUZZ_FIELDS))
+    pt = cyclic_point(draw, field)
     m = pt.m
-    if command == "check-rep":
+    if command in ("check-rep", "cycle"):
         pres = "\n".join([field.header(), "gens " + " ".join(
             f"x{k + 1}" for k in range(m))] + (["rel x1*x2 - x2*x1"] if m > 1 else []))
-        point = pt.rep.to_text()
     else:
         pres = AlgebraPresentation(field, m).to_text()
-        point = (triple_to_ideal(pt) if command == "ideal-to-triple" else pt).to_text()
-    if mutate_point:
-        point = mutate(data.draw, point)
+    point = (triple_to_ideal(pt) if command == "ideal-to-triple" else
+             pt if command in POINTED else pt.rep).to_text()
+    if draw(st.booleans()):
+        point = mutate(draw, point)
     else:
-        pres = mutate(data.draw, pres)
-    max_len = ["--max-len", "2"] if command == "hc" else []
-    code, err = run_cli(command, "--presentation", pres, "--point", point,
-                        *max_len)
-    assert code in (0, 2, 3, 4)
+        pres = mutate(draw, pres)
+    argv = ["--presentation", pres, "--point", point]
+    if command == "equiv":
+        argv += ["--point", pt.to_text()]
+    if command in ("invariants", "hc", "det-point"):
+        argv += ["--max-len", str(draw(MAX_LEN))]
+    if command == "law-coeffs" and draw(st.booleans()):
+        argv += ["--args", "; ".join(str(ncpoly(draw, field, m))
+                                     for _ in range(draw(st.integers(1, 16))))]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@fuzz_settings(15)
+@given(data=st.data())
+def test_cli_answers_mutated_input_with_an_exit_code(command, data):
+    """Every subcommand answers drawn and mutated input within 2 s, with exit
+    0 on success or one `error:` line and exit 2, 3 or 4.
+
+    Words and degrees stay short where the input is accepted: relation and
+    argument words have at most two letters (`ncpoly`), tables at most three
+    (`MAX_LEN`) and divided powers degree at most five.  Exact entries and
+    coefficients grow along a word or a power, and no count made before the
+    work bounds that growth yet (see the `FOUND:` lines of CHANGES.md)."""
+    code, err, seconds = run_cli(command, *cli_args(data.draw, command))
+    assert code in (0, 2, 3, 4) and seconds < 2
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert "unrecognized arguments" not in err
 

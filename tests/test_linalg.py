@@ -9,8 +9,9 @@ from hilbchow import (GF, QQ, BudgetExceededError, CommPoly, Matrix, NCPoly,
                       charpoly, det, det_linear_combination, det_point,
                       invariant_table, matrix_inverse, nc_eval,
                       parse_comm_poly)
-from hilbchow.linalg import (MAX_TABLE_WORDS, IncrementalSpan, nullspace, rank,
-                             rref, solve_columns, word_matrices)
+from hilbchow.errors import MAX_TABLE_WORDS
+from hilbchow.linalg import (IncrementalSpan, nullspace, rank, rref, solve_columns,
+                             word_matrices, word_product)
 
 from oracles import (FIELDS, leibniz_det, rand_invertible, rand_matrix,
                      rand_ncpoly, rand_scalar, seeded)
@@ -257,6 +258,16 @@ def test_word_matrices_graded_lex_keys():
     assert len(keys) == 1 + 2 + 4 + 8
     assert table[()] == Matrix.identity(2, Fraction(1))
     assert table[(0, 1, 1)] == A * B * B
+
+
+def test_long_words_are_built_letter_by_letter():
+    # far past the recursion limit; the memo gains the word alone
+    A = M((1, 1), (0, 1))
+    word = (0,) * 2000
+    assert nc_eval(NCPoly(QQ, 1, {word: 1}), (A,)) == M((1, 2000), (0, 1))
+    memo = {(): Matrix.identity(2, Fraction(1)).rows, (0, 0): (A * A).rows}
+    assert Matrix(word_product(word, (A.rows,), memo)) == M((1, 2000), (0, 1))
+    assert len(memo) == 3
 
 
 def test_word_matrices_refuses_oversized_tables():

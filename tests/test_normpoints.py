@@ -248,16 +248,34 @@ def test_law_table_text_roundtrip():
     assert LawCoefficientTable.from_text(table.to_text()) == table
 
 
+def test_law_coefficients_refuses_large_tables(monkeypatch):
+    # n^3 C(n+k-1, n) steps: 2^3 * C(4, 2) = 48 for three arguments at n = 2;
+    # the limit is lowered so the boundary table stays cheap
+    import hilbchow.errors
+    rep = RepPoint(QQ, (M((1, 2), (3, 4)),))
+    args = [NCPoly.one(QQ, 1), NCPoly.generator(QQ, 1, 0),
+            NCPoly(QQ, 1, {(0, 0): Fraction(1)})]
+    monkeypatch.setattr(hilbchow.errors, "MAX_TABLE_WORDS", 48)
+    assert len(law_coefficients(rep, args).coeffs) == 6
+    monkeypatch.setattr(hilbchow.errors, "MAX_TABLE_WORDS", 47)
+    with pytest.raises(BudgetExceededError, match="a law table of 3 arguments on 2 x 2 "
+                       "matrices takes 48 steps, more than the limit of 47"):
+        law_coefficients(rep, args)
+
+
 def test_field_roots_refuses_long_scans():
     # 2^20 field elements, trial divisions or rational candidates at most
     F = GF(1048583)  # the least prime above 2^20
-    with pytest.raises(BudgetExceededError, match="1048583 field elements"):
+    with pytest.raises(BudgetExceededError, match="a root search would try 1048583 "
+                       "field elements, more than the limit of 1048576"):
         field_roots(parse_comm_poly("t^2 - 3*t + 2", F))
     big = (1 << 20) + 1
-    with pytest.raises(BudgetExceededError, match=f"{big} trial divisions"):
+    with pytest.raises(BudgetExceededError, match=f"a root search would try {big} "
+                       "trial divisions, more than the limit of 1048576"):
         field_roots(parse_comm_poly(f"t^2 - {big * big}", QQ))
     assert field_roots(parse_comm_poly(f"t^2 - {(big - 1) ** 2}", QQ)) == (
         [(Fraction(-(big - 1)), 1), (Fraction(big - 1), 1)], True)
     # 735134400 has 1344 divisors, and 2 * 1344^2 > 2^20
-    with pytest.raises(BudgetExceededError, match="3612672 rational candidates"):
+    with pytest.raises(BudgetExceededError, match="a root search would try 3612672 "
+                       "rational candidates, more than the limit of 1048576"):
         field_roots(parse_comm_poly("735134400*t^2 - 735134400", QQ))

@@ -207,7 +207,8 @@ def test_build_generic_refuses_oversized_systems():
     # at most 65536 generic entries m * n^2 in all
     assert build_generic(free_pres(2), 40)[1].n == 40
     assert build_generic(free_pres(1), 256)[0].n == 256
-    with pytest.raises(BudgetExceededError, match="more than 65536 entries"):
+    with pytest.raises(BudgetExceededError, match="1 generic 257 x 257 matrices have "
+                       "66049 entries, more than the limit of 65536"):
         build_generic(free_pres(1), 257)
     with pytest.raises(BudgetExceededError):
         rep_ideal(free_pres(1), 3000)
@@ -218,13 +219,13 @@ def test_build_generic_refuses_oversized_systems():
 # x1^10 + 1 gives 4 * (C(13, 3) + 1); the bound is lowered so both stay cheap
 @pytest.mark.parametrize("rel,terms", [("x1^2", 8), ("x1^10 + 1", 1148)])
 def test_rep_ideal_refuses_oversized_relations(monkeypatch, rel, terms):
-    import hilbchow.repvariety
+    import hilbchow.errors
     pres = poly_pres([rel], 1)
-    monkeypatch.setattr(hilbchow.repvariety, "MAX_TABLE_WORDS", terms)
+    monkeypatch.setattr(hilbchow.errors, "MAX_TABLE_WORDS", terms)
     assert len(rep_ideal(pres, 2).gens) == 4
-    monkeypatch.setattr(hilbchow.repvariety, "MAX_TABLE_WORDS", terms - 1)
-    with pytest.raises(BudgetExceededError,
-                       match=f"build {terms} entry terms, more than {terms - 1}"):
+    monkeypatch.setattr(hilbchow.errors, "MAX_TABLE_WORDS", terms - 1)
+    with pytest.raises(BudgetExceededError, match=f"build {terms} entry terms, "
+                       f"more than the limit of {terms - 1}"):
         rep_ideal(pres, 2)
 
 

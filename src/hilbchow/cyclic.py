@@ -60,7 +60,8 @@ class PointedRep:
 def cyclic_word_basis(pt):
     """Graded-lex-first words whose images of v are linearly independent,
     and those images (see `linalg.word_basis`)."""
-    basis = word_basis(tuple(M.rows for M in pt.rep.mats), pt.v)
+    basis = word_basis(tuple(M.rows for M in pt.rep.mats), pt.v,
+                       pt.field.characteristic)
     return [w for w, _ in basis], [u for _, u in basis]
 
 

@@ -9,10 +9,11 @@ working over.  Floating point input is rejected everywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ParseError
+from .errors import ParseError, require
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -248,7 +249,14 @@ class RationalField:
         return self(tok)
 
     def format(self, x):
-        return str(self(x))
+        x = self(x)
+        try:
+            return str(x)
+        except ValueError:  # Python prints no int of more digits than its limit
+            from decimal import Decimal
+            digits = Decimal(max(abs(x.numerator), x.denominator)).adjusted() + 1
+            require(digits, sys.get_int_max_str_digits(), "a rational of {} digits")
+            raise
 
     def elements(self):
         raise TypeError("Q is infinite")

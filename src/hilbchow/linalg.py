@@ -9,14 +9,16 @@ Berkowitz and word products run on plain ints: `lift` maps scalar
 matrices over Q or F_p to integer ones (representatives mod p, or
 entries times a common denominator) and gives the map that reads an
 integer result back in the field.  Inversion and kernels are only
-offered over fields, where Gaussian elimination is exact.
+offered over fields, but Gaussian elimination runs on ints as well:
+representatives mod p, or fraction-free primitive rows over Q, with the
+one division by each pivot when `rref` hands its rows back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .commpoly import CommPoly
@@ -341,32 +343,38 @@ def word_matrices(mats, max_len):
 def rref(rows):
     """Reduced row echelon form over a field: (nonzero rows, pivot columns).
 
-    The rows go through an IncrementalSpan, are sorted by pivot, and each
-    pivot column is then cleared upwards, last pivot first.
+    The rows go through an IncrementalSpan on ints and are sorted by pivot,
+    each pivot column is cleared upwards, last pivot first, and each row is
+    then divided by its pivot.
     """
-    span = IncrementalSpan(len(rows[0]) if rows else 0)
+    if not rows or not rows[0]:
+        return [], []
+    p = rows[0][0].p if isinstance(rows[0][0], FpElem) else 0
+    span = IncrementalSpan(len(rows[0]), p)
     for row in rows:
         span.add(row)
     order = sorted(range(span.rank), key=span.pivots.__getitem__)
     pivots = [span.pivots[i] for i in order]
     red = [span.rows[i] for i in order]
     for i in reversed(range(len(red))):
-        c = pivots[i]
+        row, c = red[i], pivots[i]
+        if not p:  # primitive again, so the rows above grow linearly
+            g = gcd(*row)
+            row = red[i] = [a // g for a in row]
+        piv = row[c]
         for j in range(i):
             f = red[j][c]
             if f:
-                red[j] = [a - f * b for a, b in zip(red[j], red[i])]
-    return red, pivots
-
-
-def rank(rows):
-    return len(rref(rows)[1])
+                red[j] = ([(a - f * b) % p for a, b in zip(red[j], row)] if p
+                          else [a * piv - f * b for a, b in zip(red[j], row)])
+    return [[FpElem(p, a) if p else Fraction(a, r[c]) for a in r]
+            for r, c in zip(red, pivots)], pivots
 
 
 def nullspace(rows, ncols):
     """Basis of the right kernel, deterministic (free columns ascending)."""
     if not rows:
-        return [tuple()] * 0
+        return []
     red, pivots = rref(rows)
     zero = rows[0][0] * 0
     one = rows[0][0] ** 0
@@ -412,11 +420,10 @@ def solve_columns(basis, targets):
 
 
 class IncrementalSpan:
-    """Growing echelonized span of vectors.
-
-    With p = 0 the entries are field elements (`Fraction`, `FpElem`); with
-    a prime p they are plain ints and the span works mod p.  A stored row
-    is 1 at its pivot and 0 at the pivots stored before it.
+    """Growing echelonized span of vectors, stored as integer rows that are
+    0 at the pivots stored before them.  With a prime p (entries ints or
+    `FpElem`s) a row holds representatives and is 1 at its pivot; with
+    p = 0 (rational entries) it is primitive and eliminated fraction-free.
     """
 
     __slots__ = ("dim", "p", "rows", "pivots")
@@ -435,20 +442,23 @@ class IncrementalSpan:
             return False
         p = self.p
         if p:
-            vec = [a % p for a in vec]
+            vec = ([a.v for a in vec] if isinstance(vec[0], FpElem)
+                   else [a % p for a in vec])
+        else:
+            d = lcm(*(a.denominator for a in vec))
+            vec = [a.numerator * (d // a.denominator) for a in vec]
         for row, c in zip(rows, self.pivots):
             f = vec[c]
             if f:
+                g = row[c]
                 vec = ([(a - f * b) % p for a, b in zip(vec, row)] if p
-                       else [a - f * b for a, b in zip(vec, row)])
+                       else [a * g - f * b for a, b in zip(vec, row)])
         for c, piv in enumerate(vec):
             if piv:
                 if keep:
-                    if p:
-                        inv = pow(piv, -1, p)
-                        rows.append([a * inv % p for a in vec])
-                    else:
-                        rows.append([a / piv for a in vec])
+                    g = pow(piv, -1, p) if p else gcd(*vec)
+                    rows.append([a * g % p for a in vec] if p
+                                else [a // g for a in vec])
                     self.pivots.append(c)
                 return True
         return False

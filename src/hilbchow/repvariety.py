@@ -63,7 +63,7 @@ class AlgebraPresentation:
                 vec[index[w]] = c
             return vec
 
-        span = IncrementalSpan(len(words))
+        span = IncrementalSpan(len(words), self.field.characteristic)
         for r in rels:
             span.add(vector(r))
         for i in range(self.m):

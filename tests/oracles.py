@@ -328,6 +328,28 @@ def rand_commuting_split_mats(field, m, n, rng, span=2):
     return tuple(mats), expected
 
 
+def stabilizer_rows(field, mats, v):
+    """The homogeneous system g X = X g (X in mats), g v = 0 in the n*n
+    entries of g, built as `cyclic.stabilizer_is_trivial` builds it."""
+    n = len(v)
+    rows = []
+    for X in mats:
+        for i in range(n):
+            for j in range(n):
+                row = [field.zero] * (n * n)
+                for b in range(n):
+                    row[i * n + b] = row[i * n + b] + X.rows[b][j]
+                for a in range(n):
+                    row[a * n + j] = row[a * n + j] - X.rows[i][a]
+                rows.append(row)
+    for i in range(n):
+        row = [field.zero] * (n * n)
+        for b in range(n):
+            row[i * n + b] = v[b]
+        rows.append(row)
+    return rows
+
+
 def seeded(name, extra=0):
     import zlib
     return random.Random(zlib.crc32(name.encode()) + extra)

@@ -24,7 +24,7 @@ from hilbchow.repvariety import generic_assignment
 
 from oracles import (rand_commuting_split_mats, rand_free_cyclic_point,
                      rand_invertible, rand_matrix, rand_ncpoly, seeded,
-                     shuffle_mul, tensor_power)
+                     shuffle_mul, stabilizer_rows, tensor_power)
 
 FIELDS = (QQ, GF(2), GF(3))
 
@@ -92,22 +92,7 @@ def test_ideal_triple_roundtrip():
             for M1, M2 in zip(pt.rep.mats, back.rep.mats):
                 assert g * M1 == M2 * g
             # uniqueness: homogeneous intertwiner system has trivial kernel
-            rows = []
-            zero = field.zero
-            for X in pt.rep.mats:
-                for r in range(n):
-                    for c in range(n):
-                        row = [zero] * (n * n)
-                        for b in range(n):
-                            row[r * n + b] = row[r * n + b] + X.rows[b][c]
-                        for a in range(n):
-                            row[a * n + c] = row[a * n + c] - X.rows[r][a]
-                        rows.append(row)
-            for r in range(n):
-                row = [zero] * (n * n)
-                for b in range(n):
-                    row[r * n + b] = pt.v[b]
-                rows.append(row)
+            rows = stabilizer_rows(field, pt.rep.mats, pt.v)
             assert nullspace(rows, n * n) == []
 
 

@@ -518,3 +518,31 @@ def test_oversized_work_exit_code(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - started < 1
     assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
+# Python prints no int of more than sys.get_int_max_str_digits() digits
+# (4300 by default); a rational past it is refused when it becomes text
+@pytest.mark.parametrize("argv,digits", [
+    (("dp-normalize", "--expr", "(2*x1)^[100000]"), 30103),
+    (("dp-normalize", "--expr", "(x1)^[50000]*(x1)^[50000]"), 30101),
+    (("gamma", "--expr", "4*x1", "--n", "10000"), 6021),
+    (("gamma", "--expr", "10*x1", "--n", "4300"), 4301),
+    (("gamma", "--expr=-1/3*x1", "--n", "9013"), 4301),
+], ids=["dp-power", "dp-product", "gamma", "gamma-numerator", "gamma-denominator"])
+def test_oversized_rational_exit_code(capsys, argv, digits):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == (f"error: a rational of {digits} digits, "
+                   f"more than the limit of {limit}\n")
+
+
+@pytest.mark.parametrize("argv,coeff", [
+    (("gamma", "--expr", "10*x1", "--n", "4299"), "1" + "0" * 4299),
+    (("gamma", "--expr=-1/3*x1", "--n", "9011"), f"-1/{3 ** 9011}"),
+], ids=["numerator", "denominator"])
+def test_rational_at_the_digit_limit_prints(capsys, argv, coeff):
+    assert sys.get_int_max_str_digits() == 4300
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(f"= {coeff}")

@@ -9,7 +9,7 @@ from hilbchow import (GF, QQ, IdealPresentation, Matrix, NCPoly, PointedRep,
                       triples_equivalent)
 
 from oracles import (FIELDS, rand_free_cyclic_point, rand_invertible,
-                     rand_matrix, rand_vector, seeded)
+                     rand_matrix, rand_vector, seeded, stabilizer_rows)
 
 
 def M(*rows):
@@ -198,23 +198,8 @@ def test_intertwiner_uniqueness_via_kernel():
     for field in FIELDS:
         for _ in range(10):
             pt = rand_free_cyclic_point(field, 2, 3, rng)
-            n = pt.n
-            rows = []
-            for X in pt.rep.mats:
-                for i in range(n):
-                    for j in range(n):
-                        row = [field.zero] * (n * n)
-                        for b in range(n):
-                            row[i * n + b] = row[i * n + b] + X.rows[b][j]
-                        for a in range(n):
-                            row[a * n + j] = row[a * n + j] - X.rows[i][a]
-                        rows.append(row)
-            for i in range(n):
-                row = [field.zero] * (n * n)
-                for b in range(n):
-                    row[i * n + b] = pt.v[b]
-                rows.append(row)
-            assert nullspace(rows, n * n) == []
+            rows = stabilizer_rows(field, pt.rep.mats, pt.v)
+            assert nullspace(rows, pt.n * pt.n) == []
 
 
 def test_stabilizer_trivial_examples():

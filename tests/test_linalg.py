@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import mul
 
 import pytest
@@ -10,11 +11,11 @@ from hilbchow import (GF, QQ, BudgetExceededError, CommPoly, Matrix, NCPoly,
                       invariant_table, matrix_inverse, nc_eval,
                       parse_comm_poly)
 from hilbchow.errors import MAX_TABLE_WORDS
-from hilbchow.linalg import (IncrementalSpan, nullspace, rank, rref, solve_columns,
+from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
                              word_matrices, word_product)
 
 from oracles import (FIELDS, leibniz_det, rand_invertible, rand_matrix,
-                     rand_ncpoly, rand_scalar, seeded)
+                     rand_ncpoly, rand_scalar, seeded, stabilizer_rows)
 
 
 def M(*rows):
@@ -166,7 +167,7 @@ def test_nullspace_and_rank():
     basis = nullspace(rows, 3)
     assert len(basis) == 1
     assert basis[0] == (F(1), F(1), F(0))
-    assert rank(rows) == 2
+    assert len(rref(rows)[1]) == 2
 
 
 def test_solve_columns():
@@ -207,32 +208,81 @@ def gauss_jordan(rows):
     return rows[:len(pivots)], pivots
 
 
-def rand_rows(field, nrows, ncols, rank, rng):
-    "nrows random combinations of `rank` random rows, plus some zero rows."
-    base = [[rand_scalar(field, rng) for _ in range(ncols)] for _ in range(rank)]
+def rand_rows(field, nrows, ncols, rank, rng, pick=rand_scalar):
+    """nrows random combinations of `rank` random rows, plus a zero row and
+    a duplicate of one row."""
+    base = [[pick(field, rng) for _ in range(ncols)] for _ in range(rank)]
     out = []
     for _ in range(nrows):
-        coeffs = [rand_scalar(field, rng) for _ in base]
+        coeffs = [pick(field, rng) for _ in base]
         out.append([sum((c * b[j] for c, b in zip(coeffs, base)), field.zero)
                     for j in range(ncols)])
     out.insert(rng.randrange(len(out) + 1), [field.zero] * ncols)
+    out.insert(rng.randrange(len(out) + 1), list(rng.choice(out)))
     return out
+
+
+def pick_fraction(field, rng):
+    "Rationals with denominators up to 7, which integer matrix entries never give."
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 3, 4, 7)))
+
+
+ORACLE_FIELDS = ((QQ, rand_scalar), (QQ, pick_fraction), (GF(2), rand_scalar),
+                 (GF(3), rand_scalar), (GF(101), rand_scalar))
+
+
+# elimination runs on ints inside and converts back once at the end, so
+# every entry it returns must be a field element: Fraction(3) and 3 compare
+# equal but need not print alike
+def assert_field_elements(field, vectors):
+    assert all(type(a) is type(field.one) for v in vectors for a in v)
 
 
 def test_rref_against_gauss_jordan():
     rng = seeded("rref-oracle")
-    for field in FIELDS:
+    for field, pick in ORACLE_FIELDS:
         for nrows, ncols in ((1, 1), (2, 2), (3, 3), (3, 5), (2, 6), (5, 3), (4, 4)):
             for rank_ in range(min(nrows, ncols) + 1):
                 for _ in range(4):
-                    rows = rand_rows(field, nrows, ncols, rank_, rng)
+                    rows = rand_rows(field, nrows, ncols, rank_, rng, pick)
                     red, pivots = rref(rows)
                     assert (red, pivots) == gauss_jordan(rows)
-                    assert rank(rows) == len(pivots) <= rank_
+                    assert len(pivots) <= rank_
+                    assert_field_elements(field, red)
+                    kernel = nullspace(rows, ncols)
+                    assert len(kernel) == ncols - len(pivots)
+                    assert_field_elements(field, kernel)
+                    assert all(not sum(map(mul, r, k)) for r in rows for k in kernel)
+                    assert len(gauss_jordan(kernel)[1]) == len(kernel)
+                    if pivots:
+                        check_inverse_and_solve(field, red, rng, pick)
     assert rref([]) == ([], [])
 
 
+def check_inverse_and_solve(field, basis, rng, pick):
+    # basis: independent rows, read as columns by solve_columns
+    coords = [tuple(pick(field, rng) for _ in basis) for _ in range(2)]
+    targets = [tuple(sum((c * b[i] for c, b in zip(cs, basis)), field.zero)
+                     for i in range(len(basis[0]))) for cs in coords]
+    solved = solve_columns(basis, targets)
+    assert solved == coords
+    assert_field_elements(field, solved)
+    n = len(basis)
+    square = Matrix([r[:n] for r in basis] if len(basis[0]) >= n else
+                    [r + [field.one] * (n - len(r)) for r in basis])
+    if det(square):
+        inverse = matrix_inverse(square)
+        assert square * inverse == Matrix.identity(n, field.one)
+        assert_field_elements(field, inverse.rows)
+    else:
+        with pytest.raises(SingularMatrixError):
+            matrix_inverse(square)
+
+
 def test_span_mod_p_matches_field_elements():
+    # a span mod p stores integer rows: representatives, 1 at the pivot and
+    # 0 at the pivots stored before, spanning what was added; unreduced ints
+    # and FpElems give the same rows
     rng = seeded("span-mod-p")
     for p in (2, 3, 5):
         F = GF(p)
@@ -241,12 +291,63 @@ def test_span_mod_p_matches_field_elements():
                 # unreduced ints, as the sweep's products over Z give them
                 vecs = [[rng.randint(-3 * p, 3 * p) for _ in range(dim)]
                         for _ in range(rng.randint(1, dim + 2))]
-                ints, elems = IncrementalSpan(dim, p), IncrementalSpan(dim)
+                ints, elems = IncrementalSpan(dim, p), IncrementalSpan(dim, p)
                 for v in vecs:
-                    assert ints.add(v) == elems.add([F(a) for a in v])
-                assert ints.rank == elems.rank
+                    before = ints.rank
+                    grew = ints.add(v)
+                    assert grew == elems.add([F(a) for a in v]) == (ints.rank > before)
                 assert ints.pivots == elems.pivots
-                assert ints.rows == [[a.v for a in r] for r in elems.rows]
+                assert ints.rows == elems.rows
+                for i, (row, c) in enumerate(zip(ints.rows, ints.pivots)):
+                    assert all(type(a) is int and 0 <= a < p for a in row)
+                    assert row[c] == 1 and all(not row[d] for d in ints.pivots[:i])
+                assert (gauss_jordan([[F(a) for a in r] for r in ints.rows])
+                        == gauss_jordan([[F(a) for a in v] for v in vecs]))
+
+
+def test_span_over_q_stores_primitive_rows():
+    rng = seeded("span-q")
+    for dim in (1, 2, 3, 4):
+        for _ in range(20):
+            vecs = rand_rows(QQ, rng.randint(1, dim + 2), dim, rng.randint(0, dim), rng,
+                             pick_fraction)
+            span = IncrementalSpan(dim)
+            for k, v in enumerate(vecs):
+                before = span.rank
+                assert span.add(v) == (span.rank > before)
+                assert span.rank == len(gauss_jordan(vecs[:k + 1])[1])
+            for i, (row, c) in enumerate(zip(span.rows, span.pivots)):
+                assert all(type(a) is int for a in row) and gcd(*row) == 1
+                assert row[c] and all(not row[d] for d in span.pivots[:i])
+            assert (gauss_jordan([[Fraction(a) for a in r] for r in span.rows])
+                    == gauss_jordan(vecs))
+
+
+def test_nullspace_of_stabilizer_systems_at_non_cyclic_points():
+    # `stabilizer_is_trivial` only ever sees cyclic points, where the kernel
+    # is zero, so a nullspace returning [] would pass it; here v = 0 (the
+    # identity is in the kernel) or v lies in the proper invariant subspace
+    # spanned by e_1..e_k of block upper-triangular matrices
+    rng = seeded("stab-kernel")
+    sizes = []
+    for field in (QQ, GF(3)):
+        for n in (2, 3):
+            for _ in range(8):
+                k = rng.randrange(n)
+                mats = [Matrix(tuple(tuple(field.zero if i >= k > j
+                                           else rand_scalar(field, rng)
+                                           for j in range(n)) for i in range(n)))
+                        for _ in range(2)]
+                v = tuple(rand_scalar(field, rng) if i < k else field.zero
+                          for i in range(n))
+                rows = stabilizer_rows(field, mats, v)
+                kernel = nullspace(rows, n * n)
+                assert len(kernel) == n * n - len(gauss_jordan(rows)[1])
+                assert all(not sum(map(mul, r, g)) for r in rows for g in kernel)
+                if k == 0:
+                    assert len(kernel) >= 1
+                sizes.append(len(kernel))
+    assert max(sizes) > 1
 
 
 def test_word_matrices_graded_lex_keys():

@@ -76,9 +76,21 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _glue_values(argv):
+    "`--opt -x1` as `--opt=-x1`: argparse would take -x1 for an option."
+    out = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if (tok[:1] == "-" and tok[1:2] != "-" and out
+                and out[-1][:2] == "--" and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_glue_values(argv))
         if args.points and len(args.point) != args.points:
             raise ParseError(f"{args.command} needs --point "
                              f"{'once' if args.points == 1 else 'twice'}")

@@ -276,14 +276,16 @@ class CommPoly(SparseElement):
 
     def evaluate(self, values):
         """Substitute a scalar for every variable; exact throughout."""
+        power = {}  # (variable, exponent) -> the field element it takes
         total = self.field.zero
         for mono, c in self.terms.items():
-            term = c
-            for v, e in mono:
-                if v not in values:
-                    raise ValueError(f"unassigned variable {v!r}")
-                term = term * self.field(values[v]) ** e
-            total = total + term
+            for ve in mono:
+                if ve not in power:
+                    if ve[0] not in values:
+                        raise ValueError(f"unassigned variable {ve[0]!r}")
+                    power[ve] = self.field(values[ve[0]]) ** ve[1]
+                c = c * power[ve]
+            total = total + c
         return total
 
     def univar_coeffs(self, name):

@@ -8,20 +8,22 @@ elimination would divide by the characteristic.  Being division-free,
 Berkowitz and word products run on plain ints: `lift` maps scalar
 matrices over Q or F_p to integer ones (representatives mod p, or
 entries times a common denominator) and gives the map that reads an
-integer result back in the field.  Inversion and kernels are only
-offered over fields, but Gaussian elimination runs on ints as well:
-representatives mod p, or fraction-free primitive rows over Q, with the
-one division by each pivot when `rref` hands its rows back.
+integer result back in the field; det(sum_s t_s M_s) runs on the lift
+too, with packed monomials.  Inversion and kernels are only offered over
+fields, but Gaussian elimination runs on ints as well: representatives
+mod p, or fraction-free primitive rows over Q, with the one division by
+each pivot when `rref` hands its rows back.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
-from .commpoly import CommPoly
+from .commpoly import CommPoly, SparseElement, var_key
 from . import errors
 from .errors import PreconditionError, SingularMatrixError, require
 from .fields import GF, QQ, FpElem
@@ -244,9 +246,7 @@ def berkowitz_coeffs(mat):
 
 def charpoly(mat, var="t"):
     """det(t*I - M) as a univariate polynomial; entries must be scalars."""
-    if isinstance(mat.rows[0][0], (CommPoly, NCPoly)):
-        raise PreconditionError("characteristic polynomial needs scalar entries")
-    field = _entry_field(mat)
+    field = _scalar_field((mat,), "characteristic polynomial")
     coeffs = berkowitz_coeffs(mat)
     n = mat.n
     terms = {}
@@ -263,10 +263,11 @@ def det(mat):
     return -c if mat.n % 2 else c
 
 
-def _entry_field(mat):
-    entry = mat.rows[0][0]
-    if isinstance(entry, CommPoly):
-        return entry.field
+def _scalar_field(mats, what):
+    "The field of the entries of `mats`; polynomial entries are refused."
+    if any(isinstance(a, (CommPoly, NCPoly)) for M in mats for r in M.rows for a in r):
+        raise PreconditionError(f"{what} needs scalar entries")
+    entry = mats[0].rows[0][0]
     if isinstance(entry, FpElem):
         return GF(entry.p)
     if isinstance(entry, (Fraction, int)):
@@ -283,20 +284,45 @@ def shared_dimension(mats):
     return mats[0].n
 
 
-def det_linear_combination(mats, var_names):
-    """det(sum_s t_s * M_s) as a polynomial in the given indeterminates.
+class _Z:
+    "The integers as a coefficient ring for `_PackedPoly`: scalars are ints."
+    zero, one = 0, 1
+    __call__ = staticmethod(index)
 
-    Homogeneous of total degree n; evaluating the variables at scalars
-    agrees with the determinant of the corresponding linear combination.
+
+class _PackedPoly(SparseElement):
+    """Integer polynomial of degree <= n in t_0..t_{k-1}; the monomial t^xi
+    is the key sum_s xi_s * (n+1)**s, so keys add as monomials multiply."""
+    __slots__ = ()
+    _UNIT = 0
+    _key_mul = staticmethod(add)
+
+
+def det_linear_combination(mats, var_names):
+    """det(sum_s t_s * M_s) for scalar M_s, as a polynomial in the given
+    indeterminates, homogeneous of degree n.  Berkowitz runs on the integer
+    lift with packed monomials, whose exponents are at most n, so no digit
+    of a key ever carries.
     """
-    shared_dimension(mats)
+    n = shared_dimension(mats)
     if len(mats) != len(var_names):
         raise PreconditionError("one variable is required per matrix")
     if len(set(var_names)) != len(var_names):
         raise PreconditionError("variable names must be distinct")
-    field = _entry_field(mats[0])
-    gens = [CommPoly.variable(field, name) for name in var_names]
-    return det(reduce(add, [M.scale(t) for t, M in zip(gens, mats)]))
+    field = _scalar_field(mats, "determinant of a linear combination")
+    names, mats = zip(*sorted(zip(var_names, mats), key=lambda nm: var_key(nm[0])))
+    ints, back = lift(mats)
+    powers = [(n + 1) ** s for s in range(len(mats))]
+    ring = _Z()
+    entries = Matrix((_PackedPoly(ring, dict(zip(powers, cell))) for cell in zip(*rows))
+                     for rows in zip(*(M.rows for M in ints)))
+
+    def mono(key):  # the base-(n+1) digits of key, read off from the top one
+        s = bisect_right(powers, key) - 1
+        return mono(key % powers[s]) + ((names[s], key // powers[s]),) if key else ()
+
+    return CommPoly(field, {mono(key): back(c, n)
+                            for key, c in det(entries).terms.items()})
 
 
 # -- evaluation of free-algebra elements on matrix tuples ---------------------
@@ -374,7 +400,7 @@ def rref(rows):
 def nullspace(rows, ncols):
     """Basis of the right kernel, deterministic (free columns ascending)."""
     if not rows:
-        return []
+        raise PreconditionError("a kernel needs at least one equation")
     red, pivots = rref(rows)
     zero = rows[0][0] * 0
     one = rows[0][0] ** 0

@@ -450,18 +450,33 @@ PT = "point|field Q|n 2|mat 1 0; 0 2|vec 1 1"
     ("hc", "--presentation", "field Q|gens x1", "--point", PT, "--bogus"),
     ("gamma", "--expr", "x1", "--n", "abc"),
     ("gamma", "--expr", "x1"),
+    ("gamma", "--expr", "--n", "2"),
     ("equiv", "--presentation", "field Q|gens x1"),
     ("det-point", "--presentation", "field Q|gens x1", "--point", PT, "--point", PT),
     ("equiv", "--presentation", "field Q|gens x1", "--point", PT),
     ("no-such-command",),
     (),
 ], ids=["foreign-field", "foreign-n", "foreign-presentation", "unknown-option",
-        "bad-int", "missing-n", "missing-point", "repeated-point", "one-equiv-point",
-        "unknown-command", "no-command"])
+        "bad-int", "missing-n", "missing-expr-value", "missing-point",
+        "repeated-point", "one-equiv-point", "unknown-command", "no-command"])
 def test_argument_errors_are_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+LAW = ("law-coeffs", "--presentation", "field Q|gens x1", "--point", PT)
+
+
+@pytest.mark.parametrize("spaced, glued", [
+    (("gamma", "--expr", "-x1", "--n", "2"), ("gamma", "--expr=-x1", "--n", "2")),
+    (("dp-normalize", "--expr", "-x1^[2]"), ("dp-normalize", "--expr=-x1^[2]")),
+    (LAW + ("--args", "-x1; 1"), LAW + ("--args=-x1; 1",)),
+], ids=["gamma", "dp-normalize", "law-coeffs"])
+def test_option_value_with_a_leading_minus(capsys, spaced, glued):
+    code, out, err = run(capsys, *spaced)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *glued) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("gamma", "--help")])

@@ -1,21 +1,22 @@
 from fractions import Fraction
 from functools import reduce
-from math import gcd
-from operator import mul
+from math import comb, gcd
+from operator import add, mul
 
 import pytest
 
 from hilbchow import (GF, QQ, BudgetExceededError, CommPoly, Matrix, NCPoly,
                       PreconditionError, RepPoint, SingularMatrixError,
                       charpoly, det, det_linear_combination, det_point,
-                      invariant_table, matrix_inverse, nc_eval,
-                      parse_comm_poly)
+                      invariant_table, law_coefficients, matrix_inverse,
+                      nc_eval, parse_comm_poly)
 from hilbchow.errors import MAX_TABLE_WORDS
 from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
                              word_matrices, word_product)
 
-from oracles import (FIELDS, leibniz_det, rand_invertible, rand_matrix,
-                     rand_ncpoly, rand_scalar, seeded, stabilizer_rows)
+from oracles import (FIELDS, leibniz_det, rand_int_scalar, rand_invertible,
+                     rand_matrix, rand_ncpoly, rand_scalar, seeded,
+                     stabilizer_rows)
 
 
 def M(*rows):
@@ -161,6 +162,68 @@ def test_det_linear_combination_homogeneous_and_specializes():
                 assert p.evaluate({"t1": a, "t2": b}) == det(combo)
 
 
+def test_det_linear_combination_against_leibniz():
+    # sum_s t_s M_s built over CommPoly and expanded by permutations; the
+    # names are out of natural order, so `==` (which compares monomial
+    # tuples) pins the var_key order of each decoded monomial
+    rng = seeded("detlin-oracle")
+    names = ["t10", "t2", "s", "t1", "u"]
+
+    def scalar(field):
+        if field is QQ:
+            return Fraction(rng.randint(-6, 6), rng.choice((1, 3, 4, 7)))
+        return field(rng.randint(-field.p, field.p))
+
+    for field in LIFT_FIELDS:
+        for n in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4, 5):
+                mats = [Matrix(tuple(tuple(scalar(field) for _ in range(n))
+                                     for _ in range(n))) for _ in range(k)]
+                zero = Matrix.zeros(n, field.zero)
+                for case in (mats, mats[:-1] + [zero], [zero] * k):
+                    generic = Matrix(tuple(tuple(
+                        sum((CommPoly.variable(field, t) * M.rows[i][j]
+                             for t, M in zip(names, case)), CommPoly.zero(field))
+                        for j in range(n)) for i in range(n)))
+                    got = det_linear_combination(case, names[:k])
+                    assert got == leibniz_det(generic)
+                    assert got.field == field
+                    assert all(type(c) is type(field.one) for c in got.terms.values())
+
+
+def test_det_linear_combination_refuses_polynomial_entries():
+    x = CommPoly.variable(QQ, "x")
+    poly = Matrix(((x, CommPoly.const(QQ, 1)), (CommPoly.zero(QQ), x)))
+    mixed = Matrix(((Fraction(1), x), (Fraction(0), Fraction(1))))
+    for mats in ([poly, poly], [M((1, 0), (0, 1)), mixed]):
+        with pytest.raises(PreconditionError,
+                           match="determinant of a linear combination needs scalar entries"):
+            det_linear_combination(mats, ["t1", "t2"])
+    with pytest.raises(PreconditionError,
+                       match="characteristic polynomial needs scalar entries"):
+        charpoly(mixed)
+
+
+def test_det_linear_combination_at_the_largest_law_tables():
+    # for each n the largest k that law_coefficients accepts (it refuses
+    # k + 1), evaluated at random points against a scalar determinant
+    rng = seeded("detlin-large")
+    for n, k in ((5, 7), (4, 11), (3, 23), (2, 127)):
+        assert n ** 3 * comb(n + k - 1, n) <= MAX_TABLE_WORDS
+        for field in (QQ, GF(3)):
+            rep = RepPoint(field, (rand_matrix(field, n, rng),))
+            x1 = NCPoly.generator(field, 1, 0)
+            with pytest.raises(BudgetExceededError):
+                law_coefficients(rep, [x1] * (k + 1))
+            mats = [rand_matrix(field, n, rng) for _ in range(k)]
+            names = [f"t{s + 1}" for s in range(k)]
+            poly = det_linear_combination(mats, names)
+            for _ in range(3):
+                point = [rand_int_scalar(field, rng) for _ in range(k)]
+                combo = reduce(add, (M.scale(a) for M, a in zip(mats, point)))
+                assert poly.evaluate(dict(zip(names, point))) == det(combo)
+
+
 def test_nullspace_and_rank():
     F = GF(2)
     rows = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
@@ -168,6 +231,12 @@ def test_nullspace_and_rank():
     assert len(basis) == 1
     assert basis[0] == (F(1), F(1), F(0))
     assert len(rref(rows)[1]) == 2
+
+
+def test_nullspace_refuses_an_empty_system():
+    # with no equations the kernel is all of F^ncols, over an unknown field
+    with pytest.raises(PreconditionError, match="at least one equation"):
+        nullspace([], 3)
 
 
 def test_solve_columns():

@@ -2,10 +2,11 @@
 
 A monomial is a tuple of (variable, exponent) pairs with positive
 exponents, sorted by a natural-order key on variable names (digit runs
-compare numerically, so xi_2_1_1 precedes xi_10_1_1).  Terms are held in
-a dict keyed by monomials; zero coefficients are never stored.  The term
-order used for printing and canonical keys is graded, then
-lexicographic, which keeps every serialization stable across runs.
+compare by value, then as text: xi_2_1_1 precedes xi_10_1_1, and t01
+and t1 differ).  Terms are held in a dict keyed by monomials; zero
+coefficients are never stored.  The term order used for printing and
+canonical keys is graded, then lexicographic, which keeps every
+serialization stable across runs.
 
 `SparseElement`, the base of `CommPoly`, also carries the free-algebra,
 divided-power and symmetric-tensor classes: everything they share
@@ -25,7 +26,7 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 
 @lru_cache(maxsize=None)
 def var_key(name):
-    return tuple(int(s) if s.isdigit() else s for s in _DIGIT_RUN.split(name))
+    return tuple((int(s), s) if s.isdigit() else s for s in _DIGIT_RUN.split(name))
 
 
 def mono_mul(a, b):

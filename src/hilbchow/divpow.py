@@ -6,24 +6,26 @@ through the defining rules: negative exponents vanish, m^[0] = 1,
 scalars come out as alpha^k, sums expand as sum over exponent splittings,
 and same-base products merge with binomial coefficients.  Over a field
 the degree-n part is isomorphic to the symmetric tensors of degree n,
-realized here on the orbit-sum basis indexed by word multisets; that
-basis needs no divisions, so everything stays valid over F_p.  Both
-normal forms of a^[n], the divided-power monomials and the orbit sums,
-are read off one enumeration of the splits of n into exponents over the
-support of a, that is of its n-word multisets; `_words` is the one
-place a monomial key becomes its multiset.
+realized here on the orbit-sum basis indexed by word multisets.  Its
+product `ts_mul` ranks the concatenated words once and runs on the
+integer lift of the coefficients: |supp s|·sum over keys K2 of t of
+|orb(K2)| sorted n-tuples of ranks, then one exact division per result
+orbit, so it stays valid over F_p.  Both normal forms of a^[n], the
+divided-power monomials and the orbit sums, are read off one enumeration
+of the splits of n into exponents over the support of a; `_words` is the
+one place a monomial key becomes its multiset.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import permutations
-from math import comb, factorial
+from math import comb
 
 from ._tokens import Block, block_text, fold, number, parse_expr
 from .commpoly import SparseElement
 from . import errors
 from .errors import ParseError, PreconditionError, require
+from .fields import lift
 from .ncpoly import (MAX_WORD_LENGTH, NCPoly, arity, free_leaf, parse_word,
                      short_words, word_key, word_str)
 from .ncpoly import parse_nc_poly  # noqa: F401  bench/tracing.py rebinds it by name
@@ -66,14 +68,14 @@ class DPElement(SparseElement):
         return cls(field, m, {(): field.one})
 
     @staticmethod
-    def _order(key):
-        return tuple((word_key(w), a) for w, a in key)
+    def _order(key, rank=word_key):
+        return [(rank(w), a) for w, a in key]
 
     @staticmethod
-    def _key_str(key):
+    def _key_str(key, name=word_str):
         if not key:
             return "(1)^[0]"
-        return "*".join(f"({word_str(w)})^[{a}]" for w, a in key)
+        return "*".join(f"({name(w)})^[{a}]" for w, a in key)
 
     def _check(self, other):
         if not self._same_field(other) or other.m != self.m:
@@ -98,8 +100,7 @@ class DPElement(SparseElement):
 
     def to_text(self):
         return block_text("divided-power", self.field, {"m": self.m},
-                          [f"term {self._key_str(key)} = {self.field.format(c)}"
-                           for key, c in self.sorted_terms()])
+                          _term_lines(self, (w for key in self.terms for w, _ in key)))
 
     @classmethod
     def from_text(cls, text):
@@ -207,12 +208,12 @@ class SymTensor(SparseElement):
         super().__init__(field, merged)
 
     @staticmethod
-    def _order(key):
-        return tuple(word_key(w) for w in key)
+    def _order(key, rank=word_key):
+        return [rank(w) for w in key]
 
     @staticmethod
-    def _key_str(key):
-        return "{" + ", ".join(word_str(w) for w in key) + "}"
+    def _key_str(key, name=word_str):
+        return "{" + ", ".join(map(name, key)) + "}"
 
     def _check(self, other):
         if not self._same_field(other) or other.m != self.m:
@@ -235,8 +236,7 @@ class SymTensor(SparseElement):
     def to_text(self):
         return block_text("symtensor", self.field,
                           {"m": self.m, "degree": self.degree},
-                          [f"term {self._key_str(key)} = {self.field.format(c)}"
-                           for key, c in self.sorted_terms()])
+                          _term_lines(self, (w for key in self.terms for w in key)))
 
     @classmethod
     def from_text(cls, text):
@@ -289,36 +289,62 @@ def gamma_n(a, n):
 
 
 def _orbit_size(key):
-    "Number of distinct slot arrangements of a word multiset."
-    size = factorial(len(key))
-    for mult in Counter(key).values():
-        size //= factorial(mult)
+    """Number of distinct slot arrangements of a sorted multiset: the
+    multinomial of its runs, built up one slot at a time."""
+    size = run = 1
+    for i in range(1, len(key)):
+        run = run + 1 if key[i] == key[i - 1] else 1
+        size = size * (i + 1) // run
     return size
+
+
+def _ranked(words):
+    "Each distinct word's rank in `word_key` order, listed in that order."
+    return {w: i for i, w in enumerate(sorted(set(words), key=word_key))}
+
+
+def _term_lines(elem, words):
+    """The `term` lines of a block in key order; each distinct word of the
+    keys is ranked and named once, and keys compare by the ranks."""
+    rank = _ranked(words)
+    name, by_rank = {w: word_str(w) for w in rank}.__getitem__, rank.__getitem__
+    return [f"term {elem._key_str(key, name)} = {elem.field.format(c)}" for key, c in
+            sorted(elem.terms.items(), key=lambda kc: elem._order(kc[0], by_rank))]
 
 
 def ts_mul(s, t):
     """Product in the ambient tensor power, computed on orbit sums.
 
-    The arrangements of the first key multiply slotwise by word
-    concatenation with those of the second; by symmetry it is enough to
-    fix the sorted first key.  If a result orbit C is then hit N times,
-    the product of the two orbit sums has coefficient N·|orb(key1)|/|orb(C)|
-    on C, an exact integer, so no divisions occur.
-    """
+    The arrangements of the second key multiply slotwise by word
+    concatenation with the sorted first key.  If a result orbit C is hit N
+    times, the product of the two orbit sums has coefficient
+    N·|orb(key1)|/|orb(C)| on C: each hit adds c1·c2·|orb(key1)|, and each
+    C's sum is divided, exactly, once by |orb(C)|."""
     if not isinstance(s, SymTensor) or not isinstance(t, SymTensor):
         raise PreconditionError("ts_mul expects two symmetric tensors")
     s._check(t)
-    field = s.field
-    arrangements = [(set(permutations(key2)), c2)
-                    for key2, c2 in t.terms.items()]
-    terms = {}
-    for key1, c1 in s.terms.items():
-        orbit1 = _orbit_size(key1)
+    ints, back = lift(s.field, [*s.terms.values(), *t.terms.values()])
+    words1 = {w for key in s.terms for w in key}
+    index2 = {v: j for j, v in enumerate({w for key in t.terms for w in key})}
+    rank = _ranked(u + v for u in words1 for v in index2)
+    table, concat = {u: [rank[u + v] for v in index2] for u in words1}, list(rank)
+    arrangements = [(set(permutations([index2[v] for v in key2])), c2)
+                    for key2, c2 in zip(t.terms, ints[len(s.terms):])]
+    acc, get = {}, list.__getitem__
+    for key1, c1 in zip(s.terms, ints):
+        rows = [table[u] for u in key1]
+        c1 *= _orbit_size(key1)
         for arrs, c2 in arrangements:
-            hits = Counter(tuple(sorted(map(tuple.__add__, key1, arr), key=word_key))
-                           for arr in arrs)
             c = c1 * c2
-            for key, hit in hits.items():
-                terms[key] = (terms.get(key, field.zero)
-                              + c * field(hit * orbit1 // _orbit_size(key)))
-    return SymTensor(field, s.m, s.degree, terms)
+            for arr in arrs:
+                key = tuple(sorted(map(get, rows, arr)))
+                acc[key] = acc.get(key, 0) + c
+    terms = {}
+    for key, total in acc.items():
+        c, r = divmod(total, _orbit_size(key))
+        if r:
+            raise AssertionError(f"an orbit's size does not divide its sum {total}")
+        c = back(c, 2)
+        if c:
+            terms[tuple(concat[i] for i in key)] = c
+    return s._like(terms)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import ParseError, require
 
@@ -280,6 +281,21 @@ QQ = RationalField()
 @lru_cache(maxsize=None)
 def GF(p):
     return PrimeField(p)
+
+
+def lift(field, values):
+    """Integers with the ring arithmetic of `values` in `field`, and
+    `back(c, k)`, which reads an integer result of degree k in them back in
+    the field.  Over F_p they are representatives (ints pass as they are)
+    and back reduces mod p.  Over Q they are multiplied by the common
+    denominator d, so back divides a degree-k result by d**k."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return ([a.v if isinstance(a, FpElem) else a for a in values],
+                lambda c, k: FpElem(p, c))
+    d = lcm(*(a.denominator for a in values))
+    return ([a.numerator * (d // a.denominator) for a in values],
+            lambda c, k: Fraction(c, d ** k))
 
 
 def field_from_header(line):

@@ -5,10 +5,10 @@ carries concrete field points and generic matrices of indeterminates.
 Characteristic polynomials use the Berkowitz scheme: no divisions occur,
 hence the results stay valid over F_2 and F_3 where fraction-based
 elimination would divide by the characteristic.  Being division-free,
-Berkowitz and word products run on plain ints: `lift` maps scalar
-matrices over Q or F_p to integer ones (representatives mod p, or
-entries times a common denominator) and gives the map that reads an
-integer result back in the field; det(sum_s t_s M_s) runs on the lift
+Berkowitz and word products run on plain ints: `lift` reshapes
+`fields.lift` of the entries (representatives mod p, or entries times a
+common denominator over Q) into integer matrices, with the map that reads
+an integer result back in the field; det(sum_s t_s M_s) runs on the lift
 too, with packed monomials.  Inversion and kernels are only offered over
 fields, but Gaussian elimination runs on ints as well: representatives
 mod p, or fraction-free primitive rows over Q, with the one division by
@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import add, index, mul, sub
 
 from .commpoly import CommPoly, SparseElement, var_key
-from . import errors
+from . import errors, fields
 from .errors import PreconditionError, SingularMatrixError, require
 from .fields import GF, QQ, FpElem
 from .ncpoly import NCPoly, words_up_to
@@ -185,27 +185,14 @@ def word_sum(terms, mats, memo):
 # -- division-free characteristic polynomial --------------------------------
 
 def lift(mats):
-    """Integer matrices with the same ring arithmetic as scalar matrices
-    over one field, and `back(c, k)`, which reads an integer result of
-    degree k in the entries back in the field.
-
-    Over F_p the entries become their representatives, and back reduces
-    mod p (Z -> F_p is a ring map).  Over Q every entry is multiplied by
-    the common denominator d, so a degree-k result is d**k times the
-    true one and back divides by d**k.
-    """
-    first = mats[0].rows[0][0]
-    if isinstance(first, FpElem):
-        p = first.p
-        return (_map_entries(mats, lambda a: a.v if isinstance(a, FpElem) else a),
-                lambda c, k: FpElem(p, c))
-    d = lcm(*(a.denominator for M in mats for r in M.rows for a in r))
-    return (_map_entries(mats, lambda a: a.numerator * (d // a.denominator)),
-            lambda c, k: Fraction(c, d ** k))
-
-
-def _map_entries(mats, f):
-    return tuple(Matrix(tuple(tuple(map(f, r)) for r in M.rows)) for M in mats)
+    """`fields.lift` of scalar matrices of one size over one field, which
+    the first entry names: the integer matrices, and `back(c, k)` for a
+    result of degree k in the entries."""
+    first, n = mats[0].rows[0][0], mats[0].n
+    field = GF(first.p) if isinstance(first, FpElem) else QQ
+    ints, back = fields.lift(field, [a for M in mats for r in M.rows for a in r])
+    rows = tuple(zip(*[iter(ints)] * n))
+    return tuple(Matrix(rows[i:i + n]) for i in range(0, len(rows), n)), back
 
 
 def berkowitz_coeffs(mat):

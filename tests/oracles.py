@@ -9,7 +9,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from hilbchow import GF, QQ, Matrix, NCPoly, PointedRep, RepPoint, is_cyclic
+from hilbchow import (GF, QQ, Matrix, NCPoly, PointedRep, RepPoint,
+                      det_linear_combination, is_cyclic, nc_eval)
 
 
 def leibniz_det(mat):
@@ -233,6 +234,27 @@ def symtensor_dense(st):
     return st.arrangements()
 
 
+def chi(mats, tensor):
+    """det∘rho on a symmetric tensor of degree n, for rho given by the n x n
+    matrices `mats`.  gamma_n(sum_w t_w w) is the sum over word multisets K
+    of prod_w t_w^(mult_w) times the orbit sum of K, so the orbit sum of K
+    goes to the coefficient of that monomial in det(sum_w t_w rho(w)), w
+    over the distinct words of the tensor; no divided-power code is used."""
+    field = tensor.field
+    words = sorted({w for key in tensor.terms for w in key})
+    if not words:
+        return field.zero
+    names = {w: f"t{i}" for i, w in enumerate(words)}
+    law = det_linear_combination(
+        [nc_eval(NCPoly.from_word(field, len(mats), w), mats) for w in words],
+        list(names.values()))
+    total = field.zero
+    for key, c in tensor.terms.items():
+        mono = tuple((names[w], key.count(w)) for w in sorted(set(key)))
+        total += c * law.terms.get(mono, field.zero)
+    return total
+
+
 # -- random data ----------------------------------------------------------------
 
 FIELDS = (QQ, GF(2), GF(3))
@@ -276,6 +298,15 @@ def rand_ncpoly(field, m, rng, max_terms=3, max_len=2, span=3):
         word = tuple(rng.randrange(m) for _ in range(length))
         terms[word] = rand_scalar(field, rng, span)
     return NCPoly(field, m, terms)
+
+
+def rand_symtensor(field, m, n, rng, max_terms=3, max_len=2, span=3):
+    "Random degree-n symmetric tensor, its keys n random words each."
+    from hilbchow import SymTensor
+    return SymTensor(field, m, n, {
+        tuple(tuple(rng.randrange(m) for _ in range(rng.randint(0, max_len)))
+              for _ in range(n)): rand_scalar(field, rng, span)
+        for _ in range(rng.randint(1, max_terms))})
 
 
 def rand_free_cyclic_point(field, m, n, rng, span=3, tries=200):

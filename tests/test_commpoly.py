@@ -18,6 +18,14 @@ def test_var_key_natural_order():
         ["t", "t2", "t10", "xi_2_1_1", "xi_2_1_10", "xi_10_1_1"]
 
 
+def test_var_key_keeps_leading_zeros_apart():
+    # t01 and t1 share the value 1 of their digit run, not their name
+    assert var_key("t01") != var_key("t1")
+    assert parse_comm_poly("t01*t1 - t1*t01", QQ).is_zero()
+    assert str(parse_comm_poly("t01*t1 - t1*t01", QQ)) == "0"
+    assert V("x") * V("t01") * V("t1") == V("t1") * V("x") * V("t01")
+
+
 def test_mono_key_graded_lex():
     x2 = (("x", 2),)
     xy = (("x", 1), ("y", 1))

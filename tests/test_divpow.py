@@ -5,11 +5,12 @@ from math import comb
 import pytest
 
 from hilbchow import (GF, QQ, BudgetExceededError, DPElement, NCPoly, ParseError,
-                      PreconditionError, SymTensor, dp_power, gamma_n,
-                      parse_dp_expr, tau, ts_mul)
+                      PreconditionError, SymTensor, det, dp_power, gamma_n,
+                      nc_eval, parse_dp_expr, parse_nc_poly, tau, ts_mul, word_key,
+                      word_str)
 
-from oracles import (FIELDS, rand_ncpoly, rand_scalar, seeded, shuffle_mul,
-                     tensor_power)
+from oracles import (FIELDS, chi, rand_matrix, rand_ncpoly, rand_scalar,
+                     rand_symtensor, seeded, shuffle_mul, tensor_power)
 
 
 def x(field=QQ, m=2):
@@ -198,27 +199,72 @@ def test_ts_mul_frozen_examples():
                           ((0, 1), (1, 0)): Fraction(1)}
 
 
+def _dense_slotwise(s, t):
+    "The product of two tensors in the full tensor power, slot by slot."
+    field, out = s.field, {}
+    for arr1, c1 in s.arrangements().items():
+        for arr2, c2 in t.arrangements().items():
+            key = tuple(w1 + w2 for w1, w2 in zip(arr1, arr2))
+            prev = out.get(key, field.zero) + c1 * c2
+            if prev:
+                out[key] = prev
+            else:
+                out.pop(key, None)
+    return out
+
+
 def test_ts_mul_against_dense_slotwise_oracle():
     rng = seeded("tsmul-dense")
     for field in FIELDS:
-        for _ in range(15):
-            # three-word supports up to degree 4 give orbits of every shape,
-            # so a wrong orbit-size ratio in ts_mul shows up here
-            a = rand_ncpoly(field, 2, rng, max_terms=3, max_len=1)
-            b = rand_ncpoly(field, 2, rng, max_terms=3, max_len=1)
-            n = rng.randint(0, 4)
-            s, t = gamma_n(a, n), gamma_n(b, n)
-            ds, dt = s.arrangements(), t.arrangements()
-            dense_prod = {}
-            for arr1, c1 in ds.items():
-                for arr2, c2 in dt.items():
-                    key = tuple(w1 + w2 for w1, w2 in zip(arr1, arr2))
-                    prev = dense_prod.get(key, field.zero) + c1 * c2
-                    if prev:
-                        dense_prod[key] = prev
-                    else:
-                        dense_prod.pop(key, None)
-            assert ts_mul(s, t).arrangements() == dense_prod
+        # x1 * x2x1 = x1x2 * x1: two pairs of words concatenate to one word,
+        # next to the empty word and words of unequal length
+        a = parse_nc_poly("1 + x1 + x1*x2", field, 2)
+        b = parse_nc_poly("x2*x1 - x1 + 1 + x2^2", field, 2)
+        cases = [(a, b, n) for n in range(5)] + [(b, a, 3)]
+        for _ in range(20):
+            # different supports and term counts on the two sides, words
+            # of length <= 2, every degree up to 4 including 0
+            cases.append((rand_ncpoly(field, 2, rng, max_terms=4, max_len=2),
+                          rand_ncpoly(field, 2, rng, max_terms=2, max_len=2),
+                          rng.randint(0, 4)))
+        for u, v, n in cases:
+            s, t = gamma_n(u, n), gamma_n(v, n)
+            if rng.random() < 0.5:
+                s, t = t, s
+            dense = _dense_slotwise(s, t)
+            out = ts_mul(s, t)
+            assert out.arrangements() == dense
+            # keys are word_key-sorted multisets, each orbit listed once
+            orbits = {tuple(sorted(arr, key=word_key)): c for arr, c in dense.items()}
+            assert out == SymTensor(field, 2, n, orbits)
+            # the text ranks words per call; its term order is word_key order
+            assert out.to_text().splitlines()[4:] == [
+                f"term {{{', '.join(map(word_str, k))}}} = {field.format(c)}"
+                for k, c in sorted(out.terms.items(),
+                                   key=lambda kc: [word_key(w) for w in kc[0]])]
+        for n in range(4):
+            zero = SymTensor.zero(field, 2, n)
+            for other in (zero, gamma_n(a, n)):
+                assert ts_mul(zero, other).is_zero() and ts_mul(other, zero).is_zero()
+                assert ts_mul(zero, other).degree == n
+
+
+def test_det_rho_is_a_character_of_gamma():
+    # chi = det∘rho is multiplicative on ts_mul and sends gamma_n(a, n) to
+    # det rho(a); n <= 3 over F_2 and F_3 covers p <= n.  One point can miss
+    # a wrong coefficient, so every case is checked at several points.
+    rng = seeded("tsmul-chi")
+    for field in FIELDS:
+        for n in (1, 2, 3):
+            for _ in range(8):
+                s = rand_symtensor(field, 2, n, rng, max_terms=2)
+                t = rand_symtensor(field, 2, n, rng, max_terms=2)
+                a = rand_ncpoly(field, 2, rng, max_terms=3, max_len=2)
+                st, ga = ts_mul(s, t), gamma_n(a, n)
+                for _ in range(3):
+                    mats = tuple(rand_matrix(field, n, rng) for _ in range(2))
+                    assert chi(mats, st) == chi(mats, s) * chi(mats, t)
+                    assert chi(mats, ga) == det(nc_eval(a, mats))
 
 
 def test_gamma_multiplicative():

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError, require
-from .fields import PrimeField, is_prime
+from .fields import PrimeField, is_prime, lift
 from .linalg import Matrix, word_basis, word_sum
 from .repvariety import AlgebraPresentation
 
@@ -109,7 +109,7 @@ def count_range(pres_text, n, start, stop):
     for rel in pres.relations:
         if rel.terms:
             levels[max(max(w, default=0) for w in rel.terms)].append(
-                [(w, c.v) for w, c in rel.terms.items()])
+                list(zip(rel.terms, lift(pres.field, rel.terms.values())[0])))
     identity = Matrix.identity(n, 1).rows
     later = list(_matrices(p, n)) if m > 1 else []
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._tokens import Block, block_text
+from . import fields
 from .errors import ParseError, PreconditionError
-from .linalg import Matrix, matrix_inverse, nc_eval, nullspace, word_basis
+from .linalg import Matrix, lift, matrix_inverse, nc_eval, nullspace, word_basis
 from .ncpoly import NCPoly, parse_word, word_str
 from .repvariety import (RepPoint, _generator, _per_generator, matrix_row_text,
                          parse_matrix_rows, parse_point_body, point_text)
@@ -59,10 +60,13 @@ class PointedRep:
 
 def cyclic_word_basis(pt):
     """Graded-lex-first words whose images of v are linearly independent,
-    and those images (see `linalg.word_basis`)."""
-    basis = word_basis(tuple(M.rows for M in pt.rep.mats), pt.v,
-                       pt.field.characteristic)
-    return [w for w, _ in basis], [u for _, u in basis]
+    and those images (`linalg.word_basis` on the lift of the matrices and v)."""
+    mats, back, field = lift(pt.rep.mats, "a word basis")
+    v, back_v = fields.lift(field, pt.v)
+    basis = word_basis(tuple(M.rows for M in mats), v, field.characteristic)
+    scale = back_v(1, 1)
+    return [w for w, _ in basis], [tuple(back(c, len(w)) * scale for c in u)
+                                   for w, u in basis]
 
 
 def require_cyclic(pt):

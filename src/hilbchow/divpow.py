@@ -18,7 +18,6 @@ one place a monomial key becomes its multiset.
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import comb
 
 from ._tokens import Block, block_text, fold, number, parse_expr
@@ -227,11 +226,7 @@ class SymTensor(SparseElement):
 
     def arrangements(self):
         """Expansion into the full tensor power: tuple-of-words -> coeff."""
-        full = {}
-        for key, c in self.terms.items():
-            for arr in set(permutations(key)):
-                full[arr] = c
-        return full
+        return {arr: c for key, c in self.terms.items() for arr in _arrangements(key)}
 
     def to_text(self):
         return block_text("symtensor", self.field,
@@ -298,6 +293,16 @@ def _orbit_size(key):
     return size
 
 
+def _arrangements(key):
+    """The |orb(key)| distinct slot orders of a multiset, each built once: an
+    item goes into each slot up to its first placed copy, so no |key|! walk."""
+    arrs = [()]
+    for x in key:
+        arrs = [a[:i] + (x,) + a[i:] for a in arrs
+                for i in range((a.index(x) if x in a else len(a)) + 1)]
+    return arrs
+
+
 def _ranked(words):
     "Each distinct word's rank in `word_key` order, listed in that order."
     return {w: i for i, w in enumerate(sorted(set(words), key=word_key))}
@@ -323,12 +328,15 @@ def ts_mul(s, t):
     if not isinstance(s, SymTensor) or not isinstance(t, SymTensor):
         raise PreconditionError("ts_mul expects two symmetric tensors")
     s._check(t)
+    require(len(s.terms) * sum(map(_orbit_size, t.terms)), errors.MAX_TABLE_WORDS,
+            f"a tensor product of {len(s.terms)} by {len(t.terms)} keys "
+            "has {} arrangement pairs")
     ints, back = lift(s.field, [*s.terms.values(), *t.terms.values()])
     words1 = {w for key in s.terms for w in key}
     index2 = {v: j for j, v in enumerate({w for key in t.terms for w in key})}
     rank = _ranked(u + v for u in words1 for v in index2)
     table, concat = {u: [rank[u + v] for v in index2] for u in words1}, list(rank)
-    arrangements = [(set(permutations([index2[v] for v in key2])), c2)
+    arrangements = [(_arrangements([index2[v] for v in key2]), c2)
                     for key2, c2 in zip(t.terms, ints[len(s.terms):])]
     acc, get = {}, list.__getitem__
     for key1, c1 in zip(s.terms, ints):

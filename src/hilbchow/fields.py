@@ -1,10 +1,10 @@
 """Exact scalar arithmetic: the rationals Q and prime fields F_p.
 
 Elements are plain ``fractions.Fraction`` values over Q and small
-``FpElem`` wrappers over F_p.  Both kinds support the ordinary
-arithmetic operators (with transparent ``int`` coercion), so the
-polynomial and matrix layers never need to know which field they are
-working over.  Floating point input is rejected everywhere.
+``FpElem`` wrappers over F_p, with the ordinary arithmetic operators
+(and transparent ``int`` coercion).  The integer kernels reach them
+through this module only: `field_of` names the field from all the
+values and `lift` turns them into ints.  Floats are rejected everywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import ParseError, require
+from .errors import ParseError, PreconditionError, require
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -281,6 +281,20 @@ QQ = RationalField()
 @lru_cache(maxsize=None)
 def GF(p):
     return PrimeField(p)
+
+
+def field_of(values, what):
+    """The field of exact scalars, named from all of them: F_p when any is an
+    `FpElem` (plain ints coerce into it), else Q; a `Fraction` beside an
+    `FpElem`, or two primes, is a field mismatch."""
+    kinds = set(map(type, values))
+    if not kinds <= {int, Fraction, FpElem}:
+        raise PreconditionError(f"{what} needs scalar entries")
+    primes = {a.p for a in values if type(a) is FpElem} if FpElem in kinds else set()
+    if len(primes) + (Fraction in kinds) > 1:
+        raise PreconditionError("field mismatch: " + " vs ".join(
+            [f"F_{p}" for p in sorted(primes)] + ["Q"] * (Fraction in kinds)))
+    return GF(primes.pop()) if primes else QQ
 
 
 def lift(field, values):

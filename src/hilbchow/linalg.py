@@ -5,14 +5,13 @@ carries concrete field points and generic matrices of indeterminates.
 Characteristic polynomials use the Berkowitz scheme: no divisions occur,
 hence the results stay valid over F_2 and F_3 where fraction-based
 elimination would divide by the characteristic.  Being division-free,
-Berkowitz and word products run on plain ints: `lift` reshapes
-`fields.lift` of the entries (representatives mod p, or entries times a
-common denominator over Q) into integer matrices, with the map that reads
-an integer result back in the field; det(sum_s t_s M_s) runs on the lift
-too, with packed monomials.  Inversion and kernels are only offered over
-fields, but Gaussian elimination runs on ints as well: representatives
-mod p, or fraction-free primitive rows over Q, with the one division by
-each pivot when `rref` hands its rows back.
+Berkowitz, word products and det(sum_s t_s M_s) (with packed monomials)
+run on plain ints: `lift` reshapes `fields.lift` of the entries into
+integer matrices, on the field `fields.field_of` names from all of them.
+Gaussian elimination runs on ints as well: `rref` lifts its rows once,
+and `IncrementalSpan` takes int vectors only, representatives mod p or
+fraction-free primitive rows over Q, each divided by its pivot only when
+`rref` hands it back.
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from operator import add, index, mul, sub
 
 from .commpoly import CommPoly, SparseElement, var_key
 from . import errors, fields
 from .errors import PreconditionError, SingularMatrixError, require
-from .fields import GF, QQ, FpElem
+from .fields import FpElem
 from .ncpoly import NCPoly, words_up_to
 
 
@@ -184,15 +183,15 @@ def word_sum(terms, mats, memo):
 
 # -- division-free characteristic polynomial --------------------------------
 
-def lift(mats):
-    """`fields.lift` of scalar matrices of one size over one field, which
-    the first entry names: the integer matrices, and `back(c, k)` for a
-    result of degree k in the entries."""
-    first, n = mats[0].rows[0][0], mats[0].n
-    field = GF(first.p) if isinstance(first, FpElem) else QQ
-    ints, back = fields.lift(field, [a for M in mats for r in M.rows for a in r])
-    rows = tuple(zip(*[iter(ints)] * n))
-    return tuple(Matrix(rows[i:i + n]) for i in range(0, len(rows), n)), back
+def lift(mats, what):
+    """`fields.lift` of scalar matrices of one size over the field that
+    `fields.field_of` names from all their entries: the integer matrices,
+    `back(c, k)` for a result of degree k in the entries, and the field."""
+    values = [a for M in mats for r in M.rows for a in r]
+    field = fields.field_of(values, what)
+    ints, back = fields.lift(field, values)
+    rows = zip(*[iter(ints)] * mats[0].n)
+    return tuple(Matrix([next(rows) for _ in M.rows]) for M in mats), back, field
 
 
 def berkowitz_coeffs(mat):
@@ -202,7 +201,7 @@ def berkowitz_coeffs(mat):
     Matrices over Q or F_p run on their integer lift.
     """
     if isinstance(mat.rows[0][0], (Fraction, FpElem)):
-        (ints,), back = lift((mat,))
+        (ints,), back, _ = lift((mat,), "characteristic polynomial")
         return [back(c, k) for k, c in enumerate(berkowitz_coeffs(ints))]
     n = mat.n
     one = mat.rows[0][0] ** 0
@@ -233,33 +232,16 @@ def berkowitz_coeffs(mat):
 
 def charpoly(mat, var="t"):
     """det(t*I - M) as a univariate polynomial; entries must be scalars."""
-    field = _scalar_field((mat,), "characteristic polynomial")
-    coeffs = berkowitz_coeffs(mat)
+    (ints,), back, field = lift((mat,), "characteristic polynomial")
     n = mat.n
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = n - i
-            terms[((var, e),) if e else ()] = c
-    return CommPoly(field, terms)
+    return CommPoly(field, {((var, n - i),) if i < n else (): back(c, i)
+                            for i, c in enumerate(berkowitz_coeffs(ints))})
 
 
 def det(mat):
     """Determinant over any commutative ring, via the Berkowitz scheme."""
     c = berkowitz_coeffs(mat)[-1]
     return -c if mat.n % 2 else c
-
-
-def _scalar_field(mats, what):
-    "The field of the entries of `mats`; polynomial entries are refused."
-    if any(isinstance(a, (CommPoly, NCPoly)) for M in mats for r in M.rows for a in r):
-        raise PreconditionError(f"{what} needs scalar entries")
-    entry = mats[0].rows[0][0]
-    if isinstance(entry, FpElem):
-        return GF(entry.p)
-    if isinstance(entry, (Fraction, int)):
-        return QQ
-    raise TypeError(f"unsupported entry type {type(entry).__name__}")
 
 
 def shared_dimension(mats):
@@ -296,9 +278,8 @@ def det_linear_combination(mats, var_names):
         raise PreconditionError("one variable is required per matrix")
     if len(set(var_names)) != len(var_names):
         raise PreconditionError("variable names must be distinct")
-    field = _scalar_field(mats, "determinant of a linear combination")
     names, mats = zip(*sorted(zip(var_names, mats), key=lambda nm: var_key(nm[0])))
-    ints, back = lift(mats)
+    ints, back, field = lift(mats, "determinant of a linear combination")
     powers = [(n + 1) ** s for s in range(len(mats))]
     ring = _Z()
     entries = Matrix((_PackedPoly(ring, dict(zip(powers, cell))) for cell in zip(*rows))
@@ -354,17 +335,20 @@ def word_matrices(mats, max_len):
 # -- exact Gaussian elimination over a field -----------------------------------
 
 def rref(rows):
-    """Reduced row echelon form over a field: (nonzero rows, pivot columns).
+    "Reduced row echelon form over a field: (nonzero rows, pivot columns)."
+    return _rref(rows)[:2]
 
-    The rows go through an IncrementalSpan on ints and are sorted by pivot,
-    each pivot column is cleared upwards, last pivot first, and each row is
-    then divided by its pivot.
-    """
-    if not rows or not rows[0]:
-        return [], []
-    p = rows[0][0].p if isinstance(rows[0][0], FpElem) else 0
-    span = IncrementalSpan(len(rows[0]), p)
-    for row in rows:
+
+def _rref(rows):
+    """`rref` and the field of the rows, which are lifted together (scaling
+    leaves the form unchanged), spanned, sorted by pivot and cleared upwards,
+    last pivot first; each row is then divided by its pivot."""
+    values = [a for r in rows for a in r]
+    field = fields.field_of(values, "elimination")
+    ints, _ = fields.lift(field, values)
+    p = field.characteristic
+    span = IncrementalSpan(len(rows[0]) if rows else 0, p)
+    for row in zip(*[iter(ints)] * span.dim):
         span.add(row)
     order = sorted(range(span.rank), key=span.pivots.__getitem__)
     pivots = [span.pivots[i] for i in order]
@@ -381,22 +365,18 @@ def rref(rows):
                 red[j] = ([(a - f * b) % p for a, b in zip(red[j], row)] if p
                           else [a * piv - f * b for a, b in zip(red[j], row)])
     return [[FpElem(p, a) if p else Fraction(a, r[c]) for a in r]
-            for r, c in zip(red, pivots)], pivots
+            for r, c in zip(red, pivots)], pivots, field
 
 
 def nullspace(rows, ncols):
     """Basis of the right kernel, deterministic (free columns ascending)."""
     if not rows:
         raise PreconditionError("a kernel needs at least one equation")
-    red, pivots = rref(rows)
-    zero = rows[0][0] * 0
-    one = rows[0][0] ** 0
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    red, pivots, field = _rref(rows)
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][fc]
         basis.append(tuple(vec))
@@ -405,7 +385,7 @@ def nullspace(rows, ncols):
 
 def matrix_inverse(mat):
     n = mat.n
-    unit = Matrix.identity(n, mat.rows[0][0] ** 0).rows
+    unit = Matrix.identity(n, 1).rows
     red, pivots = rref([r + e for r, e in zip(mat.rows, unit)])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
@@ -433,10 +413,10 @@ def solve_columns(basis, targets):
 
 
 class IncrementalSpan:
-    """Growing echelonized span of vectors, stored as integer rows that are
-    0 at the pivots stored before them.  With a prime p (entries ints or
-    `FpElem`s) a row holds representatives and is 1 at its pivot; with
-    p = 0 (rational entries) it is primitive and eliminated fraction-free.
+    """Growing echelonized span of int vectors (callers lift field elements
+    once, `fields.lift`), stored as integer rows that are 0 at the pivots
+    stored before them.  With a prime p a row holds representatives and is
+    1 at its pivot; with p = 0 it is primitive and eliminated fraction-free.
     """
 
     __slots__ = ("dim", "p", "rows", "pivots")
@@ -455,11 +435,7 @@ class IncrementalSpan:
             return False
         p = self.p
         if p:
-            vec = ([a.v for a in vec] if isinstance(vec[0], FpElem)
-                   else [a % p for a in vec])
-        else:
-            d = lcm(*(a.denominator for a in vec))
-            vec = [a.numerator * (d // a.denominator) for a in vec]
+            vec = [a % p for a in vec]
         for row, c in zip(rows, self.pivots):
             f = vec[c]
             if f:
@@ -486,8 +462,8 @@ class IncrementalSpan:
 
 def word_basis(mats, v, p=0):
     """(word, image) pairs for the graded-lex-first words w whose images
-    w.v are linearly independent; `mats` are row tuples, and p is as for
-    IncrementalSpan.
+    w.v are linearly independent; `mats` are integer row tuples and v an
+    integer vector, and p is as for IncrementalSpan.
 
     Breadth-first: level L+1 candidates are x_k * w over selected level-L
     words w, scanned in lexicographic order.  Prepending a generator to a

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 from ._tokens import Block, block_text, parse_int, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import require_cyclic
-from . import errors
+from . import errors, fields
 from .errors import PreconditionError, require
-from .fields import PrimeField
+from .fields import QQ, PrimeField
 from .linalg import (Matrix, charpoly, det, det_linear_combination, lift,
                      nc_eval, nullspace, solve_columns, word_matrices)
 from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
@@ -161,7 +161,7 @@ def det_point(rep, max_len=None):
     gen_charpolys = tuple(charpoly(M) for M in rep.mats)
     gens = tuple(NCPoly.generator(rep.field, rep.m, k) for k in range(rep.m))
     mixed = law_coefficients(rep, gens)
-    ints, back = lift(rep.mats)
+    ints, back, _ = lift(rep.mats, "a norm point")
     word_dets = {w: back(det(M), rep.n * len(w))
                  for w, M in word_matrices(ints, max_len).items()}
     return NormPoint(rep.field, rep.m, rep.n, max_len, gen_charpolys, mixed,
@@ -248,10 +248,7 @@ def _divisors(n):
 
 def _rational_root_candidates(coeffs):
     """Possible rational roots of an exact-coefficient polynomial."""
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = lcm(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
+    ints, _ = fields.lift(QQ, coeffs)
     while ints and ints[-1] == 0:
         ints.pop()
     lead = ints[-1]

@@ -17,7 +17,7 @@ from math import comb
 
 from ._tokens import Block, block_text
 from .commpoly import CommPoly, parse_comm_poly
-from . import errors
+from . import errors, fields
 from .errors import ParseError, PreconditionError, SingularMatrixError, require
 from .linalg import (IncrementalSpan, Matrix, det, lift, matrix_inverse, nc_eval,
                      shared_dimension, word_matrices)
@@ -61,7 +61,7 @@ class AlgebraPresentation:
             vec = [self.field.zero] * len(words)
             for w, c in poly.terms.items():
                 vec[index[w]] = c
-            return vec
+            return fields.lift(self.field, vec)[0]
 
         span = IncrementalSpan(len(words), self.field.characteristic)
         for r in rels:
@@ -339,7 +339,7 @@ def invariant_table(pt, max_len=None):
         max_len = default_table_len(pt.n)
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
-    ints, back = lift(pt.mats)
+    ints, back, _ = lift(pt.mats, "an invariant table")
     traces = {w: back(M.trace(), len(w))
               for w, M in word_matrices(ints, max_len).items() if w}
     dets = tuple(det(M) for M in pt.mats)

@@ -1,9 +1,11 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from hilbchow import divpow
 from hilbchow import (GF, QQ, BudgetExceededError, DPElement, NCPoly, ParseError,
                       PreconditionError, SymTensor, det, dp_power, gamma_n,
                       nc_eval, parse_dp_expr, parse_nc_poly, tau, ts_mul, word_key,
@@ -280,6 +282,21 @@ def test_gamma_multiplicative():
 def test_ts_mul_degree_mismatch():
     with pytest.raises(PreconditionError):
         ts_mul(gamma_n(x(), 2), gamma_n(x(), 3))
+
+
+def test_ts_mul_enumerates_distinct_arrangements_only(monkeypatch):
+    # twelve equal words have one slot order, not 12!; each key of gamma_n of
+    # x + y lists its C(12, k) orders once
+    start = time.perf_counter()
+    assert ts_mul(gamma_n(x(), 12), gamma_n(x(), 12)) == gamma_n(x() * x(), 12)
+    assert len(gamma_n(x() + y(), 12).arrangements()) == 2 ** 12
+    assert time.perf_counter() - start < 1
+    # |supp s| * sum of |orb K2| over t is counted before any enumeration
+    s = gamma_n(x(m=3) + y(m=3) + NCPoly.generator(QQ, 3, 2), 10)  # orbits sum to 3^10
+    monkeypatch.setattr(divpow, "_arrangements", None)
+    with pytest.raises(BudgetExceededError, match="a tensor product of 66 by 66 keys "
+                       "has 3897234 arrangement pairs, more than the limit of 65536"):
+        ts_mul(s, s)
 
 
 def test_dp_expression_parser():

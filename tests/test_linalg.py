@@ -11,6 +11,7 @@ from hilbchow import (GF, QQ, BudgetExceededError, CommPoly, Matrix, NCPoly,
                       invariant_table, law_coefficients, matrix_inverse,
                       nc_eval, parse_comm_poly)
 from hilbchow.errors import MAX_TABLE_WORDS
+from hilbchow.fields import lift
 from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
                              word_matrices, word_product)
 
@@ -100,6 +101,46 @@ def test_det_works_over_f2_f3():
     A = Matrix(((F2(1), F2(1)), (F2(1), F2(1))))
     assert det(A) == F2(0)
     assert str(charpoly(A)) == "t^2"  # t^2 - 2t over F_2
+
+
+def test_plain_int_entries_take_the_field_of_the_others():
+    # the field is named from every entry, not the first: a plain int beside
+    # FpElems is an element of F_p wherever it sits, [0][0] included
+    rng = seeded("int-entries")
+    for p in (2, 3):
+        F = GF(p)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            plain = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            other = rand_matrix(F, n, rng)
+            full = Matrix([[F(a) for a in r] for r in plain])
+            # ints at [0][0] and elsewhere at random, an FpElem at [n-1][n-1]
+            mixed = Matrix([[a if i + j == 0 or i + j < 2 * n - 2 and rng.random() < 0.4
+                             else F(a) for j, a in enumerate(r)]
+                            for i, r in enumerate(plain)])
+            got = charpoly(mixed)
+            assert got == charpoly(full) and got.field == F
+            assert det(mixed) == det(full)
+            assert (det_linear_combination([mixed, other], ["s", "t"])
+                    == det_linear_combination([full, other], ["s", "t"]))
+            assert rref(mixed.rows) == rref(full.rows)
+            assert_field_elements(F, rref(mixed.rows)[0])
+            kernel = nullspace(mixed.rows, n)
+            assert kernel == nullspace(full.rows, n)
+            assert_field_elements(F, kernel)
+            if det(full):
+                assert matrix_inverse(mixed) == matrix_inverse(full)
+            else:
+                with pytest.raises(SingularMatrixError):
+                    matrix_inverse(mixed)
+    F3, F5 = GF(3), GF(5)
+    for bad in (Matrix(((Fraction(1, 2), F3(1)), (F3(2), 1))),
+                Matrix(((F3(1), 0), (F5(2), F3(1))))):
+        for call in (charpoly, det, matrix_inverse, lambda A: rref(A.rows),
+                     lambda A: nullspace(A.rows, 2),
+                     lambda A: det_linear_combination([A, A], ["s", "t"])):
+            with pytest.raises(PreconditionError, match="field mismatch"):
+                call(bad)
 
 
 def test_inverse_and_singular():
@@ -247,14 +288,20 @@ def test_solve_columns():
         solve_columns([(Fraction(1), Fraction(0))], [(Fraction(0), Fraction(1))])
 
 
+def lifted(field, *entries):
+    "The int vector a span takes for field elements: their `fields.lift`."
+    return lift(field, [field(a) for a in entries])[0]
+
+
 def test_incremental_span():
     span = IncrementalSpan(3)
-    assert span.add((Fraction(1), Fraction(1), Fraction(0)))
-    assert not span.add((Fraction(2), Fraction(2), Fraction(0)))
-    assert span.add((Fraction(0), Fraction(0), Fraction(5)))
+    assert span.add(lifted(QQ, "1/2", "1/2", 0))
+    assert not span.add(lifted(QQ, 2, 2, 0))
+    assert span.add(lifted(QQ, 0, 0, "5/3"))
     assert span.rank == 2
-    assert span.contains((Fraction(3), Fraction(3), Fraction(7)))
-    assert not span.contains((Fraction(1), Fraction(0), Fraction(0)))
+    assert span.contains(lifted(QQ, 3, 3, "7/4"))
+    assert not span.contains(lifted(QQ, 1, 0, 0))
+    assert span.rows == [[1, 1, 0], [0, 0, 1]]
 
 
 def gauss_jordan(rows):
@@ -351,7 +398,7 @@ def check_inverse_and_solve(field, basis, rng, pick):
 def test_span_mod_p_matches_field_elements():
     # a span mod p stores integer rows: representatives, 1 at the pivot and
     # 0 at the pivots stored before, spanning what was added; unreduced ints
-    # and FpElems give the same rows
+    # and the representatives `fields.lift` makes of FpElems give the same rows
     rng = seeded("span-mod-p")
     for p in (2, 3, 5):
         F = GF(p)
@@ -364,7 +411,7 @@ def test_span_mod_p_matches_field_elements():
                 for v in vecs:
                     before = ints.rank
                     grew = ints.add(v)
-                    assert grew == elems.add([F(a) for a in v]) == (ints.rank > before)
+                    assert grew == elems.add(lifted(F, *v)) == (ints.rank > before)
                 assert ints.pivots == elems.pivots
                 assert ints.rows == elems.rows
                 for i, (row, c) in enumerate(zip(ints.rows, ints.pivots)):
@@ -383,7 +430,7 @@ def test_span_over_q_stores_primitive_rows():
             span = IncrementalSpan(dim)
             for k, v in enumerate(vecs):
                 before = span.rank
-                assert span.add(v) == (span.rank > before)
+                assert span.add(lift(QQ, v)[0]) == (span.rank > before)
                 assert span.rank == len(gauss_jordan(vecs[:k + 1])[1])
             for i, (row, c) in enumerate(zip(span.rows, span.pivots)):
                 assert all(type(a) is int for a in row) and gcd(*row) == 1

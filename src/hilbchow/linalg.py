@@ -7,7 +7,8 @@ hence the results stay valid over F_2 and F_3 where fraction-based
 elimination would divide by the characteristic.  Being division-free,
 Berkowitz, word products and det(sum_s t_s M_s) (with packed monomials)
 run on plain ints: `lift` reshapes `fields.lift` of the entries into
-integer matrices, on the field `fields.field_of` names from all of them.
+integer matrices, on the field `fields.field_of` names from all of them;
+Berkowitz takes that path whenever any entry is a `Fraction` or `FpElem`.
 Gaussian elimination runs on ints as well: `rref` lifts its rows once,
 and `IncrementalSpan` takes int vectors only, representatives mod p or
 fraction-free primitive rows over Q, each divided by its pivot only when
@@ -19,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import gcd
 from operator import add, index, mul, sub
 
@@ -194,13 +196,18 @@ def lift(mats, what):
     return tuple(Matrix([next(rows) for _ in M.rows]) for M in mats), back, field
 
 
+_INT, _SCALARS = {int}, {int, Fraction, FpElem}
+
+
 def berkowitz_coeffs(mat):
     """Coefficients of det(t*I - M), leading one first, via Berkowitz.
 
     Works over any commutative ring: only +, * and negation are used.
-    Matrices over Q or F_p run on their integer lift.
+    Matrices of exact scalars with a `Fraction` or `FpElem` among them run
+    on their integer lift, on the field that all their entries name.
     """
-    if isinstance(mat.rows[0][0], (Fraction, FpElem)):
+    kinds = set(map(type, chain.from_iterable(mat.rows)))
+    if kinds != _INT and kinds <= _SCALARS:
         (ints,), back, _ = lift((mat,), "characteristic polynomial")
         return [back(c, k) for k, c in enumerate(berkowitz_coeffs(ints))]
     n = mat.n
@@ -314,17 +321,22 @@ def nc_eval(poly, mats):
     return Matrix(word_sum(terms, tuple(M.rows for M in mats), memo))
 
 
+def require_word_table(m, max_len):
+    """Refuse a table of the words of length <= max_len on m letters that
+    has more than MAX_TABLE_WORDS of them; the count stops past the limit."""
+    what = f"a word table to length {max_len} on {m} matrices has at least {{}} words"
+    words = 0
+    for length in range(max_len + 1):
+        words += m ** length
+        require(words, errors.MAX_TABLE_WORDS, what)
+
+
 def word_matrices(mats, max_len):
     """Products along all words of length <= max_len, in graded-lex order.
 
     Tables of more than MAX_TABLE_WORDS words are refused up front."""
     n = shared_dimension(mats)
-    what = (f"a word table to length {max_len} on {len(mats)} matrices "
-            "has at least {} words")
-    words = 0
-    for length in range(max_len + 1):
-        words += len(mats) ** length
-        require(words, errors.MAX_TABLE_WORDS, what)
+    require_word_table(len(mats), max_len)
     one = mats[0].rows[0][0] ** 0
     memo = {(): Matrix.identity(n, one).rows}
     rows = tuple(M.rows for M in mats)

@@ -10,7 +10,8 @@ determinants up to a length bound.  The pointed version first checks
 cyclicity and then forgets the vector, so it factors through the plain
 representation point.  For commuting split tuples, the joint
 generalized eigenvalues with multiplicities recover the classical
-0-cycle of the subscheme.
+0-cycle of the subscheme; the commutation test and the powers
+(M - lam)^mult whose kernels are the eigenspaces run on ints.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from operator import sub
 
 from ._tokens import Block, block_text, parse_int, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
@@ -26,7 +28,7 @@ from . import errors, fields
 from .errors import PreconditionError, require
 from .fields import QQ, PrimeField
 from .linalg import (Matrix, charpoly, det, det_linear_combination, lift,
-                     nc_eval, nullspace, solve_columns, word_matrices)
+                     mat_mul, nc_eval, nullspace, solve_columns, word_matrices)
 from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
 from .repvariety import _generator, _per_generator, default_table_len
 
@@ -318,22 +320,29 @@ def cycle_extract(rep):
     recurses on the remaining generators within each block; returns a
     Cycle, or a SplitFailure carrying the first characteristic
     polynomial that has too few roots in the base field.  Input matrices
-    must commute pairwise.
+    must commute pairwise, which is tested on their integer lift (mod p
+    over F_p).
     """
-    mats = rep.mats
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mats[i] * mats[j] != mats[j] * mats[i]:
+    field = rep.field
+    ints, _, _ = lift(rep.mats, "a 0-cycle")
+    p = field.characteristic
+    for i in range(len(ints)):
+        for j in range(i + 1, len(ints)):
+            a, b = ints[i].rows, ints[j].rows
+            if any(x % p if p else x for r, s in zip(mat_mul(a, b), mat_mul(b, a))
+                   for x in map(sub, r, s)):
                 raise PreconditionError(
                     f"matrices {i + 1} and {j + 1} do not commute")
-    field = rep.field
-    result = _split_blocks(list(mats), field)
+    result = _split_blocks(list(rep.mats), field)
     if isinstance(result, SplitFailure):
         return result
     return Cycle(field, rep.m, rep.n, result)
 
 
 def _split_blocks(mats, field):
+    """The generalized eigenspace of the first matrix M for a root lam of
+    multiplicity mult is ker (M - lam)^mult.  M and the roots are lifted
+    together, so (M - lam)^mult runs on ints and is read back once."""
     if not mats:
         raise AssertionError("empty generator list")
     M = mats[0]
@@ -342,10 +351,17 @@ def _split_blocks(mats, field):
     roots, split = field_roots(cp)
     if not split:
         return SplitFailure(field, cp)
+    ints, back = fields.lift(field, [a for r in M.rows for a in r]
+                             + [lam for lam, _ in roots])
+    rows = tuple(zip(*[iter(ints[:dim * dim])] * dim))
     out = {}
-    for lam, mult in roots:
-        shifted = M - Matrix.identity(dim, field.one).scale(lam)
-        kernel = nullspace([list(r) for r in (shifted ** dim).rows], dim)
+    for (lam, mult), shift in zip(roots, ints[dim * dim:]):
+        shifted = tuple(tuple(a - shift if i == j else a for j, a in enumerate(r))
+                        for i, r in enumerate(rows))
+        power = shifted
+        for _ in range(mult - 1):
+            power = mat_mul(power, shifted)
+        kernel = nullspace([[back(c, mult) for c in r] for r in power], dim)
         if len(kernel) != mult:
             raise AssertionError("generalized eigenspace dimension mismatch")
         if len(mats) == 1:

@@ -6,23 +6,27 @@ relations.  Evaluating the relations at generic matrices (entries
 xi_k_i_j) yields the defining ideal of the scheme of n-dimensional
 representations; concrete points are m-tuples of matrices killing every
 relation.  Trace-word tables give conjugation-invariant coordinates
-that separate points of the quotient by GL_n at the chosen word bound.
+that separate points of the quotient by GL_n at the chosen word bound;
+they are read by halves from a word table to half the bound, and both they
+and the relation test run on the integer lift of the tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from math import comb
+from operator import mul
 
 from ._tokens import Block, block_text
 from .commpoly import CommPoly, parse_comm_poly
 from . import errors, fields
 from .errors import ParseError, PreconditionError, SingularMatrixError, require
 from .linalg import (IncrementalSpan, Matrix, det, lift, matrix_inverse, nc_eval,
-                     shared_dimension, word_matrices)
+                     require_word_table, shared_dimension, word_matrices, word_sum)
 from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
-                     word_str)
+                     word_str, words_up_to)
 
 
 def generic_var(k, i, j):
@@ -171,12 +175,38 @@ def generic_assignment(mats):
 
 
 def is_representation(pres, mats):
-    """True when every relation evaluates to the zero matrix."""
+    """True when every relation evaluates to the zero matrix.
+
+    The entries, the coefficients and 1 are lifted together (`fields.lift`),
+    so 1 lifts to the common denominator d over Q (to 1 over F_p), a
+    coefficient c to d c and a word w to d^|w| rho(w).  A relation whose
+    longest word has length K is summed on ints over its terms c w, each
+    lifted term scaled by d^(K-|w|); that sum is d^(K+1) times its value,
+    so it is zero exactly when each entry is 0, mod p over F_p, as in the
+    F_p sweep."""
     if len(mats) != pres.m:
         raise PreconditionError(
             f"arity mismatch: presentation has {pres.m} generators, got {len(mats)}")
-    shared_dimension(mats)
-    return all(nc_eval(rel, mats).is_zero() for rel in pres.relations)
+    n = shared_dimension(mats)
+    rels = [sorted(r.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
+            for r in pres.relations if r.terms]
+    if not rels:
+        return True
+    values = [a for M in mats for r in M.rows for a in r]
+    values += [c for terms in rels for _, c in terms] + [pres.field.one]
+    field = fields.field_of(values, "a representation test")
+    ints = iter(fields.lift(field, values)[0])
+    lifted = tuple(tuple(tuple(islice(ints, n)) for _ in range(n)) for _ in mats)
+    rels = [[(w, next(ints)) for w, _ in terms] for terms in rels]
+    d = next(ints)
+    memo = {(): Matrix.identity(n, 1).rows}
+    p = field.characteristic
+    for terms in rels:
+        top = len(terms[-1][0])
+        total = word_sum([(w, c * d ** (top - len(w))) for w, c in terms], lifted, memo)
+        if any(a % p if p else a for row in total for a in row):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -187,6 +217,8 @@ class RepPoint:
     mats: tuple
 
     def __post_init__(self):
+        """Plain int entries are coerced into the field; a `Fraction` or
+        `FpElem` of another field is a field mismatch."""
         mats = tuple(self.mats)
         if not mats:
             raise PreconditionError("a point needs at least one matrix")
@@ -194,6 +226,11 @@ class RepPoint:
         for M in mats:
             if not isinstance(M, Matrix) or M.n != n:
                 raise PreconditionError("matrices must share one dimension")
+        values = [a for M in mats for r in M.rows for a in r]
+        fields.field_of(values + [self.field.one], "a representation point")
+        if int in set(map(type, values)):
+            mats = tuple(Matrix(tuple(tuple(self.field(a) for a in r) for r in M.rows))
+                         for M in mats)
         object.__setattr__(self, "mats", mats)
 
     @property
@@ -334,13 +371,24 @@ def default_table_len(n):
 def invariant_table(pt, max_len=None):
     """Traces of all word images up to the bound, plus generator dets.
 
-    The word products run on the integer lift of the tuple."""
+    Everything runs on the integer lift of the tuple, whose products are
+    tabled to half the bound only: a word w splits as u v with
+    |u| = ceil(|w|/2), and tr rho(w) = sum_ij rho(u)_ij rho(v)_ji is one
+    dot product of rho(u) read by rows with rho(v) read by columns.  The
+    table is still refused on the word count of the full bound."""
     if max_len is None:
         max_len = default_table_len(pt.n)
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
+    require_word_table(pt.m, max_len)
     ints, back, _ = lift(pt.mats, "an invariant table")
-    traces = {w: back(M.trace(), len(w))
-              for w, M in word_matrices(ints, max_len).items() if w}
-    dets = tuple(det(M) for M in pt.mats)
+    half = word_matrices(ints, (max_len + 1) // 2)
+    by_rows = {w: tuple(chain.from_iterable(M.rows)) for w, M in half.items()}
+    by_cols = {w: tuple(chain.from_iterable(zip(*M.rows)))
+               for w, M in half.items() if len(w) <= max_len // 2}
+    traces = {}
+    for w in words_up_to(pt.m, max_len, 1):
+        k = (len(w) + 1) // 2
+        traces[w] = back(sum(map(mul, by_rows[w[:k]], by_cols[w[k:]])), len(w))
+    dets = tuple(back(det(M), pt.n) for M in ints)
     return InvariantTable(pt.field, pt.m, pt.n, max_len, traces, dets)

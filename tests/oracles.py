@@ -114,6 +114,23 @@ def _mod_rank(rows, p):
     return rank
 
 
+def word_traces(field, mats, max_len):
+    """Trace of the full product along every nonempty word of length <=
+    max_len: each word's product is its longest proper prefix's product times
+    its last letter, multiplied out in field elements by its own loops."""
+    n = mats[0].n
+    level = {(): [[field.one if i == j else field.zero for j in range(n)]
+                  for i in range(n)]}
+    traces = {}
+    for _ in range(max_len):
+        level = {word + (k,): [[sum((row[l] * M.rows[l][j] for l in range(n)),
+                                    field.zero) for j in range(n)] for row in prod]
+                 for word, prod in level.items() for k, M in enumerate(mats)}
+        for word, prod in level.items():
+            traces[word] = sum((prod[i][i] for i in range(n)), field.zero)
+    return traces
+
+
 # -- closed forms for the point counts over F_q -------------------------------
 
 def gl_count(q, n):

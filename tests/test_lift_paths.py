@@ -1,0 +1,80 @@
+"""The Hilbert-scheme point requests run on the integer lift.  A change
+that silently puts them back on whole word tables or on `Fraction`/`FpElem`
+matrix products keeps every output byte and only loses the speed, so the
+shape of the work is pinned here: the invariant table tables words to half
+its bound, and the 0-cycle and the relation test form no matrix product or
+power on field entries."""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import hilbchow.repvariety
+from hilbchow import (GF, QQ, AlgebraPresentation, Matrix, RepPoint, cycle_extract,
+                      invariant_table, is_representation, parse_nc_poly)
+from hilbchow.fields import FpElem
+
+from oracles import FIELDS, rand_commuting_split_mats, rand_matrix, seeded
+
+
+def test_invariant_table_tables_words_to_half_the_bound(monkeypatch):
+    seen = []
+    real = hilbchow.repvariety.word_matrices
+
+    def recorded(mats, max_len):
+        seen.append(max_len)
+        return real(mats, max_len)
+
+    monkeypatch.setattr(hilbchow.repvariety, "word_matrices", recorded)
+    rng = seeded("half-bound")
+    pt = RepPoint(QQ, (rand_matrix(QQ, 3, rng), rand_matrix(QQ, 3, rng)))
+    for max_len in range(1, 9):
+        invariant_table(pt, max_len)
+    invariant_table(pt)  # the default bound 2n - 1 = 5
+    assert seen == [1, 1, 2, 2, 3, 3, 4, 4, 3]
+
+
+@pytest.fixture
+def field_products(monkeypatch):
+    "Counts Matrix products and powers with a Fraction or FpElem entry."
+    counts = Counter()
+    for name in ("__mul__", "__pow__"):
+        def counted(self, other, _fn=getattr(Matrix, name), _name=name):
+            if any(isinstance(a, (Fraction, FpElem)) for r in self.rows for a in r):
+                counts[_name] += 1
+            return _fn(self, other)
+        monkeypatch.setattr(Matrix, name, counted)
+    return counts
+
+
+def test_the_counter_sees_field_products(field_products):
+    ints = Matrix([[1, 2], [3, 4]])
+    assert ints * ints == ints ** 2
+    assert not field_products
+    A = Matrix([[Fraction(1, 2), 0], [0, 1]])
+    B = Matrix([[GF(3)(1), 0], [0, 1]])
+    assert A * A != B ** 2
+    assert field_products["__mul__"] >= 1 and field_products["__pow__"] == 1
+
+
+def test_cycle_and_relation_tests_form_no_field_products(field_products):
+    rng = seeded("lift-paths")
+    cases = []
+    for field in FIELDS + (GF(5),):
+        for m in (1, 2, 3):
+            for n in (1, 2, 3, 4):
+                mats, _ = rand_commuting_split_mats(field, m, n, rng)
+                rels = [f"x{i + 1}*x{j + 1} - x{j + 1}*x{i + 1}"
+                        for i in range(m) for j in range(i + 1, m)]
+                rels.append("x1^3 - 2*x1 + 1/2" if field is QQ else "x1^3 - 2*x1 + 1")
+                pres = AlgebraPresentation(field, m, tuple(parse_nc_poly(r, field, m)
+                                                           for r in rels))
+                cases.append((pres, RepPoint(field, mats)))
+    field_products.clear()
+    for pres, rep in cases:
+        cycle_extract(rep)
+        is_representation(pres, rep.mats)
+        is_representation(AlgebraPresentation(pres.field, pres.m, pres.relations[:-1]),
+                          rep.mats)
+    assert field_products == {}

@@ -7,11 +7,11 @@ import pytest
 
 from hilbchow import (GF, QQ, BudgetExceededError, CommPoly, Matrix, NCPoly,
                       PreconditionError, RepPoint, SingularMatrixError,
-                      charpoly, det, det_linear_combination, det_point,
+                      berkowitz_coeffs, charpoly, det, det_linear_combination, det_point,
                       invariant_table, law_coefficients, matrix_inverse,
                       nc_eval, parse_comm_poly)
 from hilbchow.errors import MAX_TABLE_WORDS
-from hilbchow.fields import lift
+from hilbchow.fields import FpElem, lift
 from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
                              word_matrices, word_product)
 
@@ -141,6 +141,19 @@ def test_plain_int_entries_take_the_field_of_the_others():
                      lambda A: det_linear_combination([A, A], ["s", "t"])):
             with pytest.raises(PreconditionError, match="field mismatch"):
                 call(bad)
+
+
+def test_berkowitz_path_is_named_by_every_entry():
+    # a plain int at [0][0] beside FpElems still runs over F_p, and a
+    # Fraction beside an FpElem is a field mismatch wherever it sits
+    F3 = GF(3)
+    got = berkowitz_coeffs(Matrix([[1, F3(1)], [F3(2), 0]]))
+    assert got == [1, 2, 1]  # t^2 - t - 2 over F_3
+    assert all(type(c) is FpElem for c in got)
+    with pytest.raises(PreconditionError, match="field mismatch: F_3 vs Q"):
+        det(Matrix([[1, Fraction(1, 2)], [F3(1), 1]]))
+    got = berkowitz_coeffs(Matrix([[1, 2], [3, 4]]))
+    assert got == [1, -5, -2] and all(type(c) is int for c in got)
 
 
 def test_inverse_and_singular():

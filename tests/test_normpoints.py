@@ -8,7 +8,8 @@ from hilbchow import (GF, QQ, Cycle, LawCoefficientTable, Matrix, NCPoly,
                       SplitFailure, conjugate, cycle_extract,
                       cycle_product_poly, det_linear_combination, det_point,
                       field_roots, hc_point, law_coefficients,
-                      parse_comm_poly)
+                      matrix_inverse, parse_comm_poly)
+from hilbchow.cli import main
 from hilbchow.ncpoly import words_up_to
 
 from oracles import (FIELDS, rand_commuting_split_mats, rand_free_cyclic_point,
@@ -195,6 +196,55 @@ def test_cycle_extract_frozen_examples():
 def test_cycle_extract_rejects_non_commuting():
     with pytest.raises(PreconditionError):
         cycle_extract(RepPoint(QQ, (NILP, M((0, 0), (1, 0)))))
+
+
+def test_cycle_refusal_names_the_first_non_commuting_pair():
+    F3 = GF(3)
+    A = Matrix([[F3(0), F3(0)], [F3(1), F3(1)]])
+    E = Matrix([[F3(0), F3(1)], [F3(0), F3(0)]])
+    for mats, pair in (((NILP, M((0, 0), (1, 0))), "1 and 2"),
+                       ((A, A, E), "1 and 3"), ((Matrix.zeros(2, F3.zero), A, E), "2 and 3")):
+        field = QQ if mats[0] is NILP else F3
+        with pytest.raises(PreconditionError, match=f"^matrices {pair} do not commute$"):
+            cycle_extract(RepPoint(field, mats))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_cycle_of_a_non_semisimple_tuple(field):
+    # X1 = J_2(lam) + J_1(lam) + (mu) and X2 = diag(a, a, b, c) commute; lam
+    # has multiplicity 3 in a space of dimension 4, so ker (X1 - lam)^3 is
+    # the generalized eigenspace although (X1 - lam)^3 != (X1 - lam)^4
+    lam, mu, a, b, c = (field(Fraction(v)) for v in ("1/2", "-3", "2", "4", "0"))
+    z = field.zero
+    X1 = Matrix([[lam, field.one, z, z], [z, lam, z, z], [z, z, lam, z], [z, z, z, mu]])
+    X2 = Matrix([[a, z, z, z], [z, a, z, z], [z, z, b, z], [z, z, z, c]])
+    shifted = X1 - Matrix.identity(4, field.one).scale(lam)
+    assert shifted ** 3 != shifted ** 4
+    rng = seeded("jordan-2-1", field.characteristic)
+    names = ["t0", "t1", "t2"]
+    for _ in range(3):
+        g = rand_invertible(field, 4, rng)
+        ginv = matrix_inverse(g)
+        mats = (g * X1 * ginv, g * X2 * ginv)
+        cyc = cycle_extract(RepPoint(field, mats))
+        assert cyc.points == {(lam, a): 2, (lam, b): 1, (mu, c): 1}
+        ident = Matrix.identity(4, field.one)
+        assert det_linear_combination([ident, *mats], names) == cycle_product_poly(cyc, names)
+        assert cycle_extract(RepPoint(field, mats[:1])).points == {(lam,): 3, (mu,): 1}
+        swapped = cycle_extract(RepPoint(field, mats[::-1])).points
+        assert swapped == {(a, lam): 2, (b, lam): 1, (c, mu): 1}
+
+
+def test_cycle_accepts_a_pair_that_commutes_mod_p_only(capsys):
+    # the representatives 0 0; 1 1 and 1 0; 2 0 give AB - BA = 3 E_21 over Z
+    F3 = GF(3)
+    A = Matrix([[F3(0), F3(0)], [F3(1), F3(1)]])
+    B = Matrix([[F3(1), F3(0)], [F3(2), F3(0)]])
+    cyc = cycle_extract(RepPoint(F3, (A, B)))
+    assert cyc.points == {(F3(0), F3(1)): 1, (F3(1), F3(0)): 1}
+    code = main(["cycle", "--presentation", "field F 3|gens x1 x2|rel x1*x2 - x2*x1",
+                 "--point", "point|field F 3|n 2|mat 0 0; 1 1|mat 1 0; 2 0"])
+    assert (code, capsys.readouterr().out) == (0, cyc.to_text())
 
 
 def test_cycle_multiplicities_sum_to_n():

@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 
 from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError,
-                      CommPoly, Matrix,
-                      ParseError, RepPoint, SingularMatrixError,
-                      build_generic, conjugate, invariant_table,
-                      is_representation, parse_nc_poly, rep_ideal)
+                      CommPoly, Matrix, NCPoly,
+                      ParseError, PreconditionError, RepPoint, SingularMatrixError,
+                      build_generic, charpoly, conjugate, det_point, invariant_table,
+                      is_representation, nc_eval, parse_nc_poly, rep_ideal)
+from hilbchow.fields import FpElem
 from hilbchow.repvariety import generic_assignment, generic_var
 
-from oracles import FIELDS, rand_invertible, rand_matrix, seeded
+from oracles import (FIELDS, leibniz_det, rand_invertible, rand_matrix, rand_ncpoly,
+                     seeded, word_traces)
 
 
 def free_pres(m=2, field=QQ):
@@ -232,3 +234,92 @@ def test_rep_ideal_refuses_oversized_relations(monkeypatch, rel, terms):
 def test_rep_ideal_accepts_long_words_on_small_matrices():
     # n^(|w|-1) alone would refuse x1^20 at n = 2 (4 * 2^19 terms)
     assert rep_ideal(poly_pres(["x1^20"], 1), 2).n == 2
+
+
+def test_rep_point_coerces_plain_ints_into_its_field():
+    F3 = GF(3)
+    pt = RepPoint(F3, (Matrix([[1, 2], [0, 1]]), Matrix([[1, 0], [1, 1]])))
+    assert all(type(a) is FpElem and a.p == 3 for M in pt.mats for r in M.rows for a in r)
+    # over F_3, t^2 - 2t + 1 = t^2 + t + 1
+    assert str(det_point(pt).gen_charpolys[0]) == "t^2 + t + 1"
+    over_q = RepPoint(QQ, (Matrix([[1, Fraction(1, 2)], [0, 1]]),))
+    assert [type(a) for r in over_q.mats[0].rows for a in r] == [Fraction] * 4
+    for field, entry in ((F3, Fraction(1, 2)), (QQ, GF(5)(1)), (F3, GF(5)(1))):
+        with pytest.raises(PreconditionError, match="field mismatch"):
+            RepPoint(field, (Matrix([[entry, 1], [0, 1]]),))
+
+
+# -- traces by halves -----------------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)],
+                         ids=["Q", "F2", "F3", "F101"])
+def test_invariant_table_against_full_word_traces(field):
+    # every bound 1..2n, odd and even, except where the oracle would multiply
+    # out more than 3^6 words of the top length (m = 3, n = 4 stops at 6)
+    rng = seeded("half-traces", field.characteristic)
+    kind = type(field.one)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            pt = RepPoint(field, tuple(rand_matrix(field, n, rng) for _ in range(m)))
+            top = max(L for L in range(1, 2 * n + 1) if m ** L <= 3 ** 6)
+            full = word_traces(field, pt.mats, top)
+            for max_len in range(1, top + 1):
+                table = invariant_table(pt, max_len)
+                assert table.traces == {w: t for w, t in full.items()
+                                        if len(w) <= max_len}, (m, n, max_len)
+                assert all(type(t) is kind for t in table.traces.values())
+                assert table.gen_dets == tuple(leibniz_det(M) for M in pt.mats)
+                assert all(type(d) is kind for d in table.gen_dets)
+
+
+# -- relations on the integer lift ----------------------------------------------
+
+def _rels(field, m, *texts):
+    return AlgebraPresentation(field, m, tuple(parse_nc_poly(t, field, m) for t in texts))
+
+
+def test_mixed_length_relations_hold_only_as_a_whole():
+    # a Cayley-Hamilton relation has words of every length 0..n, and no
+    # length vanishes on its own; moving its constant term breaks it
+    rng = seeded("mixed-relations")
+    for field in (QQ, GF(3)):
+        for n in (1, 2, 3, 4):
+            for _ in range(4):
+                A, B = rand_matrix(field, n, rng), rand_matrix(field, n, rng)
+                coeffs = charpoly(A).univar_coeffs("t")
+                rel = NCPoly(field, 2, {(0,) * k: c for k, c in enumerate(coeffs) if c})
+                moved = rel + NCPoly.one(field, 2)
+                assert is_representation(AlgebraPresentation(field, 2, (rel,)), (A, B))
+                assert not is_representation(AlgebraPresentation(field, 2, (moved,)),
+                                             (A, B))
+                rels = (rand_ncpoly(field, 2, rng, max_terms=4, max_len=3), rel)
+                assert (is_representation(AlgebraPresentation(field, 2, rels), (A, B))
+                        == all(nc_eval(r, (A, B)).is_zero() for r in rels))
+
+
+def test_weyl_relation_holds_in_characteristic_3_only():
+    # d/dx and multiplication by x on k[x]/(x^3): [d, x] = 1 - 3 E_33, which
+    # is 1 over F_3 but not over Q (where no matrices satisfy it: trace)
+    for field, holds in ((GF(3), True), (QQ, False)):
+        d = Matrix([[field(a) for a in r] for r in ((0, 1, 0), (0, 0, 2), (0, 0, 0))])
+        x = Matrix([[field(a) for a in r] for r in ((0, 0, 0), (1, 0, 0), (0, 1, 0))])
+        pres = _rels(field, 2, "x1*x2 - x2*x1 - 1")
+        assert is_representation(pres, (d, x)) is holds
+        assert is_representation(_rels(field, 2, "x1*x2 - x2*x1 - 2"), (d, x)) is False
+        assert is_representation(pres, (x, d)) is False
+
+
+def test_relations_are_tested_mod_p_on_the_representatives():
+    # 0 0; 1 1 and 1 0; 2 0 commute mod 3, but their products over Z differ by 3
+    F3 = GF(3)
+    A = Matrix([[F3(0), F3(0)], [F3(1), F3(1)]])
+    B = Matrix([[F3(1), F3(0)], [F3(2), F3(0)]])
+    reps = [Matrix([[a.v for a in r] for r in X.rows]) for X in (A, B)]
+    assert reps[0] * reps[1] != reps[1] * reps[0]
+    assert is_representation(commuting_pres(F3), (A, B))
+    assert not is_representation(commuting_pres(F3), (A, Matrix([[F3(0), F3(1)], [F3(0), F3(0)]])))
+
+
+def test_relations_refuse_entries_of_another_field():
+    with pytest.raises(PreconditionError, match="field mismatch"):
+        is_representation(commuting_pres(GF(3)), (M((1, 0), (0, 1)), M((1, 2), (0, 1))))

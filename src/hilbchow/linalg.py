@@ -2,13 +2,14 @@
 
 Entries only need `+`, `-`, `*` and `** 0`, so the same Matrix class
 carries concrete field points and generic matrices of indeterminates.
-Characteristic polynomials use the Berkowitz scheme: no divisions occur,
-hence the results stay valid over F_2 and F_3 where fraction-based
-elimination would divide by the characteristic.  Being division-free,
-Berkowitz, word products and det(sum_s t_s M_s) (with packed monomials)
-run on plain ints: `lift` reshapes `fields.lift` of the entries into
-integer matrices, on the field `fields.field_of` names from all of them;
-Berkowitz takes that path whenever any entry is a `Fraction` or `FpElem`.
+Characteristic polynomials and determinants of polynomial entries, such
+as det(sum_s t_s M_s) with packed monomials, use the Berkowitz scheme: no
+divisions occur, so it stays valid over F_2 and F_3.  Berkowitz, word
+products and determinants of scalar matrices run on plain ints: `lift`
+reshapes `fields.lift` of the entries into integer matrices, on the field
+`fields.field_of` names from all of them, whenever any entry is a
+`Fraction` or `FpElem`.  Those determinants are fraction-free (Bareiss)
+eliminations, exact over Z and so on unreduced F_p representatives.
 Gaussian elimination runs on ints as well: `rref` lifts its rows once,
 and `IncrementalSpan` takes int vectors only, representatives mod p or
 fraction-free primitive rows over Q, each divided by its pivot only when
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
 from math import gcd
 from operator import add, index, mul, sub
@@ -41,6 +41,13 @@ class Matrix:
             raise PreconditionError("matrix must be square and nonempty")
         self.n = n
         self.rows = rows
+
+    @classmethod
+    def _wrap(cls, rows):
+        "A Matrix on `rows`, a square tuple of tuples, taken as they are."
+        mat = object.__new__(cls)
+        mat.n, mat.rows = len(rows), rows
+        return mat
 
     @classmethod
     def identity(cls, n, one):
@@ -135,23 +142,18 @@ class Matrix:
 
 # -- kernels on tuples of rows, shared by Matrix and the F_p sweep ------------
 #
-# Entries need only + and *: field elements, polynomials, or plain ints
-# that the caller reduces mod p when it reads them (exact, since Z -> F_p is
-# a ring map).
-
-def _dot(u, v):
-    return reduce(add, map(mul, u, v))
-
+# Entries need only + and *, and 0 + a for `sum`: field elements, polynomials,
+# or plain ints that the caller reduces mod p when it reads them (exact,
+# since Z -> F_p is a ring map).
 
 def mat_mul(a, b):
     "Product of two square matrices given as tuples of rows."
     cols = tuple(zip(*b))
-    return tuple([tuple([reduce(add, map(mul, row, col)) for col in cols])
-                  for row in a])
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def mat_vec(a, v):
-    return tuple([reduce(add, map(mul, row, v)) for row in a])
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def word_product(word, mats, memo):
@@ -224,7 +226,7 @@ def berkowitz_coeffs(mat):
         s = [one, -a]
         u = col
         for _ in range(k):
-            s.append(-_dot(row, u))
+            s.append(-sum(map(mul, row, u)))
             u = mat_vec(sub, u)
         new = [zero] * (k + 2)
         for i, si in enumerate(s):
@@ -246,9 +248,39 @@ def charpoly(mat, var="t"):
 
 
 def det(mat):
-    """Determinant over any commutative ring, via the Berkowitz scheme."""
+    """Determinant over any commutative ring: fraction-free elimination on the
+    integer lift for exact scalars, Berkowitz for polynomial entries."""
+    kinds = set(map(type, chain.from_iterable(mat.rows)))
+    if kinds == _INT:
+        return _bareiss(mat.rows)
+    if kinds <= _SCALARS:
+        (ints,), back, _ = lift((mat,), "determinant")
+        return back(_bareiss(ints.rows), mat.n)
     c = berkowitz_coeffs(mat)[-1]
     return -c if mat.n % 2 else c
+
+
+def _bareiss(rows):
+    """Determinant of an integer matrix by fraction-free elimination (Bareiss):
+    what step k leaves are (k+1)-minors, so dividing by the last pivot is
+    exact.  A zero pivot swaps in a lower row and flips the sign."""
+    n, sign, prev = len(rows), 1, 1
+    rows = [list(r) for r in rows]
+    for k in range(n - 1):
+        top = rows[k]
+        if not top[k]:
+            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if i is None:
+                return 0
+            rows[k], rows[i] = rows[i], top
+            top, sign = rows[k], -sign
+        piv = top[k]
+        for r in rows[k + 1:]:
+            f = r[k]
+            for j in range(k + 1, n):
+                r[j] = (piv * r[j] - f * top[j]) // prev
+        prev = piv
+    return sign * rows[-1][-1]
 
 
 def shared_dimension(mats):
@@ -318,7 +350,7 @@ def nc_eval(poly, mats):
         return Matrix.zeros(n, one * 0)
     terms = sorted(poly.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
     memo = {(): Matrix.identity(n, one).rows}
-    return Matrix(word_sum(terms, tuple(M.rows for M in mats), memo))
+    return Matrix._wrap(word_sum(terms, tuple(M.rows for M in mats), memo))
 
 
 def require_word_table(m, max_len):
@@ -340,7 +372,7 @@ def word_matrices(mats, max_len):
     one = mats[0].rows[0][0] ** 0
     memo = {(): Matrix.identity(n, one).rows}
     rows = tuple(M.rows for M in mats)
-    return {w: Matrix(word_product(w, rows, memo))
+    return {w: Matrix._wrap(word_product(w, rows, memo))
             for w in words_up_to(len(mats), max_len)}
 
 

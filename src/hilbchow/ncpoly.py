@@ -32,11 +32,13 @@ def word_str(word):
     "Canonical form with adjacent repeats collapsed: (0,0,1) -> 'x1^2*x2'."
     if not word:
         return "1"
-    pieces = []
-    for idx, group in itertools.groupby(word):
-        e = len(list(group))
-        name = f"x{idx + 1}"
-        pieces.append(name if e == 1 else f"{name}^{e}")
+    pieces, last, e = [], word[0], 0
+    for k in (*word, None):  # one run-length pass; None closes the last run
+        if k == last:
+            e += 1
+        else:
+            pieces.append(f"x{last + 1}^{e}" if e > 1 else f"x{last + 1}")
+            last, e = k, 1
     return "*".join(pieces)
 
 

@@ -26,7 +26,7 @@ from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import require_cyclic
 from . import errors, fields
 from .errors import PreconditionError, require
-from .fields import QQ, PrimeField
+from .fields import QQ, FpElem, PrimeField
 from .linalg import (Matrix, charpoly, det, det_linear_combination, lift,
                      mat_mul, nc_eval, nullspace, solve_columns, word_matrices)
 from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
@@ -268,12 +268,28 @@ def _rational_root_candidates(coeffs):
     return sorted(cands)
 
 
+def _roots_mod_p(ints, p):
+    """Roots in F_p of the integer coefficients `ints`, lowest first, up to the
+    degree in number: Horner on ints, reduced mod p once per candidate."""
+    top, roots = ints[::-1], []
+    for r in range(p):
+        acc = 0
+        for c in top:
+            acc = acc * r + c
+        if not acc % p:
+            roots.append(FpElem(p, r))
+            if len(roots) == len(top) - 1:
+                break
+    return roots
+
+
 def field_roots(poly, var="t"):
     """Roots in the base field with multiplicities.
 
     Returns (sorted list of (root, multiplicity), fully_split flag).
-    Over F_p all p candidates are tried; over Q the candidates come from
-    the rational root bound.  No algebraic extensions are considered.
+    Over F_p the candidates are the roots an integer scan of all p elements
+    finds; over Q they come from the rational root bound.  No algebraic
+    extensions are considered.
     A search of more than MAX_ROOT_SCAN steps is refused up front.
     """
     field = poly.field
@@ -286,7 +302,7 @@ def field_roots(poly, var="t"):
     if isinstance(field, PrimeField):
         require(field.p, errors.MAX_ROOT_SCAN,
                 "a root search would try {} field elements")
-        candidates = list(field.elements())
+        candidates = _roots_mod_p(fields.lift(field, coeffs)[0], field.p)
     else:
         candidates = [field(c) for c in _rational_root_candidates(coeffs)]
     roots = []

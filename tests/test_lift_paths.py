@@ -2,16 +2,19 @@
 that silently puts them back on whole word tables or on `Fraction`/`FpElem`
 matrix products keeps every output byte and only loses the speed, so the
 shape of the work is pinned here: the invariant table tables words to half
-its bound, and the 0-cycle and the relation test form no matrix product or
-power on field entries."""
+its bound, the norm point runs Berkowitz only for the generator charpolys
+and the law table (its word determinants are eliminations on ints), and
+the norm point, the 0-cycle and the relation test form no matrix product
+or power on field entries."""
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import hilbchow.linalg
 import hilbchow.repvariety
-from hilbchow import (GF, QQ, AlgebraPresentation, Matrix, RepPoint, cycle_extract,
+from hilbchow import (GF, QQ, AlgebraPresentation, Matrix, RepPoint, cycle_extract, det_point,
                       invariant_table, is_representation, parse_nc_poly)
 from hilbchow.fields import FpElem
 
@@ -77,4 +80,27 @@ def test_cycle_and_relation_tests_form_no_field_products(field_products):
         is_representation(pres, rep.mats)
         is_representation(AlgebraPresentation(pres.field, pres.m, pres.relations[:-1]),
                           rep.mats)
+    assert field_products == {}
+
+
+def test_det_point_runs_berkowitz_m_plus_one_times(monkeypatch, field_products):
+    # the m generator charpolys and the one law-table determinant; every
+    # word determinant is a fraction-free elimination on the lift
+    entered = []
+    real = hilbchow.linalg.berkowitz_coeffs
+
+    def recorded(mat):
+        entered.append(mat.n)
+        return real(mat)
+
+    monkeypatch.setattr(hilbchow.linalg, "berkowitz_coeffs", recorded)
+    rng = seeded("det-point-shape")
+    for field in FIELDS + (GF(101),):
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                pt = RepPoint(field, tuple(rand_matrix(field, n, rng) for _ in range(m)))
+                for max_len in (*range(1, 2 * n + 1), None):
+                    entered.clear()
+                    det_point(pt, max_len)
+                    assert len(entered) == m + 1, (field, m, n, max_len)
     assert field_products == {}

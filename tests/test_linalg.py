@@ -14,6 +14,7 @@ from hilbchow.errors import MAX_TABLE_WORDS
 from hilbchow.fields import FpElem, lift
 from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
                              word_matrices, word_product)
+from hilbchow.linalg import lift as lift_matrices
 
 from oracles import (FIELDS, leibniz_det, rand_int_scalar, rand_invertible,
                      rand_matrix, rand_ncpoly, rand_scalar, seeded,
@@ -101,6 +102,65 @@ def test_det_works_over_f2_f3():
     A = Matrix(((F2(1), F2(1)), (F2(1), F2(1))))
     assert det(A) == F2(0)
     assert str(charpoly(A)) == "t^2"  # t^2 - 2t over F_2
+
+
+def special_int_matrices(n, rng):
+    """Integer matrices that exercise every branch of the elimination: a
+    zero leading entry, a pivot that only becomes 0 mid-elimination, a zero
+    column, a repeated row, and two generic ones."""
+    def generic():
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    out = [generic(), generic()]
+    lead = generic()
+    lead[0][0] = 0
+    out.append(lead)
+    if n >= 2:
+        # rows 0 and 1 agree up to 2 in the first two columns, so the second
+        # pivot is 0 once the first step is done
+        mid = generic()
+        mid[0][0], mid[0][1] = 1, 2
+        mid[1][0], mid[1][1] = 2, 4
+        out.append(mid)
+        column = generic()
+        for r in column:
+            r[n - 1] = 0
+        out.append(column)
+        repeated = generic()
+        repeated[n - 1] = list(repeated[0])
+        out.append(repeated)
+    return out
+
+
+def test_det_matches_leibniz_on_the_lift():
+    # int, Fraction and FpElem entries, each det against the permutation
+    # expansion; over Q the denominators 3, 4 and 7 make the lift scale
+    rng = seeded("det-lift")
+    for n in range(1, 6):
+        for ints in special_int_matrices(n, rng):
+            plain = Matrix(ints)
+            got = det(plain)
+            assert type(got) is int and got == leibniz_det(plain)
+            for field in (QQ, GF(2), GF(3), GF(101)):
+                mat = Matrix([[Fraction(a, rng.choice((1, 3, 4, 7))) if field is QQ
+                               else field(a) for a in r] for r in ints])
+                got = det(mat)
+                assert type(got) is type(field.one) and got == leibniz_det(mat)
+    # products along x1*x2*x1*x2 have large entries; taken on the lift and
+    # over the field, with det multiplicative as a second check
+    for field in (QQ, GF(101)):
+        for n in (2, 3, 4, 5):
+            A, B = (rand_matrix(field, n, rng, span=9) for _ in range(2))
+            (a, b), _, _ = lift_matrices((A, B), "a test")
+            for mats, dets in (((a, b), (det(a), det(b))), ((A, B), (det(A), det(B)))):
+                word = word_matrices(mats, 4)[(0, 1, 0, 1)]
+                assert det(word) == leibniz_det(word) == dets[0] ** 2 * dets[1] ** 2
+    # polynomial entries keep the Berkowitz path
+    t = CommPoly.variable(QQ, "t")
+    for n in (1, 2, 3, 4):
+        A = rand_matrix(QQ, n, rng)
+        tIA = Matrix([[(t if i == j else CommPoly.zero(QQ)) - a for j, a in enumerate(r)]
+                      for i, r in enumerate(A.rows)])
+        assert det(tIA) == leibniz_det(tIA)
 
 
 def test_plain_int_entries_take_the_field_of_the_others():

@@ -5,7 +5,7 @@ import pytest
 from hilbchow import (GF, QQ, NCPoly, ParseError, parse_comm_poly, parse_dp_expr,
                       parse_nc_poly)
 from hilbchow._tokens import MAX_DEPTH
-from hilbchow.ncpoly import MAX_WORD_LENGTH, word_key, word_str, words_up_to
+from hilbchow.ncpoly import MAX_WORD_LENGTH, parse_word, word_key, word_str, words_up_to
 
 from oracles import FIELDS, rand_ncpoly, seeded
 
@@ -18,6 +18,12 @@ def test_word_order_and_str():
     assert word_str(()) == "1"
     assert word_str((0, 0, 1)) == "x1^2*x2"
     assert word_str((1, 0, 0)) == "x2*x1^2"
+    # every word parses back, and no two adjacent factors share a generator
+    for word in (*words_up_to(3, 6), (11, 11, 11, 0), (9, 10, 10)):
+        text = word_str(word)
+        assert parse_word(text, QQ, 12) == word
+        names = [piece.split("^")[0] for piece in text.split("*")]
+        assert all(a != b for a, b in zip(names, names[1:]))
     words = list(words_up_to(2, 2))
     assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     assert sorted(words, key=word_key) == words

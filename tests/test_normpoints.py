@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbchow import (GF, QQ, Cycle, LawCoefficientTable, Matrix, NCPoly,
+from hilbchow import (GF, QQ, CommPoly, Cycle, LawCoefficientTable, Matrix, NCPoly,
                       BudgetExceededError, NormPoint, PointedRep,
                       PreconditionError, RepPoint,
                       SplitFailure, conjugate, cycle_extract,
@@ -10,6 +10,7 @@ from hilbchow import (GF, QQ, Cycle, LawCoefficientTable, Matrix, NCPoly,
                       field_roots, hc_point, law_coefficients,
                       matrix_inverse, parse_comm_poly)
 from hilbchow.cli import main
+from hilbchow.fields import FpElem
 from hilbchow.ncpoly import words_up_to
 
 from oracles import (FIELDS, rand_commuting_split_mats, rand_free_cyclic_point,
@@ -174,6 +175,31 @@ def test_field_roots_over_fp():
     F2 = GF(2)
     cp2 = parse_comm_poly("t^2 + t + 1", F2)
     assert field_roots(cp2) == ([], False)
+
+
+def test_field_roots_over_fp_find_planted_roots():
+    # c * prod (t - r)^e * g with g free of roots (checked by evaluating it
+    # at every element): the roots are the planted r with multiplicities e,
+    # including p - 1, the last element the scan reaches
+    rng = seeded("planted-roots")
+    for p in (2, 3, 5, 101):
+        F = GF(p)
+        t = CommPoly.variable(F, "t")
+        for _ in range(8):
+            planted = {r: rng.randint(1, 3) for r in rng.sample(range(p), min(p, 3))}
+            planted[p - 1] = rng.randint(1, 2)
+            while True:
+                a, b = rng.randrange(p), rng.randrange(p)
+                if all((x * x + a * x + b) % p for x in range(p)):
+                    break
+            for g, splits in ((CommPoly.const(F, 1), True), (t * t + a * t + b, False)):
+                poly = g * rng.randint(1, p - 1)
+                for r, e in planted.items():
+                    poly = poly * (t - r) ** e
+                roots, split = field_roots(poly)
+                assert roots == [(F(r), e) for r, e in sorted(planted.items())]
+                assert all(type(r) is FpElem for r, _ in roots)
+                assert split == splits
 
 
 def test_cycle_extract_frozen_examples():

@@ -137,7 +137,10 @@ class SparseElement:
                 terms.pop(k, None)
         return self._like(terms)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        if type(other) is int and not other:  # `sum`'s start: no copy
+            return self
+        return self.__add__(other)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})

@@ -1,18 +1,23 @@
 """Exhaustive enumeration over prime fields.
 
-Walks every m-tuple of n x n matrices over F_q one generator at a time.
-Each relation is tested as soon as the last generator it uses is fixed (a
-constant relation, or one in x1 alone, once per first matrix), and a
-failing prefix skips its whole subtree.  Cyclicity is tested at e_1 only:
-GL_n(F_q) preserves the relations and is transitive on nonzero vectors, so
-the cyclic-pair count is q^n - 1 times the count at e_1.  Tuples are plain
-int rows run through `linalg`'s kernels: word products over Z, reduced mod
-p where a relation entry is tested, and the breadth-first word basis on a
+Walks the m-tuples of n x n matrices over F_q one generator at a time, one
+tuple per orbit of the torus T = {diag(1, d_2, ..., d_n)}, which fixes e_1
+and the relations, so an orbit counts as its size times its representative.
+Entries are read generator-major, then row-major: an off-diagonal entry
+that joins two components of the support read so far must be 0 or 1, and
+each such 1 (a join) multiplies the weight by q - 1.  Each relation is
+tested as soon as the last generator it uses is fixed (a constant
+relation, or one in x1 alone, once per first matrix), and a failing prefix
+skips its whole subtree.  Cyclicity is tested at e_1 only: GL_n(F_q)
+preserves the relations and is transitive on nonzero vectors, so the
+cyclic-pair count is q^n - 1 times the count at e_1.  Tuples are plain int
+rows run through `linalg`'s kernels: word products over Z, reduced mod p
+where a relation entry is tested, and the breadth-first word basis on a
 span that works mod p.  |GL_n(F_q)| must divide the cyclic-pair count
 exactly (the action on cyclic pairs is free); the quotient is the number
-of Hilbert-scheme points.  Worker ranges split the index of the first
-matrix, so per-range counts merge by addition and the report is the same
-for any worker count.
+of Hilbert-scheme points.  The budget still counts all q^(m n^2) tuples.
+Worker ranges split the index of the first matrix, so per-range counts
+merge by addition and the report is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError, require
@@ -91,18 +97,19 @@ class EnumerationReport:
 
 
 def _matrices(q, n, start=0, stop=None):
-    """The n x n matrices over F_q (tuples of int rows) with index in
-    [start, stop), in the order of their row-major entry digits."""
-    for digits in itertools.islice(itertools.product(range(q), repeat=n * n),
-                                   start, stop):
-        yield tuple(zip(*[iter(digits)] * n))
+    """The entry digits, row-major, of the n x n matrices over F_q with
+    index in [start, stop), in the order of those digits."""
+    return itertools.islice(itertools.product(range(q), repeat=n * n),
+                            start, stop)
 
 
 def count_range(pres_text, n, start, stop):
     """(representation tuples, cyclic pairs) over the tuples whose first
-    matrix has an index in [start, stop).  Each relation is tested once the
-    last generator it uses is fixed, and a failing prefix skips its subtree;
-    the pairs are q^n - 1 times the tuples for which e_1 is cyclic."""
+    matrix has an index in [start, stop).  One tuple is walked per orbit of
+    diag(1, d_2, ..., d_n) and weighs (q - 1)^joins, the orbit size.  Each
+    relation is tested once the last generator it uses is fixed, and a
+    failing prefix skips its subtree; the pairs are q^n - 1 times the
+    tuples for which e_1 is cyclic."""
     pres = AlgebraPresentation.from_text(pres_text)
     p, m = pres.field.p, pres.m
     levels = [[] for _ in range(m)]
@@ -111,23 +118,52 @@ def count_range(pres_text, n, start, stop):
             levels[max(max(w, default=0) for w in rel.terms)].append(
                 list(zip(rel.terms, lift(pres.field, rel.terms.values())[0])))
     identity = Matrix.identity(n, 1).rows
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    off_digits = itemgetter(*[i * n + j for i, j in off]) if n > 1 else None
     later = list(_matrices(p, n)) if m > 1 else []
+    after = {}  # components -> the representatives among `later`
 
-    def walk(mats):
+    def representatives(digits, comp):
+        "(matrix, weight, components after it) for the orbit representatives"
+        if len(set(comp)) == 1:
+            return [(tuple(zip(*[iter(d)] * n)), 1, comp) for d in digits]
+        taken = {}  # off-diagonal entries -> (weight, components after)
+        for entries in itertools.product(range(p), repeat=len(off)):
+            labels, weight = comp, 1
+            for (i, j), a in zip(off, entries):
+                x, y = labels[i], labels[j]
+                if a and x != y:
+                    if a != 1:
+                        break
+                    weight *= p - 1
+                    labels = tuple(min(x, y) if c in (x, y) else c for c in labels)
+            else:
+                taken[entries] = weight, labels
+        return [(tuple(zip(*[iter(d)] * n)), *taken[key]) for d in digits
+                if (key := off_digits(d)) in taken]
+
+    def walk(mats, comp):
         memo = {(): identity}
         if mats and any(a % p for terms in levels[len(mats) - 1]
                         for row in word_sum(terms, mats, memo) for a in row):
             return 0, 0
         if len(mats) == m:
             return 1, len(word_basis(mats, identity[0], p)) == n
+        if not mats:
+            cands = representatives(_matrices(p, n, start, stop), comp)
+        elif comp in after:
+            cands = after[comp]
+        else:
+            cands = after[comp] = representatives(later, comp)
         reps = pairs = 0
-        for mat in later if mats else _matrices(p, n, start, stop):
-            r, c = walk(mats + (mat,))
-            reps += r
-            pairs += c
+        for mat, weight, joined in cands:
+            r, c = walk(mats + (mat,), joined)
+            reps += weight * r
+            pairs += weight * c
         return reps, pairs
 
-    reps, pairs = walk(())
+    # the torus is trivial for q = 2 or n = 1: start from one component
+    reps, pairs = walk((), tuple(range(n)) if p > 2 else (0,) * n)
     return reps, pairs * (p ** n - 1)
 
 

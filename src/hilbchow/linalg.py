@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 from operator import add, index, mul, sub
 
@@ -195,7 +195,7 @@ def lift(mats, what):
     field = fields.field_of(values, what)
     ints, back = fields.lift(field, values)
     rows = zip(*[iter(ints)] * mats[0].n)
-    return tuple(Matrix([next(rows) for _ in M.rows]) for M in mats), back, field
+    return tuple(Matrix._wrap(tuple(islice(rows, M.n))) for M in mats), back, field
 
 
 _INT, _SCALARS = {int}, {int, Fraction, FpElem}

@@ -94,12 +94,16 @@ CLOSED_FORMS = [
       for q, d, n in ((2, 2, 2), (3, 2, 2), (2, 3, 3))],
     *[(AlgebraPresentation(GF(q), 2), 2, q ** 8, free2_hilbert_points(q))
       for q in (2, 3)],
+    # torus orbits of size (q - 1)^joins beyond q = 3
+    *[(curve_pres(q), 2, q ** 4, curve_hilbert_points(q, 2)) for q in (5, 7)],
+    *[(nilpotent_pres(q, 2), 2, nilpotent_count(q, 2), 1) for q in (5, 7)],
 ]
 
 
 @pytest.mark.parametrize("pres,n,reps,orbits", CLOSED_FORMS, ids=[
     "plane-q2", "plane-q3", "curve-q2-n3", "curve-q3-n2", "nilpotent-q2-n2",
-    "nilpotent-q3-n2", "nilpotent-q2-n3", "free-q2", "free-q3"])
+    "nilpotent-q3-n2", "nilpotent-q2-n3", "free-q2", "free-q3", "curve-q5-n2",
+    "curve-q7-n2", "nilpotent-q5-n2", "nilpotent-q7-n2"])
 def test_counts_match_closed_forms(pres, n, reps, orbits):
     report = enumerate_points(pres, n)
     assert (report.total_rep_points, report.orbit_count) == (reps, orbits)
@@ -132,12 +136,17 @@ def test_worker_count_independence():
 SQUARE_ZERO = ("x1^2", "x1*x2", "x2*x1", "x2^2")
 
 
-@pytest.mark.parametrize("rels", [("x1*x2 - x2*x1",), SQUARE_ZERO],
-                         ids=["commuting", "square-zero"])
-def test_worker_split_over_first_matrix(monkeypatch, rels):
-    # with m = 2 a worker's range covers first matrices, not whole tuples
+@pytest.mark.parametrize("rels,q", [
+    pytest.param(("x1*x2 - x2*x1",), 2, id="commuting"),
+    pytest.param(SQUARE_ZERO, 2, id="square-zero"),
+    pytest.param(("x1*x2 - x2*x1",), 3, id="commuting-q3"),
+    pytest.param(SQUARE_ZERO, 3, id="square-zero-q3")])
+def test_worker_split_over_first_matrix(monkeypatch, rels, q):
+    # with m = 2 a worker's range covers first matrices, not whole tuples;
+    # over F_3 an orbit's tuples spread over several ranges, and each range
+    # counts the representatives whose first matrix it holds
     from hilbchow.counting import _ranges, count_range
-    pres = AlgebraPresentation(GF(2), 2, tuple(parse_nc_poly(r, GF(2), 2)
+    pres = AlgebraPresentation(GF(q), 2, tuple(parse_nc_poly(r, GF(q), 2)
                                                for r in rels))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -146,10 +155,11 @@ def test_worker_split_over_first_matrix(monkeypatch, rels):
     assert RecordingPool.made == [3]
     assert multi == enumerate_points(pres, 2, workers=1)
     text = pres.to_text()
-    parts = [count_range(text, 2, a, b) for a, b in _ranges(2 ** 4, 3)]
-    whole = count_range(text, 2, 0, 2 ** 4)
+    parts = [count_range(text, 2, a, b) for a, b in _ranges(q ** 4, 3)]
+    whole = count_range(text, 2, 0, q ** 4)
     assert tuple(map(sum, zip(*parts))) == whole
     assert whole == (multi.total_rep_points, multi.total_cyclic_pairs)
+    assert whole == naive_count(pres, 2)
 
 
 def test_report_text_roundtrip():
@@ -190,7 +200,16 @@ def test_fast_sweep_agrees_with_generic_operations():
                                   (parse_nc_poly("x1^3 - x1", GF(5), 1),)), 2),
              (AlgebraPresentation(GF(3), 2, tuple(
                  parse_nc_poly(r, GF(3), 2)
-                 for r in ("x1^2", "x1*x2", "x2*x1", "x2^2"))), 2)]
+                 for r in ("x1^2", "x1*x2", "x2*x1", "x2^2"))), 2),
+             # the sweep walks one tuple per orbit of diag(1, d_2, ..., d_n):
+             # three components at n = 3, and x1^2 = 0 leaves X1 zero or of
+             # rank one, so X2 is walked from two components as well as one
+             (AlgebraPresentation(GF(3), 1,
+                                  (parse_nc_poly("x1^2", GF(3), 1),)), 3),
+             (AlgebraPresentation(GF(3), 1,
+                                  (parse_nc_poly("x1^3 - x1", GF(3), 1),)), 3),
+             (AlgebraPresentation(GF(3), 2, tuple(
+                 parse_nc_poly(r, GF(3), 2) for r in ("x1^2", "x2^2"))), 2)]
     for pres, n in cases:
         report = enumerate_points(pres, n)
         reps, pairs = naive_count(pres, n)

@@ -305,6 +305,34 @@ def test_det_linear_combination_against_leibniz():
                     assert all(type(c) is type(field.one) for c in got.terms.values())
 
 
+def test_sum_of_packed_polynomials_is_the_fold_of_plus():
+    # `sum` starts from the int 0, which hands back the first summand itself
+    # rather than a copy: the sums must still equal the left fold of `+` and
+    # leave every summand as it was, and det_linear_combination, whose
+    # Berkowitz dot products are such sums, must keep the Leibniz expansion
+    from hilbchow.linalg import _PackedPoly, _Z
+    rng = seeded("packed-sum")
+    ring = _Z()
+    polys = [_PackedPoly(ring, {rng.randrange(16): rng.randint(-5, 5)
+                                for _ in range(4)}) for _ in range(6)]
+    before = [dict(p.terms) for p in polys]
+    assert sum(polys[:1]) is polys[0] and 0 + polys[1] is polys[1]
+    assert sum(polys) == reduce(add, polys) == sum(polys[1:], polys[0])
+    assert [p.terms for p in polys] == before
+    for n in (2, 3, 4):
+        ints = [tuple(tuple(rng.randint(-4, 4) for _ in range(n))
+                      for _ in range(n)) for _ in range(2)]
+        entries = Matrix(tuple(tuple(_PackedPoly(ring, {1: a, n + 1: b})
+                                     for a, b in zip(r1, r2))
+                               for r1, r2 in zip(*ints)))
+        packed = det(entries)
+        assert packed == leibniz_det(entries)
+        poly = det_linear_combination([Matrix(m) for m in ints], ["s", "t"])
+        assert packed.terms == {
+            sum(e * (1 if v == "s" else n + 1) for v, e in mono): c
+            for mono, c in poly.terms.items()}
+
+
 def test_det_linear_combination_refuses_polynomial_entries():
     x = CommPoly.variable(QQ, "x")
     poly = Matrix(((x, CommPoly.const(QQ, 1)), (CommPoly.zero(QQ), x)))

@@ -1,23 +1,24 @@
 """Exhaustive enumeration over prime fields.
 
-Walks the m-tuples of n x n matrices over F_q one generator at a time, one
-tuple per orbit of the torus T = {diag(1, d_2, ..., d_n)}, which fixes e_1
-and the relations, so an orbit counts as its size times its representative.
-Entries are read generator-major, then row-major: an off-diagonal entry
-that joins two components of the support read so far must be 0 or 1, and
-each such 1 (a join) multiplies the weight by q - 1.  Each relation is
-tested as soon as the last generator it uses is fixed (a constant
-relation, or one in x1 alone, once per first matrix), and a failing prefix
-skips its whole subtree.  Cyclicity is tested at e_1 only: GL_n(F_q)
-preserves the relations and is transitive on nonzero vectors, so the
-cyclic-pair count is q^n - 1 times the count at e_1.  Tuples are plain int
-rows run through `linalg`'s kernels: word products over Z, reduced mod p
-where a relation entry is tested, and the breadth-first word basis on a
-span that works mod p.  |GL_n(F_q)| must divide the cyclic-pair count
-exactly (the action on cyclic pairs is free); the quotient is the number
-of Hilbert-scheme points.  The budget still counts all q^(m n^2) tuples.
-Worker ranges split the index of the first matrix, so per-range counts
-merge by addition and the report is the same for any worker count.
+Counts at e_1 only: GL_n(F_q) preserves the relations and is transitive
+on nonzero vectors, so the cyclic-pair count is q^n - 1 times the count
+at e_1, and every count is invariant under G_1 = Stab(e_1).  So the first
+generator walks the Krylov cells N_d (d = dim span(e_1, X e_1, ...)): each
+X of dimension d is g Z g^-1 for prod_{d<=i<n} (q^n - q^i) pairs (g, Z) in
+G_1 x N_d, so Z stands for w_d = prod_{0<i<d} (q^n - q^i) of them.  Within
+a cell, and for every later generator, one tuple is walked per orbit of
+the torus diag(1_d, t_(d+1), ..., t_n), which preserves N_d: read row-major,
+an off-diagonal entry joining two components of the support must be 0 or
+1, and each such 1 (a join) multiplies the weight by q - 1.  Each relation
+is tested once the last generator it uses is fixed, and a failing prefix
+skips its subtree.  A d = n cell is cyclic at e_1, so its leaves skip the
+word-basis search, and with no relation in a later generator its
+q^((m-1) n^2) completions are counted unwalked.  Tuples are int rows run
+through `linalg`'s kernels mod p.  Both identities are asserted on every
+run: the cell weights sum to q^(n^2), and |GL_n(F_q)| divides the
+cyclic-pair count (the action is free), the quotient being the number of
+Hilbert-scheme points.  The budget still counts all q^(m n^2) tuples.
+Worker ranges split the cell list, so per-range counts merge by addition.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError, require
@@ -96,18 +96,55 @@ class EnumerationReport:
         return cls(*vals, elapsed)
 
 
-def _matrices(q, n, start=0, stop=None):
-    """The entry digits, row-major, of the n x n matrices over F_q with
-    index in [start, stop), in the order of those digits."""
-    return itertools.islice(itertools.product(range(q), repeat=n * n),
-                            start, stop)
+def _representatives(p, n, choices, comp):
+    """(matrix, weight, components after it), one per orbit of the torus
+    that fixes the coordinates labelled 0 in `comp`: entry k (row-major) is
+    drawn from choices[k], an off-diagonal entry joining two components is
+    0 or 1, and each such 1 merges them and multiplies the weight by p - 1."""
+    if len(set(comp)) == 1:
+        return [(tuple(zip(*[iter(e)] * n)), 1, comp)
+                for e in itertools.product(*choices)]
+    out = []
+
+    def fill(entries, labels, weight):
+        k = len(entries)
+        if k == n * n:
+            out.append((tuple(zip(*[iter(entries)] * n)), weight, labels))
+            return
+        x, y = labels[k // n], labels[k % n]
+        for a in choices[k]:
+            if x == y or not a:
+                fill(entries + (a,), labels, weight)
+            elif a == 1:
+                fill(entries + (1,), tuple(min(x, y) if c in (x, y) else c
+                                           for c in labels), weight * (p - 1))
+
+    fill((), comp, 1)
+    return out
+
+
+def first_cells(p, n):
+    """(X_1, weight, components after it, d) for the first generator: the
+    torus representatives of each Krylov cell N_d, where Z e_i = e_(i+1)
+    for i < d, Z e_d lies in span(e_1..e_d) and columns d+1..n are free.
+    Coordinates 1..d are pinned to e_1's component, and the weight is the
+    torus weight times w_d = prod_{0<i<d} (q^n - q^i)."""
+    cells, w = [], 1
+    for d in range(1, n + 1):
+        choices = [range(p) if c >= d or (c == d - 1 and r < d)
+                   else (int(r == c + 1 < d),) for r in range(n) for c in range(n)]
+        comp = (0,) * n if p == 2 else (0,) * d + tuple(range(d, n))
+        cells += [(mat, w * weight, joined, d) for mat, weight, joined
+                  in _representatives(p, n, choices, comp)]
+        w *= p ** n - p ** d
+    return cells
 
 
 def count_range(pres_text, n, start, stop):
     """(representation tuples, cyclic pairs) over the tuples whose first
-    matrix has an index in [start, stop).  One tuple is walked per orbit of
-    diag(1, d_2, ..., d_n) and weighs (q - 1)^joins, the orbit size.  Each
-    relation is tested once the last generator it uses is fixed, and a
+    matrix is one of first_cells(q, n)[start:stop], each weighed by its
+    cell and torus weight; later generators are walked one per torus orbit.
+    Each relation is tested once the last generator it uses is fixed, and a
     failing prefix skips its subtree; the pairs are q^n - 1 times the
     tuples for which e_1 is cyclic."""
     pres = AlgebraPresentation.from_text(pres_text)
@@ -118,52 +155,34 @@ def count_range(pres_text, n, start, stop):
             levels[max(max(w, default=0) for w in rel.terms)].append(
                 list(zip(rel.terms, lift(pres.field, rel.terms.values())[0])))
     identity = Matrix.identity(n, 1).rows
-    off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    off_digits = itemgetter(*[i * n + j for i, j in off]) if n > 1 else None
-    later = list(_matrices(p, n)) if m > 1 else []
-    after = {}  # components -> the representatives among `later`
+    free = [range(p)] * (n * n)
+    # with X_1 cyclic and no later relation, each completion counts in both
+    tail = 0 if any(levels[1:]) else p ** ((m - 1) * n * n)
+    after = {}  # components -> the representatives of a later generator
 
-    def representatives(digits, comp):
-        "(matrix, weight, components after it) for the orbit representatives"
-        if len(set(comp)) == 1:
-            return [(tuple(zip(*[iter(d)] * n)), 1, comp) for d in digits]
-        taken = {}  # off-diagonal entries -> (weight, components after)
-        for entries in itertools.product(range(p), repeat=len(off)):
-            labels, weight = comp, 1
-            for (i, j), a in zip(off, entries):
-                x, y = labels[i], labels[j]
-                if a and x != y:
-                    if a != 1:
-                        break
-                    weight *= p - 1
-                    labels = tuple(min(x, y) if c in (x, y) else c for c in labels)
-            else:
-                taken[entries] = weight, labels
-        return [(tuple(zip(*[iter(d)] * n)), *taken[key]) for d in digits
-                if (key := off_digits(d)) in taken]
-
-    def walk(mats, comp):
+    def walk(mats, comp, cyclic):
         memo = {(): identity}
-        if mats and any(a % p for terms in levels[len(mats) - 1]
-                        for row in word_sum(terms, mats, memo) for a in row):
+        if any(a % p for terms in levels[len(mats) - 1]
+               for row in word_sum(terms, mats, memo, p) for a in row):
             return 0, 0
         if len(mats) == m:
-            return 1, len(word_basis(mats, identity[0], p)) == n
-        if not mats:
-            cands = representatives(_matrices(p, n, start, stop), comp)
-        elif comp in after:
-            cands = after[comp]
-        else:
-            cands = after[comp] = representatives(later, comp)
+            return 1, cyclic or (m > 1 and len(word_basis(mats, identity[0], p)) == n)
+        if cyclic and tail:
+            return tail, tail
+        if comp not in after:
+            after[comp] = _representatives(p, n, free, comp)
         reps = pairs = 0
-        for mat, weight, joined in cands:
-            r, c = walk(mats + (mat,), joined)
+        for mat, weight, joined in after[comp]:
+            r, c = walk(mats + (mat,), joined, cyclic)
             reps += weight * r
             pairs += weight * c
         return reps, pairs
 
-    # the torus is trivial for q = 2 or n = 1: start from one component
-    reps, pairs = walk((), tuple(range(n)) if p > 2 else (0,) * n)
+    reps = pairs = 0
+    for mat, weight, comp, d in first_cells(p, n)[start:stop]:
+        r, c = walk((mat,), comp, d == n)
+        reps += weight * r
+        pairs += weight * c
     return reps, pairs * (p ** n - 1)
 
 
@@ -187,16 +206,19 @@ def enumerate_points(pres, n, budget=None, workers=1):
     pres_text = pres.to_text()
     if workers < 1:
         raise PreconditionError("worker count must be at least 1")
-    # ranges split the first matrix; no more processes than ranges or CPUs,
+    # the cells' weights count every first matrix once
+    cells = first_cells(q, n)
+    if sum(cell[1] for cell in cells) != q ** (n * n):
+        raise AssertionError(f"cell weights do not sum to q^(n^2) = {q ** (n * n)}")
+    # ranges split the cell list; no more processes than ranges or CPUs,
     # since the pool starts them all at once
-    firsts = q ** (n * n)
-    workers = min(workers, firsts, os.cpu_count() or 1)
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers == 1:
-        reps, pairs = count_range(pres_text, n, 0, firsts)
+        reps, pairs = count_range(pres_text, n, 0, len(cells))
     else:
         # imported here: loading the pool adds ~40 ms to every `import hilbchow`
         from concurrent.futures import ProcessPoolExecutor
-        chunks = _ranges(firsts, workers)
+        chunks = _ranges(len(cells), workers)
         reps = pairs = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(count_range, pres_text, n, a, b)
@@ -218,11 +240,5 @@ def enumerate_points(pres, n, budget=None, workers=1):
 
 def _ranges(total, parts):
     "Contiguous index ranges, split as evenly as they go."
-    base, extra = divmod(total, parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        out.append((start, start + size))
-        start += size
-    return out
+    cuts = [total * i // parts for i in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from math import gcd
 from operator import add, index, mul, sub
 
@@ -102,14 +102,9 @@ class Matrix:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("matrix power needs a nonnegative integer")
-        result = Matrix.identity(self.n, self.rows[0][0] ** 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not e:
+            return Matrix.identity(self.n, self.rows[0][0] ** 0)
+        return Matrix._wrap(mat_pow(self.rows, e))
 
     def apply(self, vec):
         if len(vec) != self.n:
@@ -146,9 +141,12 @@ class Matrix:
 # or plain ints that the caller reduces mod p when it reads them (exact,
 # since Z -> F_p is a ring map).
 
-def mat_mul(a, b):
-    "Product of two square matrices given as tuples of rows."
+def mat_mul(a, b, p=0):
+    "Product of two square matrices given as tuples of rows, mod p if p."
     cols = tuple(zip(*b))
+    if p:
+        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
+                      for row in a])
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
@@ -156,30 +154,45 @@ def mat_vec(a, v):
     return tuple([sum(map(mul, row, v)) for row in a])
 
 
-def word_product(word, mats, memo):
-    """mats[w_0] * mats[w_1] * ... along `word`, memoised in `memo`, which
-    must map the empty word to the identity.  Built leftwards from the longest
-    proper suffix in `memo`, else the last letter; only `word` is stored."""
+def mat_pow(a, e, p=0):
+    "a^e for e >= 1 by repeated squaring, mod p if p."
+    if e == 1:
+        return a
+    half = mat_pow(mat_mul(a, a, p), e // 2, p)
+    return mat_mul(a, half, p) if e & 1 else half
+
+
+def word_product(word, mats, memo, p=0):
+    """mats[w_0] * mats[w_1] * ... along `word`, reduced mod p if p, and
+    memoised in `memo`, which must map the empty word to the identity.
+    Built leftwards from word[1:] if `memo` has it, else from the longest
+    suffix of a length that `memo` holds, one power per run of a letter;
+    only `word` is stored."""
     got = memo.get(word)
     if got is None:
-        i = len(word) - 1
-        got = mats[word[i]]
-        for j in range(1, i):
-            if word[j:] in memo:
-                i, got = j, memo[word[j:]]
-                break
-        for letter in reversed(word[:i]):
-            got = mat_mul(mats[letter], got)
+        i = len(word)
+        got = memo.get(word[1:]) if i > 2 else None
+        if got is not None:
+            i = 1
+        else:
+            for size in sorted({len(w) for w in memo if 1 < len(w) < i - 1},
+                               reverse=True):
+                if (got := memo.get(word[-size:])) is not None:
+                    i -= size
+                    break
+        for letter, run in groupby(reversed(word[:i])):
+            power = mat_pow(mats[letter], sum(1 for _ in run), p)
+            got = power if got is None else mat_mul(power, got, p)
         memo[word] = got
     return got
 
 
-def word_sum(terms, mats, memo):
+def word_sum(terms, mats, memo, p=0):
     "Sum of c * word_product(w) over the (w, c) pairs of nonempty `terms`."
     total = None
     for word, c in terms:
         scaled = tuple(tuple(a * c for a in r)
-                       for r in word_product(word, mats, memo))
+                       for r in word_product(word, mats, memo, p))
         total = scaled if total is None else tuple(
             tuple(map(add, t, s)) for t, s in zip(total, scaled))
     return total

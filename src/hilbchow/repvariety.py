@@ -203,7 +203,8 @@ def is_representation(pres, mats):
     p = field.characteristic
     for terms in rels:
         top = len(terms[-1][0])
-        total = word_sum([(w, c * d ** (top - len(w))) for w, c in terms], lifted, memo)
+        total = word_sum([(w, c * d ** (top - len(w))) for w, c in terms],
+                         lifted, memo, p)
         if any(a % p if p else a for row in total for a in row):
             return False
     return True

@@ -114,6 +114,35 @@ def _mod_rank(rows, p):
     return rank
 
 
+def krylov_dimension(mat, p):
+    "dim span(e_1, X e_1, ..., X^(n-1) e_1) mod p, by its own products and rank."
+    n = len(mat)
+    vecs, v = [], [int(i == 0) for i in range(n)]
+    for _ in range(n):
+        vecs.append(v)
+        v = [sum(a * b for a, b in zip(row, v)) % p for row in mat]
+    return _mod_rank(vecs, p)
+
+
+def in_krylov_cell(mat, d):
+    """True when X e_i = e_(i+1) for i < d and X e_d lies in span(e_1..e_d)
+    (coordinates from 1): the normal forms of Krylov dimension d at e_1."""
+    n = len(mat)
+    return (all(mat[i][j] == int(i == j + 1) for j in range(d - 1) for i in range(n))
+            and not any(mat[i][d - 1] for i in range(d, n)))
+
+
+def torus_orbit(mat, d, p):
+    "The conjugates of X by diag(1, ..., 1, t_(d+1), ..., t_n) over F_p^*."
+    n = len(mat)
+    orbit = set()
+    for ts in itertools.product(range(1, p), repeat=n - d):
+        t = (1,) * d + ts
+        orbit.add(tuple(tuple(mat[i][j] * t[i] * pow(t[j], -1, p) % p
+                              for j in range(n)) for i in range(n)))
+    return orbit
+
+
 def word_traces(field, mats, max_len):
     """Trace of the full product along every nonempty word of length <=
     max_len: each word's product is its longest proper prefix's product times

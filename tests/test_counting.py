@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import os
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -9,7 +10,8 @@ from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError,
                       det, enumerate_points, gl_order, parse_nc_poly)
 
 from oracles import (commuting_pairs, curve_hilbert_points, free2_hilbert_points,
-                     naive_count, nilpotent_count, plane_hilbert_points)
+                     in_krylov_cell, krylov_dimension, naive_count,
+                     nilpotent_count, plane_hilbert_points, torus_orbit)
 
 
 def curve_pres(q):
@@ -20,6 +22,11 @@ def curve_pres(q):
 def commuting_pres(q):
     rel = parse_nc_poly("x1*x2 - x2*x1", GF(q), 2)
     return AlgebraPresentation(GF(q), 2, (rel,))
+
+
+def presentation(q, m, *rels):
+    return AlgebraPresentation(GF(q), m, tuple(parse_nc_poly(r, GF(q), m)
+                                               for r in rels))
 
 
 def test_gl_order_small_values():
@@ -97,13 +104,15 @@ CLOSED_FORMS = [
     # torus orbits of size (q - 1)^joins beyond q = 3
     *[(curve_pres(q), 2, q ** 4, curve_hilbert_points(q, 2)) for q in (5, 7)],
     *[(nilpotent_pres(q, 2), 2, nilpotent_count(q, 2), 1) for q in (5, 7)],
+    # Weyl algebra: tr [X, Y] = 0 while tr 1 = 2 in F_3
+    (presentation(3, 2, "x1*x2 - x2*x1 - 1"), 2, 0, 0),
 ]
 
 
 @pytest.mark.parametrize("pres,n,reps,orbits", CLOSED_FORMS, ids=[
     "plane-q2", "plane-q3", "curve-q2-n3", "curve-q3-n2", "nilpotent-q2-n2",
     "nilpotent-q3-n2", "nilpotent-q2-n3", "free-q2", "free-q3", "curve-q5-n2",
-    "curve-q7-n2", "nilpotent-q5-n2", "nilpotent-q7-n2"])
+    "curve-q7-n2", "nilpotent-q5-n2", "nilpotent-q7-n2", "weyl-q3"])
 def test_counts_match_closed_forms(pres, n, reps, orbits):
     report = enumerate_points(pres, n)
     assert (report.total_rep_points, report.orbit_count) == (reps, orbits)
@@ -142,10 +151,10 @@ SQUARE_ZERO = ("x1^2", "x1*x2", "x2*x1", "x2^2")
     pytest.param(("x1*x2 - x2*x1",), 3, id="commuting-q3"),
     pytest.param(SQUARE_ZERO, 3, id="square-zero-q3")])
 def test_worker_split_over_first_matrix(monkeypatch, rels, q):
-    # with m = 2 a worker's range covers first matrices, not whole tuples;
+    # a worker's range covers cells of the first matrix, not whole tuples;
     # over F_3 an orbit's tuples spread over several ranges, and each range
     # counts the representatives whose first matrix it holds
-    from hilbchow.counting import _ranges, count_range
+    from hilbchow.counting import _ranges, count_range, first_cells
     pres = AlgebraPresentation(GF(q), 2, tuple(parse_nc_poly(r, GF(q), 2)
                                                for r in rels))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -155,8 +164,9 @@ def test_worker_split_over_first_matrix(monkeypatch, rels, q):
     assert RecordingPool.made == [3]
     assert multi == enumerate_points(pres, 2, workers=1)
     text = pres.to_text()
-    parts = [count_range(text, 2, a, b) for a, b in _ranges(q ** 4, 3)]
-    whole = count_range(text, 2, 0, q ** 4)
+    cells = len(first_cells(q, 2))
+    parts = [count_range(text, 2, a, b) for a, b in _ranges(cells, 3)]
+    whole = count_range(text, 2, 0, cells)
     assert tuple(map(sum, zip(*parts))) == whole
     assert whole == (multi.total_rep_points, multi.total_cyclic_pairs)
     assert whole == naive_count(pres, 2)
@@ -209,7 +219,12 @@ def test_fast_sweep_agrees_with_generic_operations():
              (AlgebraPresentation(GF(3), 1,
                                   (parse_nc_poly("x1^3 - x1", GF(3), 1),)), 3),
              (AlgebraPresentation(GF(3), 2, tuple(
-                 parse_nc_poly(r, GF(3), 2) for r in ("x1^2", "x2^2"))), 2)]
+                 parse_nc_poly(r, GF(3), 2) for r in ("x1^2", "x2^2"))), 2),
+             # the first matrix walks Krylov cells: leaves under a cyclic
+             # cell skip their tests, and with m > 1 so do whole subtrees
+             (presentation(3, 1, "x1^2"), 3), (presentation(2, 3), 2),
+             (presentation(3, 2, "x1*x2 - x2*x1"), 2),
+             (presentation(3, 2, "x1*x2 - x2*x1 - 1"), 2)]
     for pres, n in cases:
         report = enumerate_points(pres, n)
         reps, pairs = naive_count(pres, n)
@@ -249,10 +264,68 @@ class RecordingPool:
                          ids=["two-tuples", "four-cpus", "one-cpu"])
 def test_worker_count_is_capped(monkeypatch, n, cpus, expected):
     # a pool starts all its processes at once, so --workers 100000 must not
-    # ask for more than the candidate tuples (2 for n = 1) or the CPUs
+    # ask for more than the cells of the first matrix (2 for n = 1) or the CPUs
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     RecordingPool.made = []
     report = enumerate_points(curve_pres(2), n, workers=100000)
     assert RecordingPool.made == ([] if expected is None else [expected])
     assert report == enumerate_points(curve_pres(2), n, workers=1)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 5) for n in (1, 2, 3)])
+def test_cells_have_their_krylov_dimension(q, n):
+    from hilbchow.counting import first_cells
+    for mat, _, _, d in first_cells(q, n):
+        assert in_krylov_cell(mat, d)
+        assert krylov_dimension(mat, q) == d
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_cells_stand_for_each_krylov_stratum(q, n):
+    # the weights of cell d add up to the number of matrices of Krylov
+    # dimension d, and its representatives lie in distinct orbits of
+    # diag(1_d, t_(d+1), ..., t_n) that cover N_d, each weighing w_d times
+    # its orbit size
+    from hilbchow.counting import first_cells
+    strata, members = Counter(), Counter()
+    for entries in itertools.product(range(q), repeat=n * n):
+        mat = tuple(zip(*[iter(entries)] * n))
+        strata[krylov_dimension(mat, q)] += 1
+        members.update(d for d in range(1, n + 1) if in_krylov_cell(mat, d))
+    totals, orbits = Counter(), defaultdict(list)
+    for mat, weight, _, d in first_cells(q, n):
+        totals[d] += weight
+        orbits[d].append((torus_orbit(mat, d, q), weight))
+    assert totals == strata
+    for d in range(1, n + 1):
+        w_d, rest = divmod(strata[d], members[d])
+        assert rest == 0
+        union = set().union(*[orbit for orbit, _ in orbits[d]])
+        assert len(union) == sum(len(orbit) for orbit, _ in orbits[d]) == members[d]
+        assert all(weight == w_d * len(orbit) for orbit, weight in orbits[d])
+
+
+def test_cell_weights_are_asserted(monkeypatch):
+    # a cell weight that lost a factor must stop the run before it counts
+    from hilbchow import counting
+    cells = counting.first_cells
+
+    def short(p, n):
+        return [(mat, weight // (p ** n - p) if d == n else weight, comp, d)
+                for mat, weight, comp, d in cells(p, n)]
+
+    monkeypatch.setattr(counting, "first_cells", short)
+    with pytest.raises(AssertionError, match="cell weights"):
+        enumerate_points(curve_pres(3), 2)
+
+
+def test_long_relation_words_over_fp():
+    # over F_3 at n = 2, X^10000 = X exactly when X^4 = X: a nonzero
+    # eigenvalue has order dividing 9999 and 8 or 2, so it is 1, and
+    # (1 + N)^k = 1 + kN with k = 1 mod 3, while a nonzero nilpotent fails
+    long, short = (enumerate_points(presentation(3, 1, f"x1^{k} - x1"), 2)
+                   for k in (10000, 4))
+    assert long == short
+    assert (short.total_rep_points, short.total_cyclic_pairs) == \
+        naive_count(presentation(3, 1, "x1^4 - x1"), 2)

@@ -16,9 +16,9 @@ from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
                              word_matrices, word_product)
 from hilbchow.linalg import lift as lift_matrices
 
-from oracles import (FIELDS, leibniz_det, rand_int_scalar, rand_invertible,
-                     rand_matrix, rand_ncpoly, rand_scalar, seeded,
-                     stabilizer_rows)
+from oracles import (FIELDS, _mod_word, leibniz_det, rand_int_scalar,
+                     rand_invertible, rand_matrix, rand_ncpoly, rand_scalar,
+                     seeded, stabilizer_rows)
 
 
 def M(*rows):
@@ -586,6 +586,26 @@ def test_long_words_are_built_letter_by_letter():
     memo = {(): Matrix.identity(2, Fraction(1)).rows, (0, 0): (A * A).rows}
     assert Matrix(word_product(word, (A.rows,), memo)) == M((1, 2000), (0, 1))
     assert len(memo) == 3
+
+
+def test_word_products_mod_p_against_letter_by_letter():
+    # runs of a letter taken as powers, memoised suffixes of any length and
+    # the w[1:] hit all give the product mod p, and the memo gains the word
+    rng = seeded("word-products-mod-p")
+    for p in (2, 3, 7):
+        for n in (1, 2, 3):
+            mats = tuple(tuple(tuple(rng.randrange(p) for _ in range(n))
+                               for _ in range(n)) for _ in range(2))
+            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            for _ in range(20):
+                word = tuple(rng.choice((0, 0, 0, 1)) for _ in range(rng.randrange(1, 40)))
+                memo = {(): identity}
+                for cut in rng.sample(range(len(word)), min(2, len(word))):
+                    memo[word[cut:]] = tuple(map(tuple, _mod_word(mats, word[cut:], n, p)))
+                size = len(memo) + (word not in memo)
+                got = word_product(word, mats, memo, p)
+                assert [list(r) for r in got] == _mod_word(mats, word, n, p)
+                assert len(memo) == size
 
 
 def test_word_matrices_refuses_oversized_tables():

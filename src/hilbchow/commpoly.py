@@ -262,12 +262,6 @@ class CommPoly(SparseElement):
 
     # -- basic queries -----------------------------------------------
 
-    def coeff(self, mono):
-        return self.terms.get(mono, self.field.zero)
-
-    def constant(self):
-        return self.terms.get((), self.field.zero)
-
     def variables(self):
         seen = {v for mono in self.terms for v, _ in mono}
         return sorted(seen, key=var_key)

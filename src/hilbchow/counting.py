@@ -140,13 +140,13 @@ def first_cells(p, n):
     return cells
 
 
-def count_range(pres_text, n, start, stop):
+def count_range(pres_text, n, cells):
     """(representation tuples, cyclic pairs) over the tuples whose first
-    matrix is one of first_cells(q, n)[start:stop], each weighed by its
-    cell and torus weight; later generators are walked one per torus orbit.
-    Each relation is tested once the last generator it uses is fixed, and a
-    failing prefix skips its subtree; the pairs are q^n - 1 times the
-    tuples for which e_1 is cyclic."""
+    matrix is one of `cells`, a slice of first_cells(q, n), each weighed by
+    its cell and torus weight; later generators are walked one per torus
+    orbit.  Each relation is tested once the last generator it uses is
+    fixed, and a failing prefix skips its subtree; the pairs are q^n - 1
+    times the tuples for which e_1 is cyclic."""
     pres = AlgebraPresentation.from_text(pres_text)
     p, m = pres.field.p, pres.m
     levels = [[] for _ in range(m)]
@@ -179,7 +179,7 @@ def count_range(pres_text, n, start, stop):
         return reps, pairs
 
     reps = pairs = 0
-    for mat, weight, comp, d in first_cells(p, n)[start:stop]:
+    for mat, weight, comp, d in cells:
         r, c = walk((mat,), comp, d == n)
         reps += weight * r
         pairs += weight * c
@@ -214,14 +214,14 @@ def enumerate_points(pres, n, budget=None, workers=1):
     # since the pool starts them all at once
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers == 1:
-        reps, pairs = count_range(pres_text, n, 0, len(cells))
+        reps, pairs = count_range(pres_text, n, cells)
     else:
         # imported here: loading the pool adds ~40 ms to every `import hilbchow`
         from concurrent.futures import ProcessPoolExecutor
         chunks = _ranges(len(cells), workers)
         reps = pairs = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(count_range, pres_text, n, a, b)
+            futures = [pool.submit(count_range, pres_text, n, cells[a:b])
                        for a, b in chunks]
             for fut in futures:
                 r, c = fut.result()

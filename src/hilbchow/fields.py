@@ -129,23 +129,11 @@ class FpElem:
         return NotImplemented
 
     def __lt__(self, other):
-        return self.v < self._cmp_lift(other)
-
-    def __le__(self, other):
-        return self.v <= self._cmp_lift(other)
-
-    def __gt__(self, other):
-        return self.v > self._cmp_lift(other)
-
-    def __ge__(self, other):
-        return self.v >= self._cmp_lift(other)
-
-    def _cmp_lift(self, other):
         # ordering of canonical representatives; only used for stable sorting
         w = self._lift(other)
         if w is None:
             raise TypeError(f"cannot order FpElem against {type(other).__name__}")
-        return w % self.p
+        return self.v < w % self.p
 
     def __hash__(self):
         # hash-compatible with the small int it represents

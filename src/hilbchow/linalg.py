@@ -22,7 +22,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, groupby, islice
 from math import gcd
-from operator import add, index, mul, sub
+from operator import add, index, mul
 
 from .commpoly import CommPoly, SparseElement, var_key
 from . import errors, fields
@@ -32,6 +32,7 @@ from .ncpoly import NCPoly, words_up_to
 
 
 class Matrix:
+    "A square matrix as a value: products, action on vectors, equality, hash."
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
@@ -64,61 +65,17 @@ class Matrix:
         n = len(cols)
         return cls(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
 
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise PreconditionError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def _entrywise(self, other, op):
+    def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check(other)
-        return Matrix(tuple(tuple(map(op, r1, r2))
-                            for r1, r2 in zip(self.rows, other.rows)))
-
-    def __add__(self, other):
-        return self._entrywise(other, add)
-
-    def __sub__(self, other):
-        return self._entrywise(other, sub)
-
-    def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            self._check(other)
-            return Matrix(mat_mul(self.rows, other.rows))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        return Matrix(tuple(tuple(a * c for a in r) for r in self.rows))
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("matrix power needs a nonnegative integer")
-        if not e:
-            return Matrix.identity(self.n, self.rows[0][0] ** 0)
-        return Matrix._wrap(mat_pow(self.rows, e))
+        if self.n != other.n:
+            raise PreconditionError(f"dimension mismatch: {self.n} vs {other.n}")
+        return Matrix(mat_mul(self.rows, other.rows))
 
     def apply(self, vec):
         if len(vec) != self.n:
             raise PreconditionError("vector length does not match matrix size")
         return mat_vec(self.rows, vec)
-
-    def trace(self):
-        t = self.rows[0][0]
-        for i in range(1, self.n):
-            t = t + self.rows[i][i]
-        return t
-
-    def is_zero(self):
-        return all(not a for r in self.rows for a in r)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -165,22 +122,12 @@ def mat_pow(a, e, p=0):
 def word_product(word, mats, memo, p=0):
     """mats[w_0] * mats[w_1] * ... along `word`, reduced mod p if p, and
     memoised in `memo`, which must map the empty word to the identity.
-    Built leftwards from word[1:] if `memo` has it, else from the longest
-    suffix of a length that `memo` holds, one power per run of a letter;
-    only `word` is stored."""
+    Built leftwards from word[1:] if `memo` has it, one power per run of a
+    letter; only `word` is stored."""
     got = memo.get(word)
     if got is None:
-        i = len(word)
-        got = memo.get(word[1:]) if i > 2 else None
-        if got is not None:
-            i = 1
-        else:
-            for size in sorted({len(w) for w in memo if 1 < len(w) < i - 1},
-                               reverse=True):
-                if (got := memo.get(word[-size:])) is not None:
-                    i -= size
-                    break
-        for letter, run in groupby(reversed(word[:i])):
+        got = memo.get(word[1:]) if len(word) > 2 else None
+        for letter, run in groupby(reversed(word if got is None else word[:1])):
             power = mat_pow(mats[letter], sum(1 for _ in run), p)
             got = power if got is None else mat_mul(power, got, p)
         memo[word] = got
@@ -252,11 +199,11 @@ def berkowitz_coeffs(mat):
     return poly
 
 
-def charpoly(mat, var="t"):
-    """det(t*I - M) as a univariate polynomial; entries must be scalars."""
+def charpoly(mat):
+    """det(t*I - M) as a polynomial in t; entries must be scalars."""
     (ints,), back, field = lift((mat,), "characteristic polynomial")
     n = mat.n
-    return CommPoly(field, {((var, n - i),) if i < n else (): back(c, i)
+    return CommPoly(field, {(("t", n - i),) if i < n else (): back(c, i)
                             for i, c in enumerate(berkowitz_coeffs(ints))})
 
 

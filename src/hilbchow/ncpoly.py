@@ -89,16 +89,8 @@ class NCPoly(SparseElement):
 
     # -- queries ---------------------------------------------------------
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(len(w) for w in self.terms)
-
     def coeff(self, word):
         return self.terms.get(tuple(word), self.field.zero)
-
-    def support(self):
-        return sorted(self.terms, key=word_key)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -66,15 +66,14 @@ class LawCoefficientTable:
                           [args] + self.coeff_lines("coeff"))
 
     @classmethod
-    def from_text(cls, text, m=None):
+    def from_text(cls, text):
         block = Block(text, "law-table")
         fld = block.field
         n = block.int_line("n")
-        args = tuple(parse_nc_poly(tok.strip(), fld, m)
+        args = tuple(parse_nc_poly(tok.strip(), fld)
                      for tok in block.line("args").split(";"))
-        if m is None:
-            arity = max((a.m for a in args), default=0)
-            args = tuple(NCPoly(fld, arity, a.terms) for a in args)
+        arity = max((a.m for a in args), default=0)
+        args = tuple(NCPoly(fld, arity, a.terms) for a in args)
         coeffs = {parse_tuple(lhs, parse_int): fld.parse(rhs)
                   for _, lhs, rhs in block.pairs("coeff")}
         return cls(fld, n, args, coeffs)
@@ -283,8 +282,8 @@ def _roots_mod_p(ints, p):
     return roots
 
 
-def field_roots(poly, var="t"):
-    """Roots in the base field with multiplicities.
+def field_roots(poly):
+    """Roots in the base field, with multiplicities, of a polynomial in t.
 
     Returns (sorted list of (root, multiplicity), fully_split flag).
     Over F_p the candidates are the roots an integer scan of all p elements
@@ -293,7 +292,7 @@ def field_roots(poly, var="t"):
     A search of more than MAX_ROOT_SCAN steps is refused up front.
     """
     field = poly.field
-    coeffs = poly.univar_coeffs(var)
+    coeffs = poly.univar_coeffs("t")
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if len(coeffs) <= 1:

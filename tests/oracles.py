@@ -8,6 +8,8 @@ from a dense expansion in the full tensor power with shuffle products.
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from hilbchow import (GF, QQ, Matrix, NCPoly, PointedRep, RepPoint,
                       det_linear_combination, is_cyclic, nc_eval)
@@ -26,6 +28,21 @@ def leibniz_det(mat):
             prod = -prod
         total = prod if total is None else total + prod
     return total
+
+
+def mat_add(a, b):
+    "Entrywise sum of two matrices of one size; `Matrix` only multiplies."
+    return Matrix(tuple(map(add, r, s)) for r, s in zip(a.rows, b.rows))
+
+
+def mat_scale(a, c):
+    "The matrix c * a, entry by entry."
+    return Matrix(tuple(x * c for x in r) for r in a.rows)
+
+
+def mat_trace(a):
+    "Sum of the diagonal entries."
+    return reduce(add, (a.rows[i][i] for i in range(a.n)))
 
 
 def _perm_sign(perm):

@@ -1,8 +1,11 @@
 """The traced benchmark rebinds library names listed in `bench/tracing.py`'s
 `INNER` and counts the calls made through them; a name that moves or
 disappears, or a call count that changes, breaks `bench/run.py --trace 1`
-without failing anything else, so both are checked here."""
+without failing anything else, so both are checked here, as is every name
+that `bench/` imports from `hilbchow`."""
 
+import ast
+import glob
 import importlib
 import os
 import sys
@@ -32,6 +35,38 @@ def test_inner_names_resolve_to_callables(inner):
     for modname, attr, _span in inner:
         module = importlib.import_module(f"hilbchow.{modname}")
         assert callable(getattr(module, attr, None)), f"hilbchow.{modname}.{attr}"
+
+
+def _resolves(module, name):
+    "`from module import name` would succeed: an attribute or a submodule."
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_bench_imports_from_hilbchow_resolve():
+    # read, not run: `run.micro_kernels` imports inside its body, which only
+    # a traced run reaches
+    seen, missing = set(), []
+    for path in sorted(glob.glob(os.path.join(BENCH, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and not node.level and node.module
+                    and node.module.split(".")[0] == "hilbchow"):
+                for alias in node.names:
+                    where = (os.path.basename(path), node.module, alias.name)
+                    seen.add(where)
+                    if not _resolves(node.module, alias.name):
+                        missing.append(where)
+    assert not missing
+    assert {("run.py", "hilbchow", "berkowitz_coeffs"),
+            ("run.py", "hilbchow.repvariety", "RepPoint"),
+            ("tracing.py", "hilbchow", "enumerate_points")} <= seen
 
 
 # The traced run marks a run incorrect unless `linalg.det` is entered once

@@ -164,9 +164,9 @@ def test_worker_split_over_first_matrix(monkeypatch, rels, q):
     assert RecordingPool.made == [3]
     assert multi == enumerate_points(pres, 2, workers=1)
     text = pres.to_text()
-    cells = len(first_cells(q, 2))
-    parts = [count_range(text, 2, a, b) for a, b in _ranges(cells, 3)]
-    whole = count_range(text, 2, 0, cells)
+    cells = first_cells(q, 2)
+    parts = [count_range(text, 2, cells[a:b]) for a, b in _ranges(len(cells), 3)]
+    whole = count_range(text, 2, cells)
     assert tuple(map(sum, zip(*parts))) == whole
     assert whole == (multi.total_rep_points, multi.total_cyclic_pairs)
     assert whole == naive_count(pres, 2)

@@ -280,3 +280,21 @@ def test_freeness_exhaustive_f2_n2():
                 pt = PointedRep(rep, v)
                 if is_cyclic(pt):
                     assert stabilizer_is_trivial(pt)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_equal_points_hash_equal(field):
+    # the frozen point dataclasses hash their matrices, so equal points
+    # built from separate rows are one element of a set
+    rng = seeded("point-hash", field.characteristic)
+    mats = (rand_matrix(field, 2, rng), rand_matrix(field, 2, rng))
+    reps = [RepPoint(field, tuple(Matrix([list(r) for r in A.rows]) for A in mats))
+            for _ in range(2)]
+    other = RepPoint(field, (Matrix.identity(2, field.one), Matrix.zeros(2, field.zero)))
+    assert reps[0] == reps[1] != other
+    assert hash(reps[0]) == hash(reps[1])
+    assert len({*reps, other}) == 2
+    v = (field.one, field.zero)
+    pointed_reps = [PointedRep(rep, v) for rep in reps]
+    assert hash(pointed_reps[0]) == hash(pointed_reps[1])
+    assert len({*pointed_reps, PointedRep(other, v)}) == 2

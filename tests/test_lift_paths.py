@@ -5,7 +5,7 @@ shape of the work is pinned here: the invariant table tables words to half
 its bound, the norm point runs Berkowitz only for the generator charpolys
 and the law table (its word determinants are eliminations on ints), and
 the norm point, the 0-cycle and the relation test form no matrix product
-or power on field entries."""
+on field entries."""
 
 from collections import Counter
 from fractions import Fraction
@@ -40,25 +40,27 @@ def test_invariant_table_tables_words_to_half_the_bound(monkeypatch):
 
 @pytest.fixture
 def field_products(monkeypatch):
-    "Counts Matrix products and powers with a Fraction or FpElem entry."
+    "Counts Matrix products with a Fraction or FpElem entry."
     counts = Counter()
-    for name in ("__mul__", "__pow__"):
-        def counted(self, other, _fn=getattr(Matrix, name), _name=name):
-            if any(isinstance(a, (Fraction, FpElem)) for r in self.rows for a in r):
-                counts[_name] += 1
-            return _fn(self, other)
-        monkeypatch.setattr(Matrix, name, counted)
+    real = Matrix.__mul__
+
+    def counted(self, other):
+        if any(isinstance(a, (Fraction, FpElem)) for r in self.rows for a in r):
+            counts["__mul__"] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
     return counts
 
 
 def test_the_counter_sees_field_products(field_products):
     ints = Matrix([[1, 2], [3, 4]])
-    assert ints * ints == ints ** 2
+    assert ints * ints == Matrix([[7, 10], [15, 22]])
     assert not field_products
     A = Matrix([[Fraction(1, 2), 0], [0, 1]])
     B = Matrix([[GF(3)(1), 0], [0, 1]])
-    assert A * A != B ** 2
-    assert field_products["__mul__"] >= 1 and field_products["__pow__"] == 1
+    assert A * A != B * B
+    assert field_products["__mul__"] == 2
 
 
 def test_cycle_and_relation_tests_form_no_field_products(field_products):

@@ -16,9 +16,9 @@ from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
                              word_matrices, word_product)
 from hilbchow.linalg import lift as lift_matrices
 
-from oracles import (FIELDS, _mod_word, leibniz_det, rand_int_scalar,
-                     rand_invertible, rand_matrix, rand_ncpoly, rand_scalar,
-                     seeded, stabilizer_rows)
+from oracles import (FIELDS, _mod_word, leibniz_det, mat_add, mat_scale,
+                     mat_trace, rand_int_scalar, rand_invertible, rand_matrix,
+                     rand_ncpoly, rand_scalar, seeded, stabilizer_rows)
 
 
 def M(*rows):
@@ -34,10 +34,9 @@ def test_matrix_basics():
     B = M((0, 1), (1, 0))
     assert A * B == M((2, 1), (4, 3))
     assert B * A == M((3, 4), (1, 2))
-    assert A + B - B == A
-    assert A.trace() == 5
-    assert (A ** 0) == Matrix.identity(2, Fraction(1))
     assert A.apply((1, 0)) == (1, 3)
+    with pytest.raises(TypeError):  # a value type: no scalar multiples
+        A * 2
     with pytest.raises(PreconditionError):
         Matrix(((1, 2),))
 
@@ -242,7 +241,7 @@ def test_nc_eval_is_algebra_map():
             p = rand_ncpoly(field, 2, rng)
             q = rand_ncpoly(field, 2, rng)
             assert nc_eval(p * q, mats) == nc_eval(p, mats) * nc_eval(q, mats)
-            assert nc_eval(p + q, mats) == nc_eval(p, mats) + nc_eval(q, mats)
+            assert nc_eval(p + q, mats) == mat_add(nc_eval(p, mats), nc_eval(q, mats))
 
 
 def test_nc_eval_arity_and_dimension_errors():
@@ -272,7 +271,7 @@ def test_det_linear_combination_homogeneous_and_specializes():
             for _ in range(5):
                 a = field(rng.randrange(5))
                 b = field(rng.randrange(5))
-                combo = mats[0].scale(a) + mats[1].scale(b)
+                combo = mat_add(mat_scale(mats[0], a), mat_scale(mats[1], b))
                 assert p.evaluate({"t1": a, "t2": b}) == det(combo)
 
 
@@ -362,7 +361,7 @@ def test_det_linear_combination_at_the_largest_law_tables():
             poly = det_linear_combination(mats, names)
             for _ in range(3):
                 point = [rand_int_scalar(field, rng) for _ in range(k)]
-                combo = reduce(add, (M.scale(a) for M, a in zip(mats, point)))
+                combo = reduce(mat_add, (mat_scale(M, a) for M, a in zip(mats, point)))
                 assert poly.evaluate(dict(zip(names, point))) == det(combo)
 
 
@@ -589,8 +588,8 @@ def test_long_words_are_built_letter_by_letter():
 
 
 def test_word_products_mod_p_against_letter_by_letter():
-    # runs of a letter taken as powers, memoised suffixes of any length and
-    # the w[1:] hit all give the product mod p, and the memo gains the word
+    # runs of a letter taken as powers and the w[1:] hit give the product
+    # mod p whatever else the memo holds, and the memo gains the word
     rng = seeded("word-products-mod-p")
     for p in (2, 3, 7):
         for n in (1, 2, 3):
@@ -638,5 +637,5 @@ def test_lifted_word_tables_against_direct_products():
                     assert type(d) is type(field.one)
                     assert d == leibniz_det(prod)
                     if w:
-                        assert table.traces[w] == prod.trace()
+                        assert table.traces[w] == mat_trace(prod)
                 assert table.gen_dets == tuple(map(leibniz_det, mats))

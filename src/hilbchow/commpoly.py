@@ -88,11 +88,6 @@ class SparseElement:
     def _meta(self):
         return tuple(getattr(self, name) for name in self._META)
 
-    @classmethod
-    def zero(cls, *args):
-        "The zero element; takes the constructor's arguments but `terms`."
-        return cls(*args)
-
     def is_zero(self):
         return not self.terms
 

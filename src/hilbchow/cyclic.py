@@ -4,8 +4,8 @@ A pointed representation is a matrix tuple plus a marked vector; it is
 cyclic when the word images of the vector span the whole space.  Cyclic
 points correspond to left ideals of codimension n, presented here by a
 word basis of the quotient together with the generator actions in that
-basis.  Ideal membership, the equivalence of pointed representations,
-and triviality of stabilizers are all exact linear algebra.
+basis.  Ideal membership and the equivalence of pointed representations
+are exact linear algebra; stabilizers of cyclic points are trivial.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from ._tokens import Block, block_text
 from . import fields
 from .errors import ParseError, PreconditionError
-from .linalg import Matrix, lift, matrix_inverse, nc_eval, nullspace, word_basis
+from .linalg import Matrix, lift, matrix_inverse, nc_eval, word_basis
+from .linalg import nullspace  # noqa: F401  bench/tracing.py rebinds it by name
 from .ncpoly import NCPoly, parse_word, word_str
 from .repvariety import (RepPoint, _generator, _per_generator, matrix_row_text,
                          parse_matrix_rows, parse_point_body, point_text)
@@ -29,11 +30,14 @@ class PointedRep:
     v: tuple
 
     def __post_init__(self):
+        """Plain int entries of v are coerced into the field; a `Fraction`
+        or `FpElem` of another field is a field mismatch."""
         v = tuple(self.v)
         if len(v) != self.rep.n:
             raise PreconditionError(
                 f"vector length {len(v)} does not match n={self.rep.n}")
-        object.__setattr__(self, "v", v)
+        fields.field_of(v + (self.rep.field.one,), "a pointed representation")
+        object.__setattr__(self, "v", tuple(map(self.rep.field, v)))
 
     @property
     def field(self):
@@ -194,51 +198,30 @@ def ideal_to_triple(ip):
 def triples_equivalent(p1, p2):
     """The unique change of basis carrying p1 to p2, or None.
 
-    On cyclic points an equivalence g is pinned down by where it sends
-    the word-basis images of the marked vector; the candidate built from
-    those images is returned only if it intertwines every generator and
-    matches the vectors.  Such a g is invertible: p2 is cyclic and every
-    w.v2 = g(w.v1) lies in its image.
+    An equivalence g sends w.v1 to w.v2 for every word w, so it keeps the
+    graded-lex-first word basis, and on cyclic points it is pinned down by
+    the two bases: g = B2 B1^-1, which sends v1 to v2 as () is the first
+    basis word.  That g is returned only if it intertwines every generator.
     """
     if p1.field != p2.field or p1.m != p2.m or p1.n != p2.n:
         raise PreconditionError("points live on different spaces")
     words, images1 = require_cyclic(p1)
-    require_cyclic(p2)
-    images2 = [_word_image(p2.rep.mats, w, p2.v) for w in words]
-    B1 = Matrix.from_columns(images1)
-    B2 = Matrix.from_columns(images2)
-    g = B2 * matrix_inverse(B1)
-    if g.apply(p1.v) != p2.v:
+    words2, images2 = require_cyclic(p2)
+    if words2 != words:
         return None
-    for M1, M2 in zip(p1.rep.mats, p2.rep.mats):
-        if g * M1 != M2 * g:
-            return None
-    return g
+    g = Matrix.from_columns(images2) * matrix_inverse(Matrix.from_columns(images1))
+    if all(g * M1 == M2 * g for M1, M2 in zip(p1.rep.mats, p2.rep.mats)):
+        return g
+    return None
 
 
 def stabilizer_is_trivial(pt):
-    """Whether only the identity fixes (rep, v) under g . (rep, v).
+    """Whether only the identity fixes (rep, v) under g . (rep, v); raises
+    unless v is cyclic.
 
-    Solves the linear system g X_k = X_k g, g v = v; its solution set is
-    I plus the kernel of the homogeneous part, so triviality is exactly
-    a zero-dimensional kernel.  Cyclic points always pass.
+    GL_n acts freely on cyclic points: g v = v and g X_k = X_k g give
+    g(w.v) = w.v for every word w, and these vectors span the space, so
+    g = I.
     """
     require_cyclic(pt)
-    n = pt.n
-    zero = pt.field.zero
-    rows = []
-    for X in pt.rep.mats:
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for b in range(n):
-                    row[i * n + b] = row[i * n + b] + X.rows[b][j]
-                for a in range(n):
-                    row[a * n + j] = row[a * n + j] - X.rows[i][a]
-                rows.append(row)
-    for i in range(n):
-        row = [zero] * (n * n)
-        for b in range(n):
-            row[i * n + b] = pt.v[b]
-        rows.append(row)
-    return not nullspace(rows, n * n)
+    return True

@@ -106,7 +106,7 @@ class DPElement(SparseElement):
         block = Block(text, "divided-power")
         fld = block.field
         m = block.int_line("m")
-        out = DPElement.zero(fld, m)
+        out = DPElement(fld, m)
         for _, lhs, rhs in block.pairs("term"):
             out = out + parse_dp_expr(lhs, fld, m) * fld.parse(rhs)
         return out
@@ -158,7 +158,7 @@ def dp_power(a, k):
     if k >= 0:
         _check_size(a, k, len(a.terms))
         terms = _tensor_power(a, k)
-    return DPElement.zero(a.field, a.m)._like(dict(terms))
+    return DPElement(a.field, a.m)._like(dict(terms))
 
 
 def parse_dp_expr(text, field, m=None):
@@ -264,7 +264,7 @@ def tau(x, n):
         if degree != n:
             raise PreconditionError(f"degree mismatch: monomial {x._key_str(key)} "
                                     f"has degree {degree}, not {n}")
-    return SymTensor.zero(x.field, x.m, n)._like(
+    return SymTensor(x.field, x.m, n)._like(
         {_words(key): c for key, c in x.terms.items()})
 
 
@@ -279,7 +279,7 @@ def gamma_n(a, n):
     if n > MAX_WORD_LENGTH:
         raise ParseError(f"degree {n} exceeds the limit of {MAX_WORD_LENGTH}")
     _check_size(a, n, n)
-    return SymTensor.zero(a.field, a.m, n)._like(
+    return SymTensor(a.field, a.m, n)._like(
         {_words(key): c for key, c in _tensor_power(a, n)})
 
 

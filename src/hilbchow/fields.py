@@ -9,6 +9,7 @@ values and `lift` turns them into ints.  Floats are rejected everywhere.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +18,14 @@ from math import lcm
 from .errors import ParseError, PreconditionError, require
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_NUMBER = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _number(tok):
+    "The `Fraction` of a block scalar `[+|-]a[/b]`; `1.5e3` is a ValueError."
+    if not _NUMBER.fullmatch(tok):
+        raise ValueError("expected [+|-]a[/b]")
+    return Fraction(tok)
 
 
 def is_prime(n):
@@ -187,7 +196,7 @@ class PrimeField:
 
     def parse(self, tok):
         try:
-            return self(Fraction(tok))
+            return self(_number(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad F_{self.p} scalar {tok!r}: {exc}") from None
 
@@ -229,7 +238,7 @@ class RationalField:
             return x
         if isinstance(x, (int, str)):
             try:
-                return Fraction(x)
+                return Fraction(x) if isinstance(x, int) else _number(x)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad rational {x!r}: {exc}") from None
         raise TypeError(f"cannot coerce {type(x).__name__} into Q")

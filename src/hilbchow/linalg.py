@@ -297,7 +297,13 @@ def det_linear_combination(mats, var_names):
 def nc_eval(poly, mats):
     """Substitute matrices for the generators of a free-algebra element.
 
-    The empty word contributes coeff * identity.
+    The empty word contributes coeff * identity.  Exact scalars run on
+    one `fields.lift` of the entries, the coefficients and 1, which lifts
+    to the common denominator d over Q (to 1 over F_p): a coefficient c
+    lifts to d c and a word w to d^|w| rho(w), so with K the longest word
+    length each term c w, scaled by d^(K-|w|), sums to d^(K+1) times the
+    value, which is read back at degree K+1.  Polynomial entries (generic
+    matrices) are summed as they are.
     """
     if not isinstance(poly, NCPoly):
         raise PreconditionError("nc_eval needs a free-algebra element")
@@ -305,12 +311,22 @@ def nc_eval(poly, mats):
         raise PreconditionError(
             f"arity mismatch: <{poly.m}> generators vs {len(mats)} matrices")
     n = shared_dimension(mats)
-    one = mats[0].rows[0][0] ** 0
-    if not poly.terms:
-        return Matrix.zeros(n, one * 0)
-    terms = sorted(poly.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
-    memo = {(): Matrix.identity(n, one).rows}
-    return Matrix._wrap(word_sum(terms, tuple(M.rows for M in mats), memo))
+    terms = (sorted(poly.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
+             or [((), poly.field.zero)])
+    values = [a for M in mats for r in M.rows for a in r]
+    if not set(map(type, values)) <= _SCALARS:
+        memo = {(): Matrix.identity(n, values[0] ** 0).rows}
+        return Matrix._wrap(word_sum(terms, tuple(M.rows for M in mats), memo))
+    scalars = [poly.field.one] + [c for _, c in terms] + values
+    field = fields.field_of(scalars, "evaluation of a free-algebra element")
+    ints, back = fields.lift(field, scalars)
+    d, top = ints[0], len(terms[-1][0])
+    scaled = [(w, c * d ** (top - len(w))) for (w, _), c in zip(terms, ints[1:])]
+    entries = iter(ints[1 + len(terms):])
+    lifted = tuple(tuple(tuple(islice(entries, n)) for _ in range(n)) for _ in mats)
+    total = word_sum(scaled, lifted, {(): Matrix.identity(n, 1).rows},
+                     field.characteristic)
+    return Matrix._wrap(tuple(tuple(back(a, top + 1) for a in r) for r in total))
 
 
 def require_word_table(m, max_len):

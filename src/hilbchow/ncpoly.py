@@ -83,15 +83,6 @@ class NCPoly(SparseElement):
             raise ValueError(f"generator index {k} outside 0..{m - 1}")
         return cls(field, m, {(k,): field.one})
 
-    @classmethod
-    def from_word(cls, field, m, word, c=1):
-        return cls(field, m, {tuple(word): field(c)})
-
-    # -- queries ---------------------------------------------------------
-
-    def coeff(self, word):
-        return self.terms.get(tuple(word), self.field.zero)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from math import comb
 from operator import mul
 
@@ -24,7 +24,7 @@ from .commpoly import CommPoly, parse_comm_poly
 from . import errors, fields
 from .errors import ParseError, PreconditionError, SingularMatrixError, require
 from .linalg import (IncrementalSpan, Matrix, det, lift, matrix_inverse, nc_eval,
-                     require_word_table, shared_dimension, word_matrices, word_sum)
+                     require_word_table, shared_dimension, word_matrices)
 from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
                      word_str, words_up_to)
 
@@ -175,39 +175,15 @@ def generic_assignment(mats):
 
 
 def is_representation(pres, mats):
-    """True when every relation evaluates to the zero matrix.
-
-    The entries, the coefficients and 1 are lifted together (`fields.lift`),
-    so 1 lifts to the common denominator d over Q (to 1 over F_p), a
-    coefficient c to d c and a word w to d^|w| rho(w).  A relation whose
-    longest word has length K is summed on ints over its terms c w, each
-    lifted term scaled by d^(K-|w|); that sum is d^(K+1) times its value,
-    so it is zero exactly when each entry is 0, mod p over F_p, as in the
-    F_p sweep."""
+    """True when every relation evaluates to the zero matrix; `nc_eval`
+    runs each one on the integer lift of the tuple and its coefficients,
+    so over F_p it is the mod-p test of the F_p sweep."""
     if len(mats) != pres.m:
         raise PreconditionError(
             f"arity mismatch: presentation has {pres.m} generators, got {len(mats)}")
-    n = shared_dimension(mats)
-    rels = [sorted(r.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
-            for r in pres.relations if r.terms]
-    if not rels:
-        return True
-    values = [a for M in mats for r in M.rows for a in r]
-    values += [c for terms in rels for _, c in terms] + [pres.field.one]
-    field = fields.field_of(values, "a representation test")
-    ints = iter(fields.lift(field, values)[0])
-    lifted = tuple(tuple(tuple(islice(ints, n)) for _ in range(n)) for _ in mats)
-    rels = [[(w, next(ints)) for w, _ in terms] for terms in rels]
-    d = next(ints)
-    memo = {(): Matrix.identity(n, 1).rows}
-    p = field.characteristic
-    for terms in rels:
-        top = len(terms[-1][0])
-        total = word_sum([(w, c * d ** (top - len(w))) for w, c in terms],
-                         lifted, memo, p)
-        if any(a % p if p else a for row in total for a in row):
-            return False
-    return True
+    shared_dimension(mats)
+    return not any(any(chain.from_iterable(nc_eval(r, mats).rows))
+                   for r in pres.relations)
 
 
 @dataclass(frozen=True)

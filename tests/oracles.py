@@ -309,7 +309,7 @@ def chi(mats, tensor):
         return field.zero
     names = {w: f"t{i}" for i, w in enumerate(words)}
     law = det_linear_combination(
-        [nc_eval(NCPoly.from_word(field, len(mats), w), mats) for w in words],
+        [nc_eval(NCPoly(field, len(mats), {w: 1}), mats) for w in words],
         list(names.values()))
     total = field.zero
     for key, c in tensor.terms.items():
@@ -424,7 +424,10 @@ def rand_commuting_split_mats(field, m, n, rng, span=2):
 
 def stabilizer_rows(field, mats, v):
     """The homogeneous system g X = X g (X in mats), g v = 0 in the n*n
-    entries of g, built as `cyclic.stabilizer_is_trivial` builds it."""
+    entries of g, row-major: its kernel is the stabilizer of (mats, v)
+    minus the identity, so it is zero exactly when the stabilizer is
+    trivial, as `cyclic.stabilizer_is_trivial` asserts on cyclic points
+    without solving anything."""
     n = len(v)
     rows = []
     for X in mats:

@@ -239,6 +239,10 @@ MALFORMED = [
     ("ideal-to-triple",
      "ideal-presentation|field Q|m 2|n 1|basis 1|cyclic-index 0|act x1 = 0"),
     ("ideal-to-triple", "ideal-presentation|field Q|m 1|n 1|basis 1|cyclic-index 0|act x1"),
+    # scalars are [+|-]a[/b] only, not whatever `Fraction(str)` reads
+    ("cyclic", "point|field Q|n 1|mat 1.5e3|mat 0|vec 1"),
+    ("cyclic", "point|field F 7|n 1|mat 1_0.5|mat 0|vec 1"),
+    ("cyclic", "point|field Q|n 1|mat 1|mat 0|vec 1_0"),
 ]
 
 

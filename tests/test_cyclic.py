@@ -7,6 +7,8 @@ from hilbchow import (GF, QQ, IdealPresentation, Matrix, NCPoly, PointedRep,
                       ideal_membership, ideal_to_triple, is_cyclic,
                       span_dimension, stabilizer_is_trivial, triple_to_ideal,
                       triples_equivalent)
+from hilbchow.fields import FpElem
+from hilbchow.linalg import nullspace
 
 from oracles import (FIELDS, rand_free_cyclic_point, rand_invertible,
                      rand_matrix, rand_vector, seeded, stabilizer_rows)
@@ -83,7 +85,7 @@ def test_triple_to_ideal_two_generator_example():
     assert ideal_membership(ip, x * x, pt)
     assert ideal_membership(ip, y, pt)
     assert not ideal_membership(ip, x, pt)
-    assert ideal_membership(ip, NCPoly.zero(QQ, 2), pt)
+    assert ideal_membership(ip, NCPoly(QQ, 2), pt)
 
 
 def test_triple_to_ideal_rejects_non_cyclic():
@@ -165,9 +167,15 @@ def test_triples_equivalent_orbit_and_reflexive():
 
 
 def test_triples_equivalent_distinguishes():
+    # equal word bases, so B2 B1^-1 sends v1 to v2, but it intertwines
+    # neither diag(1, 2) with diag(1, 3) nor, in the second pair, x2
     p1 = pointed([M((1, 0), (0, 2))], (1, 1))
     p2 = pointed([M((1, 0), (0, 3))], (1, 1))
-    assert triples_equivalent(p1, p2) is None
+    q1 = pointed([M((1, 0), (0, 2)), NILP], (1, 1))
+    q2 = pointed([M((1, 0), (0, 2)), SWAP], (1, 1))
+    for a, b in ((p1, p2), (q1, q2)):
+        assert cyclic_word_basis(a)[0] == cyclic_word_basis(b)[0] == [(), (0,)]
+        assert triples_equivalent(a, b) is None
 
 
 def test_triples_equivalent_dependent_image_branch():
@@ -193,7 +201,6 @@ def test_triples_equivalent_requires_matching_vector():
 def test_intertwiner_uniqueness_via_kernel():
     # difference of two intertwiners kills v and commutes, so the
     # homogeneous system must have a trivial kernel on cyclic points
-    from hilbchow.linalg import nullspace
     rng = seeded("equiv-unique")
     for field in FIELDS:
         for _ in range(10):
@@ -205,8 +212,15 @@ def test_intertwiner_uniqueness_via_kernel():
 def test_stabilizer_trivial_examples():
     assert stabilizer_is_trivial(pointed([M((3,))], (1,)))
     assert stabilizer_is_trivial(pointed([NILP, ZERO2], (0, 1)))
-    with pytest.raises(PreconditionError):
-        stabilizer_is_trivial(pointed([NILP], (1, 0)))
+    # off cyclic points the stabilizer system has a kernel (I + NILP fixes
+    # e_1 and commutes with NILP; every g fixes the zero vector), and
+    # `stabilizer_is_trivial`, which answers from cyclicity alone, raises
+    for mats, v in (([NILP], (1, 0)), ([NILP, ZERO2], (1, 0)),
+                    ([SWAP, NILP], (0, 0))):
+        pt = pointed(mats, v)
+        assert nullspace(stabilizer_rows(QQ, pt.rep.mats, pt.v), 4)
+        with pytest.raises(PreconditionError):
+            stabilizer_is_trivial(pt)
 
 
 def test_stabilizer_trivial_randomized():
@@ -216,6 +230,7 @@ def test_stabilizer_trivial_randomized():
             for _ in range(10):
                 pt = rand_free_cyclic_point(field, 2, n, rng)
                 assert stabilizer_is_trivial(pt)
+                assert nullspace(stabilizer_rows(field, pt.rep.mats, pt.v), n * n) == []
 
 
 def test_ideal_presentation_text_roundtrip():
@@ -240,7 +255,7 @@ def test_membership_agrees_across_equivalent_triples():
             ip1 = triple_to_ideal(p1)
             ip2 = triple_to_ideal(p2)
             for w in words_up_to(2, p1.n):
-                a = NC.from_word(field, 2, w)
+                a = NC(field, 2, {w: 1})
                 assert ideal_membership(ip1, a, p1) == ideal_membership(ip2, a, p2)
             for _ in range(10):
                 a = rand_ncpoly(field, 2, rng, max_terms=3, max_len=2)
@@ -280,6 +295,7 @@ def test_freeness_exhaustive_f2_n2():
                 pt = PointedRep(rep, v)
                 if is_cyclic(pt):
                     assert stabilizer_is_trivial(pt)
+                    assert nullspace(stabilizer_rows(F, mats, v), 4) == []
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
@@ -298,3 +314,26 @@ def test_equal_points_hash_equal(field):
     pointed_reps = [PointedRep(rep, v) for rep in reps]
     assert hash(pointed_reps[0]) == hash(pointed_reps[1])
     assert len({*pointed_reps, PointedRep(other, v)}) == 2
+
+
+@pytest.mark.parametrize("field,v", [
+    (GF(7), (FpElem(5, 1), FpElem(5, 0))),
+    (QQ, (FpElem(5, 1), FpElem(5, 0))),
+    (GF(5), (Fraction(1, 2), 1)),
+    (QQ, (1.0, 0)),
+    (QQ, ("1", 0)),
+], ids=["F7-point-F5-vector", "Q-point-F5-vector", "F5-point-Q-vector",
+        "float-vector", "str-vector"])
+def test_pointed_rep_refuses_a_vector_of_another_field(field, v):
+    rep = RepPoint(field, (Matrix.identity(2, field.one),))
+    with pytest.raises(PreconditionError):
+        PointedRep(rep, v)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_pointed_rep_coerces_int_entries(field):
+    rep = RepPoint(field, (NILP if field == QQ else Matrix(((0, 1), (0, 0))),))
+    pt = PointedRep(rep, (0, 8))
+    assert pt.v == (field.zero, field(8))
+    assert {type(a) for a in pt.v} == {type(field.one)}
+    assert is_cyclic(pt) and pt == PointedRep(rep, (field.zero, field(8)))

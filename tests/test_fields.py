@@ -67,6 +67,17 @@ def test_rationals_exact_and_no_floats():
         GF(5)(0.5)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_scalars_read_the_number_atom_only(field):
+    # [+|-]a[/b] with decimal digits; `Fraction(str)` alone also reads
+    # exponents, decimal points, underscores, spaces and other digits
+    assert [field.parse(t) for t in ("12", "+3", "-3/4", "007/2")] == \
+        [field(12), field(3), field(Fraction(-3, 4)), field(Fraction(7, 2))]
+    for tok in ("1.5e3", "1_0.5", "1e2", "0.5", " 3", "3/-4", "--3", "١", "1/2/3", ""):
+        with pytest.raises(ParseError):
+            field.parse(tok)
+
+
 def test_rational_reduction_into_fp():
     F = GF(5)
     assert F(Fraction(1, 2)) == F(3)

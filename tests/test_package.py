@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -21,3 +22,39 @@ def test_only_fields_lifts_scalars_to_ints():
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if re.search(r"\.denominator\b|\blcm\b", line)]
     assert not found
+
+
+KEEP_ALIVE = "bench/tracing.py rebinds it by name"
+
+
+def test_keep_alive_imports_are_only_rebound():
+    # the traced benchmark rebinds the names in `bench/tracing.py`'s INNER
+    # inside their modules, so a module may import one that it never calls;
+    # such an import carries KEEP_ALIVE, names an INNER entry of its module
+    # and is used nowhere else in it, and every imported INNER name the
+    # module does not use carries the mark: the marked imports are exactly
+    # those that go with the rebinding
+    src = Path(hilbchow.__file__).parent
+    tracing = ast.parse((src.parents[1] / "bench" / "tracing.py").read_text())
+    inner = next(ast.literal_eval(node.value) for node in tracing.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "INNER")
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        rebound = {attr for module, attr, _ in inner if module == path.stem}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            marked = KEEP_ALIVE in "\n".join(lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if marked:
+                    assert name in rebound and name not in used, (path.name, name)
+                    found.add((path.stem, name))
+                else:
+                    assert name in used or name not in rebound, (path.name, name)
+    assert found == {("cyclic", "nullspace"), ("divpow", "parse_nc_poly")}

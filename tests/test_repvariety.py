@@ -87,7 +87,7 @@ def test_rep_ideal_commuting_matches_hand_expansion():
 
     def prod_entry(a, b, i, j):
         return sum((xi[(a, i, l)] * xi[(b, l, j)] for l in (1, 2)),
-                   CommPoly.zero(field))
+                   CommPoly(field))
 
     expected = set()
     for i in (1, 2):

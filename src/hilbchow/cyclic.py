@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ._tokens import Block, block_text
 from . import fields
 from .errors import ParseError, PreconditionError
-from .linalg import Matrix, lift, matrix_inverse, nc_eval, word_basis
+from .linalg import Matrix, lift, mat_mul, matrix_inverse, nc_eval, word_basis
 from .linalg import nullspace  # noqa: F401  bench/tracing.py rebinds it by name
 from .ncpoly import NCPoly, parse_word, word_str
 from .repvariety import (RepPoint, _generator, _per_generator, matrix_row_text,
@@ -201,17 +201,21 @@ def triples_equivalent(p1, p2):
     An equivalence g sends w.v1 to w.v2 for every word w, so it keeps the
     graded-lex-first word basis, and on cyclic points it is pinned down by
     the two bases: g = B2 B1^-1, which sends v1 to v2 as () is the first
-    basis word.  That g is returned only if it intertwines every generator.
+    basis word.  That g is returned only if it intertwines every generator
+    (so bases of other words fail), tested by 2m products on one integer
+    lift of B2, B1^-1 and both tuples.
     """
     if p1.field != p2.field or p1.m != p2.m or p1.n != p2.n:
         raise PreconditionError("points live on different spaces")
-    words, images1 = require_cyclic(p1)
-    words2, images2 = require_cyclic(p2)
-    if words2 != words:
-        return None
-    g = Matrix.from_columns(images2) * matrix_inverse(Matrix.from_columns(images1))
-    if all(g * M1 == M2 * g for M1, M2 in zip(p1.rep.mats, p2.rep.mats)):
-        return g
+    images1, images2 = require_cyclic(p1)[1], require_cyclic(p2)[1]
+    mats = (Matrix.from_columns(images2), matrix_inverse(Matrix.from_columns(images1)),
+            *p1.rep.mats, *p2.rep.mats)
+    (b2, b1inv, *xs), back, field = lift(mats, "an equivalence")
+    p = field.characteristic
+    g = mat_mul(b2.rows, b1inv.rows, p)
+    if all(mat_mul(g, x1.rows, p) == mat_mul(x2.rows, g, p)
+           for x1, x2 in zip(xs[:p1.m], xs[p1.m:])):
+        return Matrix._wrap(tuple(tuple(back(a, 2) for a in r) for r in g))
     return None
 
 

@@ -4,16 +4,17 @@ Entries only need `+`, `-`, `*` and `** 0`, so the same Matrix class
 carries concrete field points and generic matrices of indeterminates.
 Characteristic polynomials and determinants of polynomial entries, such
 as det(sum_s t_s M_s) with packed monomials, use the Berkowitz scheme: no
-divisions occur, so it stays valid over F_2 and F_3.  Berkowitz, word
-products and determinants of scalar matrices run on plain ints: `lift`
-reshapes `fields.lift` of the entries into integer matrices, on the field
-`fields.field_of` names from all of them, whenever any entry is a
-`Fraction` or `FpElem`.  Those determinants are fraction-free (Bareiss)
-eliminations, exact over Z and so on unreduced F_p representatives.
-Gaussian elimination runs on ints as well: `rref` lifts its rows once,
-and `IncrementalSpan` takes int vectors only, representatives mod p or
-fraction-free primitive rows over Q, each divided by its pivot only when
-`rref` hands it back.
+divisions occur, so it stays valid over F_2 and F_3.  Scalar matrices run
+on plain ints: `lift` reshapes `fields.lift` of all the entries, on the
+field `fields.field_of` names from them, into integer matrices, and their
+determinants are fraction-free (Bareiss) eliminations, exact over Z and
+so on unreduced F_p representatives.  Word tables grow by one block
+product per generator and level; free-algebra elements evaluate through
+one integer core, `_lifted_images`, that `nc_eval`, law tables and
+relation tests share.  Gaussian elimination runs on ints as well: `rref`
+lifts its rows once, and `IncrementalSpan` takes int vectors only,
+representatives mod p or fraction-free primitive rows over Q, each
+divided by its pivot only when `rref` hands it back.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .commpoly import CommPoly, SparseElement, var_key
 from . import errors, fields
 from .errors import PreconditionError, SingularMatrixError, require
 from .fields import FpElem
-from .ncpoly import NCPoly, words_up_to
+from .ncpoly import NCPoly
 
 
 class Matrix:
@@ -149,10 +150,12 @@ def word_sum(terms, mats, memo, p=0):
 
 def lift(mats, what):
     """`fields.lift` of scalar matrices of one size over the field that
-    `fields.field_of` names from all their entries: the integer matrices,
-    `back(c, k)` for a result of degree k in the entries, and the field."""
+    `fields.field_of` names from all their entries (plain ints are their own
+    lift): the integer matrices, `back(c, k)` for a degree-k result, the field."""
     values = [a for M in mats for r in M.rows for a in r]
     field = fields.field_of(values, what)
+    if set(map(type, values)) == _INT:
+        return mats, lambda c, k: Fraction(c), field
     ints, back = fields.lift(field, values)
     rows = zip(*[iter(ints)] * mats[0].n)
     return tuple(Matrix._wrap(tuple(islice(rows, M.n))) for M in mats), back, field
@@ -298,11 +301,7 @@ def nc_eval(poly, mats):
     """Substitute matrices for the generators of a free-algebra element.
 
     The empty word contributes coeff * identity.  Exact scalars run on
-    one `fields.lift` of the entries, the coefficients and 1, which lifts
-    to the common denominator d over Q (to 1 over F_p): a coefficient c
-    lifts to d c and a word w to d^|w| rho(w), so with K the longest word
-    length each term c w, scaled by d^(K-|w|), sums to d^(K+1) times the
-    value, which is read back at degree K+1.  Polynomial entries (generic
+    `_lifted_images`, read back at degree K+1; polynomial entries (generic
     matrices) are summed as they are.
     """
     if not isinstance(poly, NCPoly):
@@ -311,22 +310,31 @@ def nc_eval(poly, mats):
         raise PreconditionError(
             f"arity mismatch: <{poly.m}> generators vs {len(mats)} matrices")
     n = shared_dimension(mats)
-    terms = (sorted(poly.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
-             or [((), poly.field.zero)])
-    values = [a for M in mats for r in M.rows for a in r]
-    if not set(map(type, values)) <= _SCALARS:
-        memo = {(): Matrix.identity(n, values[0] ** 0).rows}
-        return Matrix._wrap(word_sum(terms, tuple(M.rows for M in mats), memo))
-    scalars = [poly.field.one] + [c for _, c in terms] + values
+    if set(type(a) for M in mats for r in M.rows for a in r) <= _SCALARS:
+        (image,), back, top = _lifted_images((poly,), mats)
+        return Matrix._wrap(tuple(tuple(back(a, top + 1) for a in r) for r in image))
+    memo = {(): Matrix.identity(n, mats[0].rows[0][0] ** 0).rows}
+    terms = poly.sorted_terms()[::-1] or [((), 0)]
+    return Matrix._wrap(word_sum(terms, tuple(M.rows for M in mats), memo))
+
+
+def _lifted_images(polys, mats):
+    """The one evaluation core: integer images of free-algebra elements on
+    one `fields.lift` of the scalar entries, every coefficient and 1 (d, the
+    common denominator over Q).  Each term c w is scaled by d^(K-|w|), K the
+    longest word of all `polys`, so an image is d^(K+1) times the value;
+    products are shared, mod p over F_p.  Returns (row tuples, back, K)."""
+    terms = [a.sorted_terms()[::-1] or [((), 0)] for a in polys]
+    scalars = [1] + [c for ts in terms for _, c in ts]
+    scalars += [a for M in mats for r in M.rows for a in r]
     field = fields.field_of(scalars, "evaluation of a free-algebra element")
     ints, back = fields.lift(field, scalars)
-    d, top = ints[0], len(terms[-1][0])
-    scaled = [(w, c * d ** (top - len(w))) for (w, _), c in zip(terms, ints[1:])]
-    entries = iter(ints[1 + len(terms):])
-    lifted = tuple(tuple(tuple(islice(entries, n)) for _ in range(n)) for _ in mats)
-    total = word_sum(scaled, lifted, {(): Matrix.identity(n, 1).rows},
-                     field.characteristic)
-    return Matrix._wrap(tuple(tuple(back(a, top + 1) for a in r) for r in total))
+    lifted, d, n = iter(ints[1:]), ints[0], mats[0].n
+    top = max((len(ts[-1][0]) for ts in terms), default=0)
+    scaled = [[(w, next(lifted) * d ** (top - len(w))) for w, _ in ts] for ts in terms]
+    rows = tuple(tuple(tuple(islice(lifted, n)) for _ in range(n)) for _ in mats)
+    memo = {(): Matrix.identity(n, 1).rows}
+    return [word_sum(s, rows, memo, field.characteristic) for s in scaled], back, top
 
 
 def require_word_table(m, max_len):
@@ -340,16 +348,21 @@ def require_word_table(m, max_len):
 
 
 def word_matrices(mats, max_len):
-    """Products along all words of length <= max_len, in graded-lex order.
-
-    Tables of more than MAX_TABLE_WORDS words are refused up front."""
+    """Products along all words of length <= max_len, in graded-lex order:
+    level L+1 is X_k [rho(w_1) | rho(w_2) | ...] over level L, one block
+    product per generator (the identity's columns are its rows), cut into
+    n x n blocks.  Tables of more than MAX_TABLE_WORDS words are refused."""
     n = shared_dimension(mats)
     require_word_table(len(mats), max_len)
-    one = mats[0].rows[0][0] ** 0
-    memo = {(): Matrix.identity(n, one).rows}
-    rows = tuple(M.rows for M in mats)
-    return {w: Matrix._wrap(word_product(w, rows, memo))
-            for w in words_up_to(len(mats), max_len)}
+    ident = Matrix.identity(n, mats[0].rows[0][0] ** 0)
+    table, words, cols = {(): ident}, [()], ident.rows
+    for _ in range(max_len):
+        wide = [[sum(map(mul, row, c)) for c in cols] for X in mats for row in X.rows]
+        cols = [c for k in range(len(mats)) for c in zip(*wide[k * n:(k + 1) * n])]
+        words = [(k,) + w for k in range(len(mats)) for w in words]
+        for j, w in enumerate(words):
+            table[w] = Matrix._wrap(tuple(zip(*cols[j * n:(j + 1) * n])))
+    return table
 
 
 # -- exact Gaussian elimination over a field -----------------------------------

@@ -27,8 +27,9 @@ from .cyclic import require_cyclic
 from . import errors, fields
 from .errors import PreconditionError, require
 from .fields import QQ, FpElem, PrimeField
-from .linalg import (Matrix, charpoly, det, det_linear_combination, lift,
-                     mat_mul, nc_eval, nullspace, solve_columns, word_matrices)
+from .linalg import (Matrix, _lifted_images, charpoly, det, det_linear_combination,
+                     lift, mat_mul, nullspace, solve_columns, word_matrices)
+from .linalg import nc_eval  # noqa: F401  bench/tracing.py rebinds it by name
 from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
 from .repvariety import _generator, _per_generator, default_table_len
 
@@ -83,8 +84,10 @@ def law_coefficients(rep, args):
     """Coefficient table of det∘rho on the given free-algebra arguments.
 
     Computed from det(sum_s t_s * rho(a_s)) by reading off monomials in
-    the t_s; only weight-n exponent vectors can occur.  The det takes about
-    n^3 steps per coefficient; over MAX_TABLE_WORDS in all are refused.
+    the t_s; only weight-n exponent vectors can occur.  The rho(a_s) stay
+    integer (`linalg._lifted_images`), so each coefficient is read back
+    once, at degree n (K+1).  The det takes about n^3 steps per
+    coefficient; over MAX_TABLE_WORDS in all are refused.
     """
     args = tuple(args)
     if not args:
@@ -95,16 +98,14 @@ def law_coefficients(rep, args):
     n, k = rep.n, len(args)
     require(n ** 3 * comb(n + k - 1, n), errors.MAX_TABLE_WORDS,
             f"a law table of {k} arguments on {n} x {n} matrices takes {{}} steps")
-    images = [nc_eval(a, rep.mats) for a in args]
+    images, back, top = _lifted_images(args, rep.mats)
     names = [f"t{s + 1}" for s in range(k)]
-    poly = det_linear_combination(images, names)
-    index = {name: s for s, name in enumerate(names)}
+    poly = det_linear_combination([Matrix._wrap(M) for M in images], names)
     coeffs = {}
     for mono, c in poly.terms.items():
-        xi = [0] * k
-        for v, e in mono:
-            xi[index[v]] = e
-        coeffs[tuple(xi)] = c
+        c = back(c.numerator, n * (top + 1))
+        if c:
+            coeffs[tuple(dict(mono).get(t, 0) for t in names)] = c
     return LawCoefficientTable(rep.field, rep.n, args, coeffs)
 
 

@@ -23,8 +23,8 @@ from ._tokens import Block, block_text
 from .commpoly import CommPoly, parse_comm_poly
 from . import errors, fields
 from .errors import ParseError, PreconditionError, SingularMatrixError, require
-from .linalg import (IncrementalSpan, Matrix, det, lift, matrix_inverse, nc_eval,
-                     require_word_table, shared_dimension, word_matrices)
+from .linalg import (IncrementalSpan, Matrix, _lifted_images, det, lift, matrix_inverse,
+                     nc_eval, require_word_table, shared_dimension, word_matrices)
 from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
                      word_str, words_up_to)
 
@@ -153,13 +153,10 @@ def rep_ideal(pres, n):
     gens = []
     seen = set()
     for rel in pres.relations:
-        M = nc_eval(rel, mats)
-        for i in range(n):
-            for j in range(n):
-                p = M.rows[i][j]
-                if p and p not in seen:
-                    seen.add(p)
-                    gens.append(p)
+        for p in chain.from_iterable(nc_eval(rel, mats).rows):
+            if p and p not in seen:
+                seen.add(p)
+                gens.append(p)
     gens.sort(key=lambda p: p.sort_tuple())
     return RepIdeal(pres.field, pres.m, n, tuple(gens))
 
@@ -175,15 +172,15 @@ def generic_assignment(mats):
 
 
 def is_representation(pres, mats):
-    """True when every relation evaluates to the zero matrix; `nc_eval`
-    runs each one on the integer lift of the tuple and its coefficients,
-    so over F_p it is the mod-p test of the F_p sweep."""
+    """True when every relation's integer image on the tuple
+    (`linalg._lifted_images`) is zero, mod p over F_p as in the F_p sweep."""
     if len(mats) != pres.m:
         raise PreconditionError(
             f"arity mismatch: presentation has {pres.m} generators, got {len(mats)}")
     shared_dimension(mats)
-    return not any(any(chain.from_iterable(nc_eval(r, mats).rows))
-                   for r in pres.relations)
+    images = _lifted_images(pres.relations, mats)[0] if pres.relations else ()
+    p = pres.field.characteristic
+    return not any(a % p if p else a for M in images for r in M for a in r)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,27 @@ def mat_scale(a, c):
     return Matrix(tuple(x * c for x in r) for r in a.rows)
 
 
+def letter_product(mats, word):
+    """The product of `mats` along `word`, one letter at a time, each entry
+    an explicit sum; the identity for ().  `Matrix` products are not used."""
+    n = mats[0].n
+    one = mats[0].rows[0][0] ** 0
+    prod = [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+    for k in word:
+        X = mats[k].rows
+        prod = [[reduce(add, (prod[i][l] * X[l][j] for l in range(n)))
+                 for j in range(n)] for i in range(n)]
+    return Matrix(prod)
+
+
+def eval_by_letters(poly, mats):
+    "A free-algebra element at `mats`: its terms' letter products, scaled and summed."
+    total = Matrix.zeros(mats[0].n, poly.field.zero)
+    for word, c in poly.terms.items():
+        total = mat_add(total, mat_scale(letter_product(mats, word), c))
+    return total
+
+
 def mat_trace(a):
     "Sum of the diagonal entries."
     return reduce(add, (a.rows[i][i] for i in range(a.n)))

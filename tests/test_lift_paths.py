@@ -3,22 +3,28 @@ that silently puts them back on whole word tables or on `Fraction`/`FpElem`
 matrix products keeps every output byte and only loses the speed, so the
 shape of the work is pinned here: the invariant table tables words to half
 its bound, the norm point runs Berkowitz only for the generator charpolys
-and the law table (its word determinants are eliminations on ints), and
-the norm point, the 0-cycle and the relation test form no matrix product
-on field entries."""
+and the law table (its word determinants are eliminations on ints), the
+law table lifts once and never reads its argument images back into the
+field, and the norm point, the 0-cycle, the relation test and the
+equivalence test form no matrix product on field entries."""
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import hilbchow.fields
 import hilbchow.linalg
+import hilbchow.normpoints
 import hilbchow.repvariety
-from hilbchow import (GF, QQ, AlgebraPresentation, Matrix, RepPoint, cycle_extract, det_point,
-                      invariant_table, is_representation, parse_nc_poly)
+from hilbchow import (GF, QQ, AlgebraPresentation, Matrix, NCPoly, PointedRep, RepPoint,
+                      conjugate, cycle_extract, det_point, invariant_table,
+                      is_representation, law_coefficients, parse_nc_poly,
+                      triples_equivalent)
 from hilbchow.fields import FpElem
 
-from oracles import FIELDS, rand_commuting_split_mats, rand_matrix, seeded
+from oracles import (FIELDS, rand_commuting_split_mats, rand_free_cyclic_point,
+                     rand_invertible, rand_matrix, seeded)
 
 
 def test_invariant_table_tables_words_to_half_the_bound(monkeypatch):
@@ -105,4 +111,55 @@ def test_det_point_runs_berkowitz_m_plus_one_times(monkeypatch, field_products):
                     entered.clear()
                     det_point(pt, max_len)
                     assert len(entered) == m + 1, (field, m, n, max_len)
+    assert field_products == {}
+
+
+def test_law_coefficients_lift_once_and_skip_nc_eval(monkeypatch, field_products):
+    # the argument images stay on the one integer lift of the evaluation
+    # core, which det_linear_combination takes as it is: one `fields.lift`
+    # per table, no `nc_eval`, no product of field-entry matrices
+    lifts = []
+    real = hilbchow.fields.lift
+
+    def counted(field, values):
+        lifts.append(field)
+        return real(field, values)
+
+    def refused(*args):
+        raise AssertionError("law_coefficients entered nc_eval")
+
+    rng = seeded("law-lift-once")
+    cases = []
+    for field in FIELDS + (GF(101),):
+        for m in (1, 2, 3):
+            for n in (1, 2, 3, 4):
+                rep = RepPoint(field, tuple(rand_matrix(field, n, rng) for _ in range(m)))
+                gens = [NCPoly.generator(field, m, k) for k in range(m)]
+                mixed = gens[0] * gens[-1] * gens[0] - gens[-1] + NCPoly.one(field, m)
+                cases += [(rep, gens), (rep, [mixed, gens[0], mixed])]
+    monkeypatch.setattr(hilbchow.fields, "lift", counted)
+    monkeypatch.setattr(hilbchow.linalg, "nc_eval", refused)
+    monkeypatch.setattr(hilbchow.normpoints, "nc_eval", refused)
+    field_products.clear()
+    for rep, args in cases:
+        lifts.clear()
+        law_coefficients(rep, args)
+        assert lifts == [rep.field]
+    assert field_products == {}
+
+
+def test_equivalence_test_forms_no_field_products(field_products):
+    rng = seeded("equiv-lift")
+    cases = []
+    for field in FIELDS + (GF(101),):
+        for m in (1, 2):
+            for n in (1, 2, 3):
+                pt = rand_free_cyclic_point(field, m, n, rng)
+                g = rand_invertible(field, n, rng)
+                moved = PointedRep(conjugate(g, pt.rep), g.apply(pt.v))
+                cases.append((pt, moved, g))
+    field_products.clear()
+    for pt, moved, g in cases:
+        assert triples_equivalent(pt, moved) == g
+        assert triples_equivalent(moved, pt) is not None
     assert field_products == {}

@@ -15,9 +15,10 @@ from hilbchow.fields import FpElem, lift
 from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
                              word_matrices, word_product)
 from hilbchow.linalg import lift as lift_matrices
+from hilbchow.ncpoly import words_up_to
 
-from oracles import (FIELDS, _mod_word, leibniz_det, mat_add, mat_scale,
-                     mat_trace, rand_int_scalar, rand_invertible, rand_matrix,
+from oracles import (FIELDS, _mod_word, leibniz_det, letter_product, mat_add,
+                     mat_scale, mat_trace, rand_int_scalar, rand_invertible, rand_matrix,
                      rand_ncpoly, rand_scalar, seeded, stabilizer_rows)
 
 
@@ -575,6 +576,24 @@ def test_word_matrices_graded_lex_keys():
     assert len(keys) == 1 + 2 + 4 + 8
     assert table[()] == Matrix.identity(2, Fraction(1))
     assert table[(0, 1, 1)] == A * B * B
+
+
+def test_word_matrices_against_letter_products():
+    # one block product per generator and level gives every word's product,
+    # keyed in words_up_to order, over the integers and over fields
+    rng = seeded("word-table-oracle")
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for field in (None, QQ, GF(2), GF(101)):
+                mats = tuple(Matrix([[rng.randint(-3, 3) for _ in range(n)]
+                                     for _ in range(n)]) if field is None
+                             else rand_matrix(field, n, rng) for _ in range(m))
+                for max_len in range(6):
+                    table = word_matrices(mats, max_len)
+                    assert list(table) == list(words_up_to(m, max_len))
+                    for w, got in table.items():
+                        assert got == letter_product(mats, w), (m, n, field, w)
+                        assert got.n == n
 
 
 def test_long_words_are_built_letter_by_letter():

@@ -13,8 +13,9 @@ from hilbchow.cli import main
 from hilbchow.fields import FpElem
 from hilbchow.ncpoly import words_up_to
 
-from oracles import (FIELDS, mat_add, mat_scale, rand_commuting_split_mats,
-                     rand_free_cyclic_point, rand_invertible, rand_matrix, seeded)
+from oracles import (FIELDS, eval_by_letters, mat_add, mat_scale,
+                     rand_commuting_split_mats, rand_free_cyclic_point, rand_invertible,
+                     rand_matrix, seeded)
 
 
 def M(*rows):
@@ -50,6 +51,40 @@ def test_law_coefficients_homogeneous():
             table = law_coefficients(rep, args)
             for xi in table.coeffs:
                 assert sum(xi) == n and len(xi) == len(args)
+
+
+def test_law_coefficients_against_letter_products():
+    # the table reads every coefficient back from one integer lift of the
+    # tuple and all argument coefficients; the oracle evaluates each argument
+    # by letter products over the field and hands the images to
+    # det_linear_combination, which lifts them on its own.  The arguments mix
+    # word lengths (so terms are scaled by different powers of the common
+    # denominator), carry constant terms and non-integral coefficients over
+    # Q, include the zero element and repeat one argument
+    rng = seeded("law-oracle")
+    cases = [[{(0,): (1, 1)}, {(1,): (1, 1)}],
+             [{(0, 1): (1, 1), (): (-1, 2)}, {(1, 1, 1): (1, 1), (0,): (2, 3)},
+              {(): (3, 1)}],
+             [{(0, 0, 1): (1, 1), (1, 0): (-1, 1), (): (5, 4)}, {(1,): (1, 1)},
+              {(0, 0, 1): (1, 1), (1, 0): (-1, 1), (): (5, 4)}],
+             [{(1, 0, 1, 0): (1, 3)}, {(0,): (1, 1), (1,): (-1, 1)}, {},
+              {(1, 1): (1, 1), (0, 1, 0): (7, 2)}]]
+    for field in FIELDS + (GF(101),):
+        def coef(num, den):  # non-integral over Q only
+            return Fraction(num, den) if field is QQ else field(num)
+        for n in (1, 2, 3, 4):
+            for case in cases:
+                rep = RepPoint(field, tuple(rand_matrix(field, n, rng) for _ in range(2)))
+                args = [NCPoly(field, 2, {w: coef(*c) for w, c in terms.items()})
+                        for terms in case]
+                names = [f"t{s + 1}" for s in range(len(args))]
+                poly = det_linear_combination(
+                    [eval_by_letters(a, rep.mats) for a in args], names)
+                expected = {tuple(dict(mono).get(t, 0) for t in names): c
+                            for mono, c in poly.terms.items()}
+                table = law_coefficients(rep, args)
+                assert table.coeffs == expected, (field, n, case)
+                assert all(type(c) is type(field.one) for c in table.coeffs.values())
 
 
 def test_law_table_constructor_rejects_inhomogeneous():

@@ -57,4 +57,5 @@ def test_keep_alive_imports_are_only_rebound():
                     found.add((path.stem, name))
                 else:
                     assert name in used or name not in rebound, (path.name, name)
-    assert found == {("cyclic", "nullspace"), ("divpow", "parse_nc_poly")}
+    assert found == {("cyclic", "nullspace"), ("divpow", "parse_nc_poly"),
+                     ("normpoints", "nc_eval")}

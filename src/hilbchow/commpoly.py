@@ -248,12 +248,8 @@ class CommPoly(SparseElement):
         return cls(field, {(): field(c)})
 
     @classmethod
-    def variable(cls, field, name, exp=1):
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
-            return cls.const(field, 1)
-        return cls(field, {((name, exp),): field.one})
+    def variable(cls, field, name):
+        return cls(field, {((name, 1),): field.one})
 
     # -- basic queries -----------------------------------------------
 

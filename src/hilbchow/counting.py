@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError, require
 from .fields import PrimeField, is_prime, lift
-from .linalg import Matrix, word_basis, word_sum
+from .linalg import word_basis, word_sum
 from .repvariety import AlgebraPresentation
 
 BUDGET_ENV = "HILBCHOW_BUDGET"
@@ -154,19 +154,18 @@ def count_range(pres_text, n, cells):
         if rel.terms:
             levels[max(max(w, default=0) for w in rel.terms)].append(
                 list(zip(rel.terms, lift(pres.field, rel.terms.values())[0])))
-    identity = Matrix.identity(n, 1).rows
+    e1 = (1,) + (0,) * (n - 1)
     free = [range(p)] * (n * n)
     # with X_1 cyclic and no later relation, each completion counts in both
     tail = 0 if any(levels[1:]) else p ** ((m - 1) * n * n)
     after = {}  # components -> the representatives of a later generator
 
     def walk(mats, comp, cyclic):
-        memo = {(): identity}
         if any(a % p for terms in levels[len(mats) - 1]
-               for row in word_sum(terms, mats, memo, p) for a in row):
+               for row in word_sum(terms, mats, p) for a in row):
             return 0, 0
         if len(mats) == m:
-            return 1, cyclic or (m > 1 and len(word_basis(mats, identity[0], p)) == n)
+            return 1, cyclic or (m > 1 and len(word_basis(mats, e1, p)) == n)
         if cyclic and tail:
             return tail, tail
         if comp not in after:

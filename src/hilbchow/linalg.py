@@ -120,27 +120,22 @@ def mat_pow(a, e, p=0):
     return mat_mul(a, half, p) if e & 1 else half
 
 
-def word_product(word, mats, memo, p=0):
-    """mats[w_0] * mats[w_1] * ... along `word`, reduced mod p if p, and
-    memoised in `memo`, which must map the empty word to the identity.
-    Built leftwards from word[1:] if `memo` has it, one power per run of a
-    letter; only `word` is stored."""
-    got = memo.get(word)
-    if got is None:
-        got = memo.get(word[1:]) if len(word) > 2 else None
-        for letter, run in groupby(reversed(word if got is None else word[:1])):
-            power = mat_pow(mats[letter], sum(1 for _ in run), p)
-            got = power if got is None else mat_mul(power, got, p)
-        memo[word] = got
-    return got
+def word_product(word, mats, p=0):
+    """mats[w_0] * mats[w_1] * ... along `word`, reduced mod p if p, built
+    leftwards with one power per run of a letter; the empty word gives the
+    identity."""
+    got = None
+    for letter, run in groupby(reversed(word)):
+        power = mat_pow(mats[letter], sum(1 for _ in run), p)
+        got = power if got is None else mat_mul(power, got, p)
+    return got or Matrix.identity(len(mats[0]), mats[0][0][0] ** 0).rows
 
 
-def word_sum(terms, mats, memo, p=0):
+def word_sum(terms, mats, p=0):
     "Sum of c * word_product(w) over the (w, c) pairs of nonempty `terms`."
     total = None
     for word, c in terms:
-        scaled = tuple(tuple(a * c for a in r)
-                       for r in word_product(word, mats, memo, p))
+        scaled = tuple(tuple(a * c for a in r) for r in word_product(word, mats, p))
         total = scaled if total is None else tuple(
             tuple(map(add, t, s)) for t, s in zip(total, scaled))
     return total
@@ -309,13 +304,12 @@ def nc_eval(poly, mats):
     if len(mats) != poly.m:
         raise PreconditionError(
             f"arity mismatch: <{poly.m}> generators vs {len(mats)} matrices")
-    n = shared_dimension(mats)
+    shared_dimension(mats)
     if set(type(a) for M in mats for r in M.rows for a in r) <= _SCALARS:
         (image,), back, top = _lifted_images((poly,), mats)
         return Matrix._wrap(tuple(tuple(back(a, top + 1) for a in r) for r in image))
-    memo = {(): Matrix.identity(n, mats[0].rows[0][0] ** 0).rows}
-    terms = poly.sorted_terms()[::-1] or [((), 0)]
-    return Matrix._wrap(word_sum(terms, tuple(M.rows for M in mats), memo))
+    terms = list(poly.terms.items()) or [((), 0)]
+    return Matrix._wrap(word_sum(terms, tuple(M.rows for M in mats)))
 
 
 def _lifted_images(polys, mats):
@@ -323,18 +317,17 @@ def _lifted_images(polys, mats):
     one `fields.lift` of the scalar entries, every coefficient and 1 (d, the
     common denominator over Q).  Each term c w is scaled by d^(K-|w|), K the
     longest word of all `polys`, so an image is d^(K+1) times the value;
-    products are shared, mod p over F_p.  Returns (row tuples, back, K)."""
-    terms = [a.sorted_terms()[::-1] or [((), 0)] for a in polys]
+    products are reduced mod p over F_p.  Returns (row tuples, back, K)."""
+    terms = [list(a.terms.items()) or [((), 0)] for a in polys]
     scalars = [1] + [c for ts in terms for _, c in ts]
     scalars += [a for M in mats for r in M.rows for a in r]
     field = fields.field_of(scalars, "evaluation of a free-algebra element")
     ints, back = fields.lift(field, scalars)
     lifted, d, n = iter(ints[1:]), ints[0], mats[0].n
-    top = max((len(ts[-1][0]) for ts in terms), default=0)
+    top = max((len(w) for ts in terms for w, _ in ts), default=0)
     scaled = [[(w, next(lifted) * d ** (top - len(w))) for w, _ in ts] for ts in terms]
     rows = tuple(tuple(tuple(islice(lifted, n)) for _ in range(n)) for _ in mats)
-    memo = {(): Matrix.identity(n, 1).rows}
-    return [word_sum(s, rows, memo, field.characteristic) for s in scaled], back, top
+    return [word_sum(s, rows, field.characteristic) for s in scaled], back, top
 
 
 def require_word_table(m, max_len):
@@ -448,8 +441,9 @@ def solve_columns(basis, targets):
 class IncrementalSpan:
     """Growing echelonized span of int vectors (callers lift field elements
     once, `fields.lift`), stored as integer rows that are 0 at the pivots
-    stored before them.  With a prime p a row holds representatives and is
-    1 at its pivot; with p = 0 it is primitive and eliminated fraction-free.
+    stored before them; a vector joins it exactly when it is independent.
+    With a prime p a row holds representatives and is 1 at its pivot; with
+    p = 0 it is primitive and eliminated fraction-free.
     """
 
     __slots__ = ("dim", "p", "rows", "pivots")
@@ -460,9 +454,8 @@ class IncrementalSpan:
         self.rows = []
         self.pivots = []
 
-    def add(self, vec, keep=True):
-        """True when vec enlarges the span; vec then joins it unless
-        `keep` is false."""
+    def add(self, vec):
+        "True when vec enlarges the span, which it then joins."
         rows = self.rows
         if len(rows) == self.dim:
             return False
@@ -477,16 +470,12 @@ class IncrementalSpan:
                        else [a * g - f * b for a, b in zip(vec, row)])
         for c, piv in enumerate(vec):
             if piv:
-                if keep:
-                    g = pow(piv, -1, p) if p else gcd(*vec)
-                    rows.append([a * g % p for a in vec] if p
-                                else [a // g for a in vec])
-                    self.pivots.append(c)
+                g = pow(piv, -1, p) if p else gcd(*vec)
+                rows.append([a * g % p for a in vec] if p
+                            else [a // g for a in vec])
+                self.pivots.append(c)
                 return True
         return False
-
-    def contains(self, vec):
-        return not self.add(vec, keep=False)
 
     @property
     def rank(self):

@@ -251,12 +251,8 @@ def _divisors(n):
 def _rational_root_candidates(coeffs):
     """Possible rational roots of an exact-coefficient polynomial."""
     ints, _ = fields.lift(QQ, coeffs)
-    while ints and ints[-1] == 0:
-        ints.pop()
     lead = ints[-1]
-    lowest = next((c for c in ints if c != 0), None)
-    if lowest is None:
-        return [Fraction(0)]
+    lowest = next(c for c in ints if c != 0)
     nums, dens = _divisors(lowest), _divisors(lead)
     require(2 * len(nums) * len(dens), errors.MAX_ROOT_SCAN,
             "a root search would try {} rational candidates")

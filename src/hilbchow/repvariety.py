@@ -14,7 +14,6 @@ and the relation test run on the integer lift of the tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from math import comb
 from operator import mul
@@ -51,7 +50,7 @@ class AlgebraPresentation:
                 raise PreconditionError("relation with mismatched field or arity")
         object.__setattr__(self, "relations", rels)
 
-    @cached_property
+    @property
     def is_commutative(self):
         """True when every generator commutator is a linear combination of
         the relations as given (a syntactic test, not ideal membership)."""
@@ -74,8 +73,7 @@ class AlgebraPresentation:
             for j in range(i + 1, self.m):
                 xi, xj = self.generator(i), self.generator(j)
                 comm = xi * xj - xj * xi
-                if not (comm.terms.keys() <= index.keys()
-                        and span.contains(vector(comm))):
+                if not comm.terms.keys() <= index.keys() or span.add(vector(comm)):
                     return False
         return True
 
@@ -230,7 +228,7 @@ def matrix_row_text(field, M):
     return "; ".join(" ".join(field.format(a) for a in row) for row in M.rows)
 
 
-def parse_matrix_rows(field, text, n=None):
+def parse_matrix_rows(field, text, n):
     rows = []
     for chunk in text.split(";"):
         entries = chunk.split()
@@ -239,7 +237,7 @@ def parse_matrix_rows(field, text, n=None):
         rows.append(tuple(field.parse(tok) for tok in entries))
     if any(len(r) != len(rows) for r in rows):
         raise ParseError(f"matrix is not square: {text!r}")
-    if n is not None and len(rows) != n:
+    if len(rows) != n:
         raise ParseError(f"expected a {n} x {n} matrix: {text!r}")
     return Matrix(rows)
 

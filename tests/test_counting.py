@@ -224,7 +224,10 @@ def test_fast_sweep_agrees_with_generic_operations():
              # cell skip their tests, and with m > 1 so do whole subtrees
              (presentation(3, 1, "x1^2"), 3), (presentation(2, 3), 2),
              (presentation(3, 2, "x1*x2 - x2*x1"), 2),
-             (presentation(3, 2, "x1*x2 - x2*x1 - 1"), 2)]
+             (presentation(3, 2, "x1*x2 - x2*x1 - 1"), 2),
+             # two relations tested at one level that share the word x1*x2,
+             # one of them with a constant term
+             (presentation(3, 2, "x1*x2 - x2*x1", "x1*x2 - x1^2 + 1"), 2)]
     for pres, n in cases:
         report = enumerate_points(pres, n)
         reps, pairs = naive_count(pres, n)

@@ -5,11 +5,11 @@ from operator import add, mul
 
 import pytest
 
-from hilbchow import (GF, QQ, BudgetExceededError, CommPoly, Matrix, NCPoly,
-                      PreconditionError, RepPoint, SingularMatrixError,
+from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError, CommPoly,
+                      Matrix, NCPoly, PreconditionError, RepPoint, SingularMatrixError,
                       berkowitz_coeffs, charpoly, det, det_linear_combination, det_point,
-                      invariant_table, law_coefficients, matrix_inverse,
-                      nc_eval, parse_comm_poly)
+                      invariant_table, is_representation, law_coefficients,
+                      matrix_inverse, nc_eval, parse_comm_poly)
 from hilbchow.errors import MAX_TABLE_WORDS
 from hilbchow.fields import FpElem, lift
 from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
@@ -17,9 +17,9 @@ from hilbchow.linalg import (IncrementalSpan, nullspace, rref, solve_columns,
 from hilbchow.linalg import lift as lift_matrices
 from hilbchow.ncpoly import words_up_to
 
-from oracles import (FIELDS, _mod_word, leibniz_det, letter_product, mat_add,
-                     mat_scale, mat_trace, rand_int_scalar, rand_invertible, rand_matrix,
-                     rand_ncpoly, rand_scalar, seeded, stabilizer_rows)
+from oracles import (FIELDS, _mod_word, eval_by_letters, leibniz_det, letter_product,
+                     mat_add, mat_scale, mat_trace, rand_int_scalar, rand_invertible,
+                     rand_matrix, rand_ncpoly, rand_scalar, seeded, stabilizer_rows)
 
 
 def M(*rows):
@@ -253,6 +253,43 @@ def test_nc_eval_arity_and_dimension_errors():
         nc_eval(x, (E12, M((1,),)))
 
 
+def test_evaluation_commutes_with_reduction_mod_p():
+    # Z -> F_p is a ring map, so on integer points and integer-coefficient
+    # arguments (mixed word lengths, a constant term) nc_eval, the law table
+    # and the relation test over Q, reduced mod p, give their values over
+    # F_p; X2 = f(X1) makes x2 - f(x1) a relation over Q, hence over F_p
+    rng = seeded("evaluation-base-change")
+    for p in (2, 3, 5, 7):
+        F = GF(p)
+        for n in (1, 2, 3):
+            for _ in range(3):
+                X1 = rand_matrix(QQ, n, rng, integer=True)
+                f = NCPoly(QQ, 1, {(): rng.choice((-2, -1, 1, 2)),
+                                   (0,): rng.randint(-3, 3), (0, 0): rng.randint(-3, 3)})
+                mats = (X1, eval_by_letters(f, (X1,)))
+                rel = NCPoly.generator(QQ, 2, 1) - NCPoly(QQ, 2, dict(f.terms))
+                args = [rel] + [NCPoly(QQ, 2, {
+                    tuple(rng.randrange(2) for _ in range(length)): rng.randint(-3, 3)
+                    for length in (0, 1, 2, 3)}) for _ in range(2)]
+                mats_p = tuple(Matrix(tuple(tuple(F(a) for a in r) for r in X.rows))
+                               for X in mats)
+                args_p = [NCPoly(F, 2, {w: F(c) for w, c in a.terms.items()})
+                          for a in args]
+                assert nc_eval(rel, mats) == Matrix.zeros(n, Fraction(0))
+                for a, a_p in zip(args, args_p):
+                    reduced = tuple(tuple(F(x) for x in r) for r in nc_eval(a, mats).rows)
+                    assert Matrix(reduced) == nc_eval(a_p, mats_p)
+                law = law_coefficients(RepPoint(QQ, mats), args)
+                law_p = law_coefficients(RepPoint(F, mats_p), args_p)
+                assert {e: F(c) for e, c in law.coeffs.items() if F(c)} == law_p.coeffs
+                assert is_representation(AlgebraPresentation(QQ, 2, (rel,)), mats)
+                for rels in ((0,), (0, 1), (1, 2)):
+                    pres_p = AlgebraPresentation(F, 2, tuple(args_p[i] for i in rels))
+                    assert is_representation(pres_p, mats_p) == all(
+                        not F(x) for i in rels for r in nc_eval(args[i], mats).rows
+                        for x in r)
+
+
 def test_det_linear_combination_frozen_examples():
     I2 = Matrix.identity(2, Fraction(1))
     assert str(det_linear_combination([I2], ["t"])) == "t^2"
@@ -400,9 +437,12 @@ def test_incremental_span():
     assert not span.add(lifted(QQ, 2, 2, 0))
     assert span.add(lifted(QQ, 0, 0, "5/3"))
     assert span.rank == 2
-    assert span.contains(lifted(QQ, 3, 3, "7/4"))
-    assert not span.contains(lifted(QQ, 1, 0, 0))
+    # a dependent vector leaves the rows as they are, an independent one joins
+    assert not span.add(lifted(QQ, 3, 3, "7/4"))
     assert span.rows == [[1, 1, 0], [0, 0, 1]]
+    assert span.add(lifted(QQ, 1, 0, 0))
+    assert span.rows == [[1, 1, 0], [0, 0, 1], [0, -1, 0]]
+    assert not span.add(lifted(QQ, 1, 2, 3))
 
 
 def gauss_jordan(rows):
@@ -597,33 +637,27 @@ def test_word_matrices_against_letter_products():
 
 
 def test_long_words_are_built_letter_by_letter():
-    # far past the recursion limit; the memo gains the word alone
+    # far past the recursion limit; the empty word gives the identity
     A = M((1, 1), (0, 1))
     word = (0,) * 2000
     assert nc_eval(NCPoly(QQ, 1, {word: 1}), (A,)) == M((1, 2000), (0, 1))
-    memo = {(): Matrix.identity(2, Fraction(1)).rows, (0, 0): (A * A).rows}
-    assert Matrix(word_product(word, (A.rows,), memo)) == M((1, 2000), (0, 1))
-    assert len(memo) == 3
+    assert Matrix(word_product(word, (A.rows,))) == M((1, 2000), (0, 1))
+    assert Matrix(word_product((), (A.rows,))) == Matrix.identity(2, Fraction(1))
 
 
 def test_word_products_mod_p_against_letter_by_letter():
-    # runs of a letter taken as powers and the w[1:] hit give the product
-    # mod p whatever else the memo holds, and the memo gains the word
+    # runs of a letter taken as powers give the product mod p, and the
+    # empty word the identity
     rng = seeded("word-products-mod-p")
     for p in (2, 3, 7):
         for n in (1, 2, 3):
             mats = tuple(tuple(tuple(rng.randrange(p) for _ in range(n))
                                for _ in range(n)) for _ in range(2))
-            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             for _ in range(20):
-                word = tuple(rng.choice((0, 0, 0, 1)) for _ in range(rng.randrange(1, 40)))
-                memo = {(): identity}
-                for cut in rng.sample(range(len(word)), min(2, len(word))):
-                    memo[word[cut:]] = tuple(map(tuple, _mod_word(mats, word[cut:], n, p)))
-                size = len(memo) + (word not in memo)
-                got = word_product(word, mats, memo, p)
+                word = tuple(rng.choice((0, 0, 0, 1)) for _ in range(rng.randrange(40)))
+                got = word_product(word, mats, p)
                 assert [list(r) for r in got] == _mod_word(mats, word, n, p)
-                assert len(memo) == size
+            assert [list(r) for r in word_product((), mats, p)] == _mod_word(mats, (), n, p)
 
 
 def test_word_matrices_refuses_oversized_tables():

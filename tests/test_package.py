@@ -1,5 +1,6 @@
 import ast
 import re
+import sys
 from pathlib import Path
 
 import hilbchow
@@ -21,6 +22,24 @@ def test_only_fields_lifts_scalars_to_ints():
              for path in sorted(src.glob("*.py")) if path.name != "fields.py"
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if re.search(r"\.denominator\b|\blcm\b", line)]
+    assert not found
+
+
+def test_src_imports_only_the_standard_library():
+    # the package is stdlib-only: every import is relative or names a module
+    # that ships with Python
+    src = Path(hilbchow.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not found
 
 

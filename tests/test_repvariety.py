@@ -60,6 +60,14 @@ def test_commutativity_flag():
     three = poly_pres(["x1*x2 - x2*x1", "x1*x3 - x3*x1", "x2*x3 - x3*x2"], 3)
     assert three.is_commutative
     assert not poly_pres(["x1*x2 - x2*x1", "x1*x3 - x3*x1"], 3).is_commutative
+    # [x1, x2] and [x1, x3] are half the sum and half the difference of two
+    # relations, and no multiple of either one
+    mixed = poly_pres(["x1*x2 - x2*x1 + x1*x3 - x3*x1",
+                       "x1*x2 - x2*x1 - x1*x3 + x3*x1", "x2*x3 - x3*x2"], 3)
+    assert mixed.is_commutative
+    # [x1, x2] lies in the span, then [x1, x3] uses its words and does not
+    late = poly_pres(["x1*x2 - x2*x1", "x1*x3 + x3*x1", "x2*x3 - x3*x2"], 3)
+    assert not late.is_commutative
 
 
 def test_build_generic_counts():

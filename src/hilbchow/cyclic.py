@@ -63,13 +63,14 @@ class PointedRep:
 
 
 def cyclic_word_basis(pt):
-    """Graded-lex-first words whose images of v are linearly independent,
-    and those images (`linalg.word_basis` on the lift of the matrices and v)."""
-    mats, back, field = lift(pt.rep.mats, "a word basis")
-    v, back_v = fields.lift(field, pt.v)
-    basis = word_basis(tuple(M.rows for M in mats), v, field.characteristic)
-    scale = back_v(1, 1)
-    return [w for w, _ in basis], [tuple(back(c, len(w)) * scale for c in u)
+    """Graded-lex-first words whose images of v are linearly independent, and
+    those images, from one lift of the entries and v: w.v has degree |w| + 1."""
+    n, entries = pt.n, [a for M in pt.rep.mats for r in M.rows for a in r]
+    ints, back = fields.lift(pt.field, entries + list(pt.v))
+    *rows, v = zip(*[iter(ints)] * n)
+    mats = [rows[k:k + n] for k in range(0, len(rows), n)]
+    basis = word_basis(mats, v, pt.field.characteristic)
+    return [w for w, _ in basis], [tuple(back(c, len(w) + 1) for c in u)
                                    for w, u in basis]
 
 

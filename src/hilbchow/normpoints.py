@@ -10,8 +10,8 @@ determinants up to a length bound.  The pointed version first checks
 cyclicity and then forgets the vector, so it factors through the plain
 representation point.  For commuting split tuples, the joint
 generalized eigenvalues with multiplicities recover the classical
-0-cycle of the subscheme; the commutation test and the powers
-(M - lam)^mult whose kernels are the eigenspaces run on ints.
+0-cycle of the subscheme, each multiplicity the dimension of a common
+kernel of powers (X_k - lam_k)^mult_k, which run on ints.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from operator import sub
 
 from ._tokens import Block, block_text, parse_int, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
@@ -28,8 +27,9 @@ from . import errors, fields
 from .errors import PreconditionError, require
 from .fields import QQ, FpElem, PrimeField
 from .linalg import (Matrix, _lifted_images, charpoly, det, det_linear_combination,
-                     lift, mat_mul, nullspace, solve_columns, word_matrices)
+                     lift, mat_mul, mat_pow, nullspace, word_matrices)
 from .linalg import nc_eval  # noqa: F401  bench/tracing.py rebinds it by name
+from .linalg import solve_columns  # noqa: F401  bench/tracing.py rebinds it by name
 from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
 from .repvariety import _generator, _per_generator, default_table_len
 
@@ -317,75 +317,55 @@ def field_roots(poly):
     return roots, found == degree
 
 
-def _restrict(mat, basis):
-    "Action of an invariant-subspace matrix in the given column basis."
-    images = [mat.apply(b) for b in basis]
-    coords = solve_columns(basis, images)
-    r = len(basis)
-    return Matrix(tuple(tuple(coords[j][i] for j in range(r)) for i in range(r)))
-
-
 def cycle_extract(rep):
     """Joint generalized eigenvalue tuples of a commuting matrix tuple.
 
-    Splits along the first generator's generalized eigenspaces, then
-    recurses on the remaining generators within each block; returns a
-    Cycle, or a SplitFailure carrying the first characteristic
-    polynomial that has too few roots in the base field.  Input matrices
-    must commute pairwise, which is tested on their integer lift (mod p
-    over F_p).
+    Commuting matrices share their generalized eigenspaces, so the
+    multiplicity of (lam_1..lam_m) is the dimension of the common kernel
+    of the (X_k - lam_k)^mult_k, mult_k being lam_k's multiplicity in the
+    charpoly of X_k; prefixes grow a generator at a time, and one whose
+    common kernel is 0 is dropped.  Returns a Cycle, or a SplitFailure
+    carrying the first generator charpoly with too few roots in the base
+    field.  The matrices must commute pairwise, tested first on their
+    integer lift (mod p over F_p); the entries and the roots are then
+    lifted together, so each power runs on ints and is read back once.
     """
-    field = rep.field
+    field, n = rep.field, rep.n
     ints, _, _ = lift(rep.mats, "a 0-cycle")
     p = field.characteristic
     for i in range(len(ints)):
         for j in range(i + 1, len(ints)):
             a, b = ints[i].rows, ints[j].rows
-            if any(x % p if p else x for r, s in zip(mat_mul(a, b), mat_mul(b, a))
-                   for x in map(sub, r, s)):
+            if mat_mul(a, b, p) != mat_mul(b, a, p):
                 raise PreconditionError(
                     f"matrices {i + 1} and {j + 1} do not commute")
-    result = _split_blocks(list(rep.mats), field)
-    if isinstance(result, SplitFailure):
-        return result
-    return Cycle(field, rep.m, rep.n, result)
-
-
-def _split_blocks(mats, field):
-    """The generalized eigenspace of the first matrix M for a root lam of
-    multiplicity mult is ker (M - lam)^mult.  M and the roots are lifted
-    together, so (M - lam)^mult runs on ints and is read back once."""
-    if not mats:
-        raise AssertionError("empty generator list")
-    M = mats[0]
-    dim = M.n
-    cp = charpoly(M)
-    roots, split = field_roots(cp)
-    if not split:
-        return SplitFailure(field, cp)
-    ints, back = fields.lift(field, [a for r in M.rows for a in r]
-                             + [lam for lam, _ in roots])
-    rows = tuple(zip(*[iter(ints[:dim * dim])] * dim))
-    out = {}
-    for (lam, mult), shift in zip(roots, ints[dim * dim:]):
-        shifted = tuple(tuple(a - shift if i == j else a for j, a in enumerate(r))
-                        for i, r in enumerate(rows))
-        power = shifted
-        for _ in range(mult - 1):
-            power = mat_mul(power, shifted)
-        kernel = nullspace([[back(c, mult) for c in r] for r in power], dim)
-        if len(kernel) != mult:
-            raise AssertionError("generalized eigenspace dimension mismatch")
-        if len(mats) == 1:
-            out[(lam,)] = mult
-            continue
-        rest = [_restrict(X, kernel) for X in mats[1:]]
-        sub = _split_blocks(rest, field)
-        if isinstance(sub, SplitFailure):
-            return sub
-        for tup, mm in sub.items():
-            out[(lam,) + tup] = mm
-    return out
+    roots = []
+    for M in rep.mats:
+        cp = charpoly(M)
+        found, split = field_roots(cp)
+        if not split:
+            return SplitFailure(field, cp)
+        roots.append(found)
+    entries = [a for M in rep.mats for r in M.rows for a in r]
+    values, back = fields.lift(field, entries + [lam for fd in roots for lam, _ in fd])
+    cut = len(entries)
+    rows, shifts = list(zip(*[iter(values[:cut])] * n)), iter(values[cut:])
+    joint = {(): ([], n)}
+    for k, found in enumerate(roots):
+        powers = []
+        for (lam, mult), shift in zip(found, shifts):
+            shifted = tuple(tuple(a - shift if i == j else a for j, a in enumerate(r))
+                            for i, r in enumerate(rows[k * n:(k + 1) * n]))
+            powers.append((lam, [[back(c, mult) for c in r]
+                                 for r in mat_pow(shifted, mult, p)]))
+        grown = {}
+        for prefix, (stacked, _) in joint.items():
+            for lam, power in powers:
+                dim = len(nullspace(stacked + power, n))
+                if dim:
+                    grown[prefix + (lam,)] = stacked + power, dim
+        joint = grown
+    return Cycle(field, rep.m, n, {tup: dim for tup, (_, dim) in joint.items()})
 
 
 def cycle_product_poly(cycle, var_names):

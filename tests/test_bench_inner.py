@@ -1,13 +1,15 @@
 """The traced benchmark rebinds library names listed in `bench/tracing.py`'s
 `INNER` and counts the calls made through them; a name that moves or
-disappears, or a call count that changes, breaks `bench/run.py --trace 1`
-without failing anything else, so both are checked here, as is every name
-that `bench/` imports from `hilbchow`."""
+disappears, a call count that changes, or a layer that its probe requests
+no longer reach breaks `bench/run.py --trace 1` without failing anything
+else, so all three are checked here, as is every name that `bench/`
+imports from `hilbchow`."""
 
 import ast
 import glob
 import importlib
 import os
+import random
 import sys
 from collections import Counter
 
@@ -107,3 +109,26 @@ def test_invariant_table_calls_det_once_per_generator(calls, field):
     invariant_table(rep)
     assert calls == {"hilbchow.repvariety.det": 3,
                      "hilbchow.repvariety.word_matrices": 1}
+
+
+def test_probe_reaches_every_span_metric():
+    # `run.traced_run` reads a layer the workload does not reach from a probe
+    # (these requests) and divides by the probe's calls of the layer's span,
+    # so a span that no probe request enters makes `--trace 1` crash
+    sys.path.insert(0, BENCH)
+    try:
+        run, tracing, workloads = map(importlib.import_module,
+                                      ("run", "tracing", "workloads"))
+    finally:
+        sys.path.remove(BENCH)
+    reqs = [r for name, count in (("normmap", 3), ("ideal", 7), ("divpow", 3))
+            for r in workloads.BUILDERS[name](random.Random(0), 1)[:count]]
+    reqs += [r for r in workloads.build_sweep(random.Random(0))
+             if r.meta == {"m": 2, "n": 2, "q": 2} and "rel" not in r.opts["presentation"]]
+    tracer = tracing.Tracer()
+    with tracer.tracing():
+        for req in reqs:
+            tracing.compose(req, tracer)
+    stats = tracer.stats()
+    assert [span for span, _, _ in run.SPAN_METRICS.values()
+            if not stats.get(span, (0,))[0]] == []

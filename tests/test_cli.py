@@ -175,6 +175,12 @@ def test_cycle_command(capsys, commuting, ptfile):
     assert code2 == 0
     assert out2.splitlines()[0] == "split-failure"
     assert "charpoly t^2 + 1" in out2
+    # the second generator's charpoly (t^2 + 1)(t - 5)(t - 6) is named whole
+    pt = "point|field Q|n 4|mat 1 0 0 0; 0 1 0 0; 0 0 2 0; 0 0 0 2" \
+         "|mat 0 -1 0 0; 1 0 0 0; 0 0 5 0; 0 0 0 6"
+    code3, out3, _ = run(capsys, "cycle", "--presentation", commuting, "--point", pt)
+    assert (code3, out3) == (0, "split-failure\nfield Q\n"
+                                "charpoly t^4 - 11*t^3 + 31*t^2 - 11*t + 30\n")
 
 
 def test_cycle_rejects_non_commutative_presentation(capsys):

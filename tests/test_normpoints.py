@@ -253,6 +253,14 @@ def test_cycle_extract_frozen_examples():
     assert isinstance(fail, SplitFailure)
     assert str(fail.charpoly) == "t^2 + 1"
 
+    # a later generator that does not split is named by its whole charpoly,
+    # (t^2 + 1)(t - 5)(t - 6), not by the block of it that fails
+    X1 = M((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+    X2 = M((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 5, 0), (0, 0, 0, 6))
+    fail2 = cycle_extract(RepPoint(QQ, (X1, X2)))
+    assert isinstance(fail2, SplitFailure)
+    assert str(fail2.charpoly) == "t^4 - 11*t^3 + 31*t^2 - 11*t + 30"
+
 
 def test_cycle_extract_rejects_non_commuting():
     with pytest.raises(PreconditionError):
@@ -263,9 +271,11 @@ def test_cycle_refusal_names_the_first_non_commuting_pair():
     F3 = GF(3)
     A = Matrix([[F3(0), F3(0)], [F3(1), F3(1)]])
     E = Matrix([[F3(0), F3(1)], [F3(0), F3(0)]])
-    for mats, pair in (((NILP, M((0, 0), (1, 0))), "1 and 2"),
-                       ((A, A, E), "1 and 3"), ((Matrix.zeros(2, F3.zero), A, E), "2 and 3")):
-        field = QQ if mats[0] is NILP else F3
+    # companion(t^2 + 1) does not split over Q: the commutation test comes first
+    for field, mats, pair in ((QQ, (NILP, M((0, 0), (1, 0))), "1 and 2"),
+                              (QQ, (M((0, -1), (1, 0)), NILP), "1 and 2"),
+                              (F3, (A, A, E), "1 and 3"),
+                              (F3, (Matrix.zeros(2, F3.zero), A, E), "2 and 3")):
         with pytest.raises(PreconditionError, match=f"^matrices {pair} do not commute$"):
             cycle_extract(RepPoint(field, mats))
 
@@ -295,6 +305,11 @@ def test_cycle_of_a_non_semisimple_tuple(field):
         assert cycle_extract(RepPoint(field, mats[:1])).points == {(lam,): 3, (mu,): 1}
         swapped = cycle_extract(RepPoint(field, mats[::-1])).points
         assert swapped == {(a, lam): 2, (b, lam): 1, (c, mu): 1}
+        # m = 3: a scalar X0 keeps the whole space, X1 splits it into its
+        # lam and mu parts, and X2 splits the lam part further
+        s0 = field(7)
+        triple = cycle_extract(RepPoint(field, (mat_scale(ident, s0), *mats)))
+        assert triple.points == {(s0, lam, a): 2, (s0, lam, b): 1, (s0, mu, c): 1}
 
 
 def test_cycle_accepts_a_pair_that_commutes_mod_p_only(capsys):
@@ -312,8 +327,8 @@ def test_cycle_accepts_a_pair_that_commutes_mod_p_only(capsys):
 def test_cycle_multiplicities_sum_to_n():
     rng = seeded("cycle-sum")
     for field in FIELDS:
-        for _ in range(10):
-            mats, expected = rand_commuting_split_mats(field, 2, 3, rng)
+        for m in (2, 2, 3) * 5:
+            mats, expected = rand_commuting_split_mats(field, m, 3, rng)
             out = cycle_extract(RepPoint(field, mats))
             assert isinstance(out, Cycle)
             assert sum(out.points.values()) == 3

@@ -77,4 +77,4 @@ def test_keep_alive_imports_are_only_rebound():
                 else:
                     assert name in used or name not in rebound, (path.name, name)
     assert found == {("cyclic", "nullspace"), ("divpow", "parse_nc_poly"),
-                     ("normpoints", "nc_eval")}
+                     ("normpoints", "nc_eval"), ("normpoints", "solve_columns")}

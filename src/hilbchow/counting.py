@@ -32,7 +32,6 @@ from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError, require
 from .fields import PrimeField, is_prime, lift
 from .linalg import word_basis, word_sum
-from .repvariety import AlgebraPresentation
 
 BUDGET_ENV = "HILBCHOW_BUDGET"
 DEFAULT_BUDGET = 2 ** 30
@@ -140,14 +139,13 @@ def first_cells(p, n):
     return cells
 
 
-def count_range(pres_text, n, cells):
-    """(representation tuples, cyclic pairs) over the tuples whose first
-    matrix is one of `cells`, a slice of first_cells(q, n), each weighed by
-    its cell and torus weight; later generators are walked one per torus
-    orbit.  Each relation is tested once the last generator it uses is
-    fixed, and a failing prefix skips its subtree; the pairs are q^n - 1
-    times the tuples for which e_1 is cyclic."""
-    pres = AlgebraPresentation.from_text(pres_text)
+def count_range(pres, n, cells):
+    """(representation tuples, cyclic pairs) of the presentation `pres` over
+    the tuples whose first matrix is one of `cells`, a slice of
+    first_cells(q, n), each weighed by its cell and torus weight; later
+    generators are walked one per torus orbit.  Each relation is tested once
+    the last generator it uses is fixed, and a failing prefix skips its
+    subtree; the pairs are q^n - 1 times the tuples for which e_1 is cyclic."""
     p, m = pres.field.p, pres.m
     levels = [[] for _ in range(m)]
     for rel in pres.relations:
@@ -202,7 +200,6 @@ def enumerate_points(pres, n, budget=None, workers=1):
     m = pres.m
     require(q ** (m * n * n), budget, "a sweep would test {} candidate tuples")
     started = time.monotonic_ns()
-    pres_text = pres.to_text()
     if workers < 1:
         raise PreconditionError("worker count must be at least 1")
     # the cells' weights count every first matrix once
@@ -213,14 +210,14 @@ def enumerate_points(pres, n, budget=None, workers=1):
     # since the pool starts them all at once
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers == 1:
-        reps, pairs = count_range(pres_text, n, cells)
+        reps, pairs = count_range(pres, n, cells)
     else:
         # imported here: loading the pool adds ~40 ms to every `import hilbchow`
         from concurrent.futures import ProcessPoolExecutor
         chunks = _ranges(len(cells), workers)
         reps = pairs = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(count_range, pres_text, n, cells[a:b])
+            futures = [pool.submit(count_range, pres, n, cells[a:b])
                        for a, b in chunks]
             for fut in futures:
                 r, c = fut.result()

@@ -18,8 +18,8 @@ from .errors import ParseError, PreconditionError
 from .linalg import Matrix, lift, mat_mul, matrix_inverse, nc_eval, word_basis
 from .linalg import nullspace  # noqa: F401  bench/tracing.py rebinds it by name
 from .ncpoly import NCPoly, parse_word, word_str
-from .repvariety import (RepPoint, _generator, _per_generator, matrix_row_text,
-                         parse_matrix_rows, parse_point_body, point_text)
+from .repvariety import (RepPoint, _per_generator, matrix_row_text, parse_matrix_rows,
+                         parse_point_body, point_text)
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,8 @@ class PointedRep:
 def cyclic_word_basis(pt):
     """Graded-lex-first words whose images of v are linearly independent, and
     those images, from one lift of the entries and v: w.v has degree |w| + 1."""
-    n, entries = pt.n, [a for M in pt.rep.mats for r in M.rows for a in r]
-    ints, back = fields.lift(pt.field, entries + list(pt.v))
-    *rows, v = zip(*[iter(ints)] * n)
-    mats = [rows[k:k + n] for k in range(0, len(rows), n)]
-    basis = word_basis(mats, v, pt.field.characteristic)
+    ints, v, back, field = lift(pt.rep.mats, "a cyclic word basis", pt.v)
+    basis = word_basis([M.rows for M in ints], v, field.characteristic)
     return [w for w, _ in basis], [tuple(back(c, len(w) + 1) for c in u)
                                    for w, u in basis]
 
@@ -122,9 +119,9 @@ class IdealPresentation:
         words = tuple(parse_word(tok.strip(), fld, m)
                       for tok in block.line("basis").split(","))
         idx = block.int_line("cyclic-index")
-        acts = {_generator(lhs, m): parse_matrix_rows(fld, rhs, n)
-                for _, lhs, rhs in block.pairs("act")}
-        return cls(fld, m, n, words, _per_generator(acts, m, "act"), idx)
+        acts = _per_generator(((lhs, parse_matrix_rows(fld, rhs, n))
+                               for _, lhs, rhs in block.pairs("act")), m, "act")
+        return cls(fld, m, n, words, acts, idx)
 
 
 def triple_to_ideal(pt):

@@ -5,16 +5,17 @@ carries concrete field points and generic matrices of indeterminates.
 Characteristic polynomials and determinants of polynomial entries, such
 as det(sum_s t_s M_s) with packed monomials, use the Berkowitz scheme: no
 divisions occur, so it stays valid over F_2 and F_3.  Scalar matrices run
-on plain ints: `lift` reshapes `fields.lift` of all the entries, on the
-field `fields.field_of` names from them, into integer matrices, and their
-determinants are fraction-free (Bareiss) eliminations, exact over Z and
-so on unreduced F_p representatives.  Word tables grow by one block
-product per generator and level; free-algebra elements evaluate through
-one integer core, `_lifted_images`, that `nc_eval`, law tables and
-relation tests share.  Gaussian elimination runs on ints as well: `rref`
-lifts its rows once, and `IncrementalSpan` takes int vectors only,
-representatives mod p or fraction-free primitive rows over Q, each
-divided by its pivot only when `rref` hands it back.
+on plain ints: `lift` reshapes `fields.lift` of all the entries, and of the
+vectors that share their denominator, on the field `fields.field_of` names
+from them, into integer matrices and vectors, and their determinants are
+fraction-free (Bareiss) eliminations, exact over Z and so on unreduced F_p
+representatives.  Word tables grow by one block product per generator
+and level, to a bound `table_len` sets; free-algebra elements evaluate
+through one integer core, `_lifted_images`, that `nc_eval`, law tables
+and relation tests share.  Gaussian elimination runs on ints as well:
+`rref` lifts its rows once, and `IncrementalSpan` takes int vectors only,
+representatives mod p or fraction-free primitive rows over Q, each divided
+by its pivot only when `rref` hands it back.
 """
 
 from __future__ import annotations
@@ -143,17 +144,22 @@ def word_sum(terms, mats, p=0):
 
 # -- division-free characteristic polynomial --------------------------------
 
-def lift(mats, what):
-    """`fields.lift` of scalar matrices of one size over the field that
-    `fields.field_of` names from all their entries (plain ints are their own
-    lift): the integer matrices, `back(c, k)` for a degree-k result, the field."""
+def lift(mats, what, *vectors):
+    """`fields.lift` of the entries of scalar matrices of one size together
+    with `vectors` that must share their denominator, over the field that
+    `fields.field_of` names from all of them: (the integer matrices, each
+    vector as an int tuple, `back(c, k)` for a degree-k result, the field).
+    Plain-int matrices with no vectors are their own lift."""
     values = [a for M in mats for r in M.rows for a in r]
+    values += [a for v in vectors for a in v]
     field = fields.field_of(values, what)
-    if set(map(type, values)) == _INT:
+    if not vectors and set(map(type, values)) == _INT:
         return mats, lambda c, k: Fraction(c), field
     ints, back = fields.lift(field, values)
-    rows = zip(*[iter(ints)] * mats[0].n)
-    return tuple(Matrix._wrap(tuple(islice(rows, M.n))) for M in mats), back, field
+    n, entries = mats[0].n, iter(ints)
+    rows = zip(*[entries] * n)
+    lifted = tuple(Matrix._wrap(tuple(islice(rows, n))) for _ in mats)
+    return (lifted, *(tuple(islice(entries, len(v))) for v in vectors), back, field)
 
 
 _INT, _SCALARS = {int}, {int, Fraction, FpElem}
@@ -314,30 +320,36 @@ def nc_eval(poly, mats):
 
 def _lifted_images(polys, mats):
     """The one evaluation core: integer images of free-algebra elements on
-    one `fields.lift` of the scalar entries, every coefficient and 1 (d, the
-    common denominator over Q).  Each term c w is scaled by d^(K-|w|), K the
+    one `lift` of the scalar entries with 1 (d, the common denominator over
+    Q) and every coefficient.  Each term c w is scaled by d^(K-|w|), K the
     longest word of all `polys`, so an image is d^(K+1) times the value;
     products are reduced mod p over F_p.  Returns (row tuples, back, K)."""
     terms = [list(a.terms.items()) or [((), 0)] for a in polys]
     scalars = [1] + [c for ts in terms for _, c in ts]
-    scalars += [a for M in mats for r in M.rows for a in r]
-    field = fields.field_of(scalars, "evaluation of a free-algebra element")
-    ints, back = fields.lift(field, scalars)
-    lifted, d, n = iter(ints[1:]), ints[0], mats[0].n
+    ints, (d, *coeffs), back, field = lift(mats, "evaluation of a free-algebra element",
+                                           scalars)
+    coeffs = iter(coeffs)
     top = max((len(w) for ts in terms for w, _ in ts), default=0)
-    scaled = [[(w, next(lifted) * d ** (top - len(w))) for w, _ in ts] for ts in terms]
-    rows = tuple(tuple(tuple(islice(lifted, n)) for _ in range(n)) for _ in mats)
+    scaled = [[(w, next(coeffs) * d ** (top - len(w))) for w, _ in ts] for ts in terms]
+    rows = tuple(M.rows for M in ints)
     return [word_sum(s, rows, field.characteristic) for s in scaled], back, top
 
 
-def require_word_table(m, max_len):
-    """Refuse a table of the words of length <= max_len on m letters that
-    has more than MAX_TABLE_WORDS of them; the count stops past the limit."""
+def table_len(m, n, max_len):
+    """The word-length bound of a table on m n x n matrices: 2n - 1 when
+    max_len is None, else max_len, which must be at least 1.  A bound whose
+    words on m letters number more than MAX_TABLE_WORDS is refused; the count
+    stops past the limit."""
+    if max_len is None:
+        max_len = 2 * n - 1
+    if max_len < 1:
+        raise PreconditionError("max_len must be at least 1")
     what = f"a word table to length {max_len} on {m} matrices has at least {{}} words"
     words = 0
     for length in range(max_len + 1):
         words += m ** length
         require(words, errors.MAX_TABLE_WORDS, what)
+    return max_len
 
 
 def word_matrices(mats, max_len):
@@ -346,7 +358,8 @@ def word_matrices(mats, max_len):
     product per generator (the identity's columns are its rows), cut into
     n x n blocks.  Tables of more than MAX_TABLE_WORDS words are refused."""
     n = shared_dimension(mats)
-    require_word_table(len(mats), max_len)
+    if max_len:  # the empty word alone is never refused
+        table_len(len(mats), n, max_len)
     ident = Matrix.identity(n, mats[0].rows[0][0] ** 0)
     table, words, cols = {(): ident}, [()], ident.rows
     for _ in range(max_len):

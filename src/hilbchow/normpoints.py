@@ -27,11 +27,11 @@ from . import errors, fields
 from .errors import PreconditionError, require
 from .fields import QQ, FpElem, PrimeField
 from .linalg import (Matrix, _lifted_images, charpoly, det, det_linear_combination,
-                     lift, mat_mul, mat_pow, nullspace, word_matrices)
+                     lift, mat_mul, mat_pow, nullspace, table_len, word_matrices)
 from .linalg import nc_eval  # noqa: F401  bench/tracing.py rebinds it by name
 from .linalg import solve_columns  # noqa: F401  bench/tracing.py rebinds it by name
 from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
-from .repvariety import _generator, _per_generator, default_table_len
+from .repvariety import _per_generator
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,12 @@ class NormPoint:
         block = Block(text, "norm-point")
         fld = block.field
         m, n, max_len = (block.int_line(k) for k in ("m", "n", "max-len"))
-        charpolys = {}
+        charpolys = []
         law = {}
         dets = {}
         for head, lhs, rhs in block.pairs("charpoly", "law", "det"):
             if head == "charpoly":
-                charpolys[_generator(lhs, m)] = parse_comm_poly(rhs, fld)
+                charpolys.append((lhs, parse_comm_poly(rhs, fld)))
             elif head == "law":
                 law[parse_tuple(lhs, parse_int)] = fld.parse(rhs)
             else:
@@ -156,10 +156,7 @@ def det_point(rep, max_len=None):
 
     The word products and their determinants run on the integer lift of
     the tuple; a word w's determinant has degree n*|w| in the entries."""
-    if max_len is None:
-        max_len = default_table_len(rep.n)
-    if max_len < 1:
-        raise PreconditionError("max_len must be at least 1")
+    max_len = table_len(rep.m, rep.n, max_len)
     gen_charpolys = tuple(charpoly(M) for M in rep.mats)
     gens = tuple(NCPoly.generator(rep.field, rep.m, k) for k in range(rep.m))
     mixed = law_coefficients(rep, gens)
@@ -346,16 +343,14 @@ def cycle_extract(rep):
         if not split:
             return SplitFailure(field, cp)
         roots.append(found)
-    entries = [a for M in rep.mats for r in M.rows for a in r]
-    values, back = fields.lift(field, entries + [lam for fd in roots for lam, _ in fd])
-    cut = len(entries)
-    rows, shifts = list(zip(*[iter(values[:cut])] * n)), iter(values[cut:])
+    ints, *shifts, back, _ = lift(rep.mats, "a 0-cycle",
+                                  *[[lam for lam, _ in found] for found in roots])
     joint = {(): ([], n)}
-    for k, found in enumerate(roots):
+    for X, found, lifted in zip(ints, roots, shifts):
         powers = []
-        for (lam, mult), shift in zip(found, shifts):
+        for (lam, mult), shift in zip(found, lifted):
             shifted = tuple(tuple(a - shift if i == j else a for j, a in enumerate(r))
-                            for i, r in enumerate(rows[k * n:(k + 1) * n]))
+                            for i, r in enumerate(X.rows))
             powers.append((lam, [[back(c, mult) for c in r]
                                  for r in mat_pow(shifted, mult, p)]))
         grown = {}

@@ -23,7 +23,7 @@ from .commpoly import CommPoly, parse_comm_poly
 from . import errors, fields
 from .errors import ParseError, PreconditionError, SingularMatrixError, require
 from .linalg import (IncrementalSpan, Matrix, _lifted_images, det, lift, matrix_inverse,
-                     nc_eval, require_word_table, shared_dimension, word_matrices)
+                     nc_eval, shared_dimension, table_len, word_matrices)
 from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
                      word_str, words_up_to)
 
@@ -309,35 +309,32 @@ class InvariantTable:
         fld = block.field
         m, n, max_len = (block.int_line(k) for k in ("m", "n", "max-len"))
         traces = {}
-        dets = {}
+        dets = []
         for head, lhs, rhs in block.pairs("tr", "det"):
             if head == "tr":
                 traces[parse_word(lhs, fld, m)] = fld.parse(rhs)
             else:
-                dets[_generator(lhs, m)] = fld.parse(rhs)
+                dets.append((lhs, fld.parse(rhs)))
         return cls(fld, m, n, max_len, traces, _per_generator(dets, m, "det"))
 
 
-def _per_generator(found, m, kind):
-    """(found[0], ..., found[m-1]) from the `kind` lines of a block, whose
-    keys all lie in range(m); a gap is named by its first generator."""
+def _per_generator(lines, m, kind):
+    """The values of a block's `kind x<k> = value` lines, given as parsed
+    (lhs, value) pairs, in generator order: each lhs must name one of x1..xm,
+    and each generator must have exactly one line; a gap is named by its
+    first generator."""
+    found = {}
+    for lhs, value in lines:
+        k = generator_index(lhs)
+        if k is None or k >= m:
+            raise ParseError(f"expected one of x1..x{m}, got {lhs!r}")
+        if k in found:
+            raise ParseError(f"repeated {kind} line for x{k + 1}")
+        found[k] = value
     if len(found) < m:
         k = min(set(range(len(found) + 1)) - found.keys())
         raise ParseError(f"no {kind} line for x{k + 1}")
     return tuple(found[k] for k in range(m))
-
-
-def _generator(text, m):
-    "Index of the generator among x1..xm that `text` names."
-    k = generator_index(text)
-    if k is None or k >= m:
-        raise ParseError(f"expected one of x1..x{m}, got {text!r}")
-    return k
-
-
-def default_table_len(n):
-    "Word-length bound 2n-1 used by invariant and norm tables."
-    return 2 * n - 1
 
 
 def invariant_table(pt, max_len=None):
@@ -348,11 +345,7 @@ def invariant_table(pt, max_len=None):
     |u| = ceil(|w|/2), and tr rho(w) = sum_ij rho(u)_ij rho(v)_ji is one
     dot product of rho(u) read by rows with rho(v) read by columns.  The
     table is still refused on the word count of the full bound."""
-    if max_len is None:
-        max_len = default_table_len(pt.n)
-    if max_len < 1:
-        raise PreconditionError("max_len must be at least 1")
-    require_word_table(pt.m, max_len)
+    max_len = table_len(pt.m, pt.n, max_len)
     ints, back, _ = lift(pt.mats, "an invariant table")
     half = word_matrices(ints, (max_len + 1) // 2)
     by_rows = {w: tuple(chain.from_iterable(M.rows)) for w, M in half.items()}

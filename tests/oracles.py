@@ -252,10 +252,27 @@ def curve_hilbert_points(q, n):
     return q ** n
 
 
-def free2_hilbert_points(q):
-    """|Hilb^2| of the free algebra on two generators: q^6 + q^5, the
-    cells of the two word trees {1, x1} and {1, x2} (Reineke, 2005)."""
-    return q ** 6 + q ** 5
+def q_binomial(n, d, q):
+    "The Gaussian binomial [n choose d]_q: the d-dimensional subspaces of F_q^n."
+    return gl_count(q, n) // (gl_count(q, d) * gl_count(q, n - d) * q ** (d * (n - d)))
+
+
+def free_hilbert_points(q, m, n):
+    """|Hilb^n| of the free algebra on m generators over F_q, by recursion in
+    n.  A pair (X, v) of M_n(F_q)^m x F_q^n splits by d = dim of the
+    submodule spanned by the word images of v: its [n choose d]_q choices,
+    the |GL_d| H_d cyclic pairs on it, and the m n (n - d) entries of the
+    X_k outside it are free (Reineke, Algebr. Represent. Theory 8 (2005)):
+    q^(m n^2 + n) = sum_{d <= n} [n choose d]_q |GL_d| H_d q^(m n (n - d)),
+    with H_0 = 1."""
+    counts = [1]
+    for top in range(1, n + 1):
+        rest = sum(q_binomial(top, d, q) * gl_count(q, d) * counts[d]
+                   * q ** (m * top * (top - d)) for d in range(top))
+        points, r = divmod(q ** (m * top * top + top) - rest, gl_count(q, top))
+        assert r == 0
+        counts.append(points)
+    return counts[n]
 
 
 # -- dense tensor-power model of divided powers -------------------------------

@@ -495,6 +495,14 @@ def test_help_exits_zero(capsys, argv):
     assert code == 0 and out.startswith("usage: hilbchow")
 
 
+def test_repeated_act_line_exit_code(capsys):
+    # the second `act x1` line would replace the first and print a point
+    ideal = ("ideal-presentation|field Q|m 1|n 2|basis 1, x1|cyclic-index 0|"
+             "act x1 = 5 5; 5 5|act x1 = 0 0; 1 0")
+    code, out, err = run(capsys, "ideal-to-triple", "--point", ideal)
+    assert (code, out, err) == (2, "", "error: repeated act line for x1\n")
+
+
 def test_ideal_to_triple_presentation_is_optional(capsys, commuting, ptfile):
     _, ideal, _ = run(capsys, "triple-to-ideal", "--presentation", commuting,
                       "--point", ptfile)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import os
+import pickle
 from collections import Counter, defaultdict
 
 import pytest
@@ -9,7 +10,7 @@ from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError,
                       EnumerationReport, Matrix, ParseError, PreconditionError,
                       det, enumerate_points, gl_order, parse_nc_poly)
 
-from oracles import (commuting_pairs, curve_hilbert_points, free2_hilbert_points,
+from oracles import (commuting_pairs, curve_hilbert_points, free_hilbert_points,
                      in_krylov_cell, krylov_dimension, naive_count,
                      nilpotent_count, plane_hilbert_points, torus_orbit)
 
@@ -99,7 +100,7 @@ CLOSED_FORMS = [
     # has one ideal of colength n
     *[(nilpotent_pres(q, d), n, nilpotent_count(q, n), 1)
       for q, d, n in ((2, 2, 2), (3, 2, 2), (2, 3, 3))],
-    *[(AlgebraPresentation(GF(q), 2), 2, q ** 8, free2_hilbert_points(q))
+    *[(AlgebraPresentation(GF(q), 2), 2, q ** 8, free_hilbert_points(q, 2, 2))
       for q in (2, 3)],
     # torus orbits of size (q - 1)^joins beyond q = 3
     *[(curve_pres(q), 2, q ** 4, curve_hilbert_points(q, 2)) for q in (5, 7)],
@@ -118,12 +119,26 @@ def test_counts_match_closed_forms(pres, n, reps, orbits):
     assert (report.total_rep_points, report.orbit_count) == (reps, orbits)
 
 
+@pytest.mark.parametrize("q,m,n,points", [
+    (2, 1, 3, 8), (5, 1, 2, 25), (2, 2, 2, 96), (3, 2, 2, 972), (2, 3, 2, 1792),
+    (2, 2, 3, 8704)])
+def test_free_algebra_counts_follow_the_cell_recursion(q, m, n, points):
+    # the recursion over the dimension of the cyclic submodule gives q^n on
+    # the line and q^6 + q^5 for two generators at n = 2
+    assert free_hilbert_points(q, m, n) == points
+    assert enumerate_points(AlgebraPresentation(GF(q), m), n).orbit_count == points
+
+
 def test_closed_form_oracle_values():
     # the series agree with the brute force where it is cheap, and with the
     # published values
     assert naive_count(commuting_pres(2), 2)[0] == commuting_pairs(2, 2) == 88
     assert commuting_pairs(3, 2) == 945
     assert plane_hilbert_points(2, 2) == 24 and plane_hilbert_points(3, 2) == 108
+    assert [free_hilbert_points(q, 1, n) for q, n in ((2, 3), (3, 2), (7, 1))] == \
+        [curve_hilbert_points(q, n) for q, n in ((2, 3), (3, 2), (7, 1))]
+    assert [free_hilbert_points(q, 2, 2) for q in (2, 3, 4, 5)] == \
+        [q ** 6 + q ** 5 for q in (2, 3, 4, 5)]
 
 
 def test_budget_checks():
@@ -163,13 +178,28 @@ def test_worker_split_over_first_matrix(monkeypatch, rels, q):
     multi = enumerate_points(pres, 2, workers=3)
     assert RecordingPool.made == [3]
     assert multi == enumerate_points(pres, 2, workers=1)
-    text = pres.to_text()
     cells = first_cells(q, 2)
-    parts = [count_range(text, 2, cells[a:b]) for a, b in _ranges(len(cells), 3)]
-    whole = count_range(text, 2, cells)
+    parts = [count_range(pres, 2, cells[a:b]) for a, b in _ranges(len(cells), 3)]
+    whole = count_range(pres, 2, cells)
     assert tuple(map(sum, zip(*parts))) == whole
     assert whole == (multi.total_rep_points, multi.total_cyclic_pairs)
     assert whole == naive_count(pres, 2)
+
+
+def test_presentations_survive_the_worker_hand_off():
+    # worker processes receive the parsed presentation by pickle, so it must
+    # come back equal, print the same text and count the same
+    from hilbchow.counting import count_range, first_cells
+    for field, rels in ((QQ, ("x1*x2 - 1/2*x2*x1", "x1^2 - 3")),
+                        (GF(3), ("x1*x2 - 2*x2*x1", "x2^3 - x2")),
+                        (GF(2), ("x1*x2 - x2*x1",))):
+        pres = AlgebraPresentation(field, 2, tuple(parse_nc_poly(r, field, 2)
+                                                   for r in rels))
+        back = pickle.loads(pickle.dumps(pres))
+        assert back == pres and back.to_text() == pres.to_text()
+        if field.characteristic:
+            cells = first_cells(field.p, 2)
+            assert count_range(back, 2, cells) == count_range(pres, 2, cells)
 
 
 def test_report_text_roundtrip():

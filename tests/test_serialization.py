@@ -196,3 +196,18 @@ def test_missing_generator_line_for_a_large_arity(cls, text):
     # the error names the first missing generator, whatever m the block declares
     with pytest.raises(ParseError, match=r"line for x2$"):
         cls.from_text(text)
+
+
+@pytest.mark.parametrize("cls,text", [
+    (NormPoint, "norm-point\nfield Q\nm 2\nn 1\nmax-len 1\ncharpoly x1 = t - 1\n"
+                "charpoly x2 = t\ncharpoly x1 = t - 2"),
+    (InvariantTable, "invariant-table\nfield Q\nm 2\nn 1\nmax-len 1\ndet x1 = 1\n"
+                     "det x2 = 0\ndet x1 = 2"),
+    (IdealPresentation, "ideal-presentation\nfield Q\nm 1\nn 2\nbasis 1, x1\n"
+                        "cyclic-index 0\nact x1 = 5 5; 5 5\nact x1 = 0 0; 1 0"),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_repeated_generator_line_is_refused(cls, text):
+    # one line per generator: a second line for x1 would silently replace
+    # the first, so it is malformed input naming the generator
+    with pytest.raises(ParseError, match=r"^repeated \w+ line for x1$"):
+        cls.from_text(text)

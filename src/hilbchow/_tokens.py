@@ -206,11 +206,14 @@ def parse_int(text):
         raise ParseError(f"expected an integer, got {text!r}") from None
 
 
-def parse_tuple(text, parse):
-    "`(a, b, ...)` -> (parse(a), parse(b), ...)."
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"expected a parenthesized tuple, got {text!r}")
-    return tuple(parse(tok.strip()) for tok in text[1:-1].split(",") if tok.strip())
+def parse_tuple(text, parse, brackets="()"):
+    "`(a, b, ...)` -> (parse(a), parse(b), ...); `brackets` may be `{}` instead."
+    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise ParseError(f"expected {brackets[0]}a, b, ...{brackets[1]}, got {text!r}")
+    inner = text[1:-1]
+    if not inner.strip():
+        return ()
+    return tuple(parse(tok.strip()) for tok in inner.split(","))
 
 
 def block_text(kind, field, ints, body, header=True):
@@ -281,3 +284,17 @@ class Block:
             if not found:
                 raise ParseError(f"expected `{head} lhs {sep} rhs`, got {rest!r}")
             yield head, lhs.strip(), rhs.strip()
+
+    def tables(self, sep="=", **readers):
+        """One dict per reader, in the order given: `prefix=(key, value)`
+        reads every remaining `prefix lhs sep rhs` line, in any order, as
+        key(lhs) -> value(rhs).  Keys are compared after parsing, so a key
+        read twice under one prefix is a ParseError naming the lhs."""
+        tables = {prefix: {} for prefix in readers}
+        for head, lhs, rhs in self.pairs(*readers, sep=sep):
+            key, value = readers[head]
+            k = key(lhs)
+            if k in tables[head]:
+                raise ParseError(f"repeated {head} line for {lhs}")
+            tables[head][k] = value(rhs)
+        return tuple(tables.values())

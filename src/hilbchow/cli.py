@@ -183,7 +183,7 @@ def _cmd_dp_normalize(args):
 def _cmd_law_coeffs(args):
     pres = _presentation(args)
     rep = _point(args, pres)
-    if args.law_args:
+    if args.law_args is not None:
         polys = [parse_nc_poly(tok.strip(), pres.field, pres.m)
                  for tok in args.law_args.split(";")]
     else:

@@ -17,7 +17,7 @@ from . import fields
 from .errors import ParseError, PreconditionError
 from .linalg import Matrix, lift, mat_mul, matrix_inverse, nc_eval, word_basis
 from .linalg import nullspace  # noqa: F401  bench/tracing.py rebinds it by name
-from .ncpoly import NCPoly, parse_word, word_str
+from .ncpoly import NCPoly, generator_index, parse_word, word_str
 from .repvariety import (RepPoint, _per_generator, matrix_row_text, parse_matrix_rows,
                          parse_point_body, point_text)
 
@@ -119,9 +119,9 @@ class IdealPresentation:
         words = tuple(parse_word(tok.strip(), fld, m)
                       for tok in block.line("basis").split(","))
         idx = block.int_line("cyclic-index")
-        acts = _per_generator(((lhs, parse_matrix_rows(fld, rhs, n))
-                               for _, lhs, rhs in block.pairs("act")), m, "act")
-        return cls(fld, m, n, words, acts, idx)
+        acts, = block.tables(act=(generator_index,
+                                  lambda rows: parse_matrix_rows(fld, rows, n)))
+        return cls(fld, m, n, words, _per_generator(acts, m, "act"), idx)
 
 
 def triple_to_ideal(pt):

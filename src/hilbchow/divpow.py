@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import comb
 
-from ._tokens import Block, block_text, fold, number, parse_expr
+from ._tokens import Block, block_text, fold, number, parse_expr, parse_tuple
 from .commpoly import SparseElement
 from . import errors
 from .errors import ParseError, PreconditionError, require
@@ -239,14 +239,11 @@ class SymTensor(SparseElement):
         fld = block.field
         m = block.int_line("m")
         degree = block.int_line("degree")
-        terms = {}
-        for _, lhs, rhs in block.pairs("term"):
-            if not (lhs.startswith("{") and lhs.endswith("}")):
-                raise ParseError(f"expected word multiset in braces: {lhs!r}")
-            inner = lhs[1:-1].strip()
-            words = tuple(parse_word(tok.strip(), fld, m)
-                          for tok in inner.split(",")) if inner else ()
-            terms[words] = fld.parse(rhs)
+
+        def multiset(text):
+            words = parse_tuple(text, lambda w: parse_word(w, fld, m), "{}")
+            return tuple(sorted(words, key=word_key))
+        terms, = block.tables(term=(multiset, fld.parse))
         return cls(fld, m, degree, terms)
 
 

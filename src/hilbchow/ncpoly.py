@@ -109,10 +109,10 @@ class NCPoly(SparseElement):
 
 
 def generator_index(name):
-    "x7 -> 6, or None when the name is not a generator."
+    "x7 -> 6; a name that is not a generator is a ParseError."
     m = _GEN_NAME.match(name)
     if m is None:
-        return None
+        raise ParseError(f"unknown generator {name!r} (expected x1, x2, ...)")
     return int(m.group(1)) - 1
 
 
@@ -121,10 +121,7 @@ def arity(tree, text, m=None):
     a name that is no generator, or one above m, is a ParseError."""
     used = 0
     for name in names(tree):
-        k = generator_index(name)
-        if k is None:
-            raise ParseError(f"unknown generator {name!r} (expected x1, x2, ...)")
-        used = max(used, k + 1)
+        used = max(used, generator_index(name) + 1)
     if m is None:
         return used
     if used > m:

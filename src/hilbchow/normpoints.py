@@ -30,7 +30,8 @@ from .linalg import (Matrix, _lifted_images, charpoly, det, det_linear_combinati
                      lift, mat_mul, mat_pow, nullspace, table_len, word_matrices)
 from .linalg import nc_eval  # noqa: F401  bench/tracing.py rebinds it by name
 from .linalg import solve_columns  # noqa: F401  bench/tracing.py rebinds it by name
-from .ncpoly import NCPoly, parse_nc_poly, parse_word, word_key, word_str
+from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_key,
+                     word_str)
 from .repvariety import _per_generator
 
 
@@ -75,8 +76,7 @@ class LawCoefficientTable:
                      for tok in block.line("args").split(";"))
         arity = max((a.m for a in args), default=0)
         args = tuple(NCPoly(fld, arity, a.terms) for a in args)
-        coeffs = {parse_tuple(lhs, parse_int): fld.parse(rhs)
-                  for _, lhs, rhs in block.pairs("coeff")}
+        coeffs, = block.tables(coeff=(lambda xi: parse_tuple(xi, parse_int), fld.parse))
         return cls(fld, n, args, coeffs)
 
 
@@ -135,16 +135,10 @@ class NormPoint:
         block = Block(text, "norm-point")
         fld = block.field
         m, n, max_len = (block.int_line(k) for k in ("m", "n", "max-len"))
-        charpolys = []
-        law = {}
-        dets = {}
-        for head, lhs, rhs in block.pairs("charpoly", "law", "det"):
-            if head == "charpoly":
-                charpolys.append((lhs, parse_comm_poly(rhs, fld)))
-            elif head == "law":
-                law[parse_tuple(lhs, parse_int)] = fld.parse(rhs)
-            else:
-                dets[parse_word(lhs, fld, m)] = fld.parse(rhs)
+        charpolys, law, dets = block.tables(
+            charpoly=(generator_index, lambda cp: parse_comm_poly(cp, fld)),
+            law=(lambda xi: parse_tuple(xi, parse_int), fld.parse),
+            det=(lambda w: parse_word(w, fld, m), fld.parse))
         cps = _per_generator(charpolys, m, "charpoly")
         gens = tuple(NCPoly.generator(fld, m, k) for k in range(m))
         table = LawCoefficientTable(fld, n, gens, law)
@@ -186,6 +180,8 @@ class Cycle:
     points: dict
 
     def __post_init__(self):
+        if any(len(tup) != self.m for tup in self.points):
+            raise PreconditionError(f"cycle points must have m = {self.m} coordinates")
         if sum(self.points.values()) != self.n:
             raise PreconditionError("cycle multiplicities must sum to n")
         if any(mult < 1 for mult in self.points.values()):
@@ -204,8 +200,8 @@ class Cycle:
         block = Block(text, "cycle")
         fld = block.field
         m, n = block.int_line("m"), block.int_line("n")
-        points = {parse_tuple(body, fld.parse): parse_int(mult)
-                  for _, body, mult in block.pairs("point", sep="*")}
+        points, = block.tables("*", point=(lambda tup: parse_tuple(tup, fld.parse),
+                                           parse_int))
         return cls(fld, m, n, points)
 
 

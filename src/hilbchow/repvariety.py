@@ -308,33 +308,22 @@ class InvariantTable:
         block = Block(text, "invariant-table")
         fld = block.field
         m, n, max_len = (block.int_line(k) for k in ("m", "n", "max-len"))
-        traces = {}
-        dets = []
-        for head, lhs, rhs in block.pairs("tr", "det"):
-            if head == "tr":
-                traces[parse_word(lhs, fld, m)] = fld.parse(rhs)
-            else:
-                dets.append((lhs, fld.parse(rhs)))
+        traces, dets = block.tables(tr=(lambda w: parse_word(w, fld, m), fld.parse),
+                                    det=(generator_index, fld.parse))
         return cls(fld, m, n, max_len, traces, _per_generator(dets, m, "det"))
 
 
-def _per_generator(lines, m, kind):
-    """The values of a block's `kind x<k> = value` lines, given as parsed
-    (lhs, value) pairs, in generator order: each lhs must name one of x1..xm,
-    and each generator must have exactly one line; a gap is named by its
-    first generator."""
-    found = {}
-    for lhs, value in lines:
-        k = generator_index(lhs)
-        if k is None or k >= m:
-            raise ParseError(f"expected one of x1..x{m}, got {lhs!r}")
-        if k in found:
-            raise ParseError(f"repeated {kind} line for x{k + 1}")
-        found[k] = value
-    if len(found) < m:
-        k = min(set(range(len(found) + 1)) - found.keys())
+def _per_generator(table, m, kind):
+    """The values of a block's `kind x<k> = value` lines, read by
+    `Block.tables` keyed by `generator_index`, in generator order: every key
+    must be one of x1..xm, and none missing; a gap is named by its first."""
+    for k in table:
+        if k >= m:
+            raise ParseError(f"expected one of x1..x{m}, got 'x{k + 1}'")
+    if len(table) < m:
+        k = min(set(range(len(table) + 1)) - table.keys())
         raise ParseError(f"no {kind} line for x{k + 1}")
-    return tuple(found[k] for k in range(m))
+    return tuple(table[k] for k in range(m))
 
 
 def invariant_table(pt, max_len=None):

@@ -495,6 +495,13 @@ def test_help_exits_zero(capsys, argv):
     assert code == 0 and out.startswith("usage: hilbchow")
 
 
+def test_law_coeffs_with_an_empty_argument_list_exit_code(capsys):
+    # an explicit empty `--args` is read, not taken for "no --args given"
+    code, out, err = run(capsys, *LAW, "--args", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_repeated_act_line_exit_code(capsys):
     # the second `act x1` line would replace the first and print a point
     ideal = ("ideal-presentation|field Q|m 1|n 2|basis 1, x1|cyclic-index 0|"

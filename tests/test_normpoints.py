@@ -92,6 +92,14 @@ def test_law_table_constructor_rejects_inhomogeneous():
         LawCoefficientTable(QQ, 2, (NCPoly.one(QQ, 1),), {(1,): Fraction(1)})
 
 
+@pytest.mark.parametrize("m,point", [(1, (1, 2)), (2, (1,))])
+def test_cycle_constructor_rejects_a_point_of_the_wrong_length(m, point):
+    # every point of a cycle has m coordinates; a longer one would have its
+    # extra coordinates dropped by `cycle_product_poly`
+    with pytest.raises(PreconditionError, match=f"must have m = {m} coordinates"):
+        Cycle(QQ, m, 1, {point: 1})
+
+
 def test_det_point_identity_rep():
     rep = RepPoint(QQ, (Matrix.identity(2, Fraction(1)),))
     np_ = det_point(rep)

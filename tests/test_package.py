@@ -25,6 +25,19 @@ def test_only_fields_lifts_scalars_to_ints():
     assert not found
 
 
+def test_only_divided_powers_read_block_pairs_directly():
+    # keyed block lines go through `Block.tables`, which refuses a key read
+    # twice; only a divided-power block, a sum of its `term` lines, reads
+    # `Block.pairs` itself
+    src = Path(hilbchow.__file__).parent
+    found = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(src.glob("*.py"))
+             if path.name not in ("_tokens.py", "divpow.py")
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if ".pairs(" in line]
+    assert not found
+
+
 def test_src_imports_only_the_standard_library():
     # the package is stdlib-only: every import is relative or names a module
     # that ships with Python

@@ -1,5 +1,6 @@
 """Round-trip checks: parse(print(x)) == x for every public type."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,9 @@ MALFORMED_LINES = [
     (Cycle, "cycle\nfield Q\nm 1\nn 1\npoint (1)"),
     (LawCoefficientTable, "law-table\nfield Q\nn 1\nargs x1\ncoeff (1)"),
     (LawCoefficientTable, "law-table\nfield Q\nn 1\nargs x1\ncoeff (a) = 1"),
+    (LawCoefficientTable, "law-table\nfield Q\nn 1\nargs x1; x1\ncoeff (1,,0) = 1"),
+    (Cycle, "cycle\nfield Q\nm 1\nn 1\npoint (1,) * 1"),
+    (SymTensor, "symtensor\nfield Q\nm 1\ndegree 1\nterm {x1,} = 1"),
 ]
 
 
@@ -198,16 +202,64 @@ def test_missing_generator_line_for_a_large_arity(cls, text):
         cls.from_text(text)
 
 
-@pytest.mark.parametrize("cls,text", [
+NORM = "norm-point\nfield Q\nm 1\nn 1\nmax-len 1\ncharpoly x1 = t\n"
+
+
+@pytest.mark.parametrize("cls,text,message", [
     (NormPoint, "norm-point\nfield Q\nm 2\nn 1\nmax-len 1\ncharpoly x1 = t - 1\n"
-                "charpoly x2 = t\ncharpoly x1 = t - 2"),
+                "charpoly x2 = t\ncharpoly x1 = t - 2", "repeated charpoly line for x1"),
     (InvariantTable, "invariant-table\nfield Q\nm 2\nn 1\nmax-len 1\ndet x1 = 1\n"
-                     "det x2 = 0\ndet x1 = 2"),
+                     "det x2 = 0\ndet x1 = 2", "repeated det line for x1"),
     (IdealPresentation, "ideal-presentation\nfield Q\nm 1\nn 2\nbasis 1, x1\n"
-                        "cyclic-index 0\nact x1 = 5 5; 5 5\nact x1 = 0 0; 1 0"),
-], ids=lambda v: getattr(v, "__name__", ""))
-def test_repeated_generator_line_is_refused(cls, text):
-    # one line per generator: a second line for x1 would silently replace
-    # the first, so it is malformed input naming the generator
-    with pytest.raises(ParseError, match=r"^repeated \w+ line for x1$"):
+                        "cyclic-index 0\nact x1 = 5 5; 5 5\nact x1 = 0 0; 1 0",
+     "repeated act line for x1"),
+    (InvariantTable, "invariant-table\nfield Q\nm 1\nn 1\nmax-len 1\ntr x1 = 1\n"
+                     "tr x1 = 2\ndet x1 = 1", "repeated tr line for x1"),
+    (LawCoefficientTable, "law-table\nfield Q\nn 1\nargs x1\ncoeff (1) = 1\n"
+                          "coeff (1) = 2", "repeated coeff line for (1)"),
+    (NormPoint, NORM + "law (1) = 1\nlaw (1) = 2", "repeated law line for (1)"),
+    (NormPoint, NORM + "det x1 = 0\ndet x1^1 = 1", "repeated det line for x1^1"),
+    (Cycle, "cycle\nfield Q\nm 1\nn 1\npoint (1) * 1\npoint (1) * 1",
+     "repeated point line for (1)"),
+    (SymTensor, "symtensor\nfield Q\nm 2\ndegree 2\nterm {x1, x2} = 1\n"
+                "term {x2, x1} = 1", "repeated term line for {x2, x1}"),
+], ids=["charpoly", "invariant-det", "act", "tr", "coeff", "law", "word-det", "point",
+        "term"])
+def test_repeated_keyed_line_is_refused(cls, text, message):
+    # a second line for a key read under the same prefix would silently
+    # replace or add to the first, so it is malformed input naming the line;
+    # keys are compared after parsing (x1^1 is x1, {x2, x1} is {x1, x2})
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         cls.from_text(text)
+
+
+def test_per_generator_line_naming_no_generator_quotes_it():
+    # the error line quotes the lhs as written, not a key parsed from it
+    with pytest.raises(ParseError, match=r"'x1\^1'"):
+        NormPoint.from_text(NORM.replace("x1 = t", "x1^1 = t"))
+
+
+def test_divided_power_term_lines_are_summed():
+    # a divided-power block is a sum of expressions, so a repeated term adds
+    text = "divided-power\nfield Q\nm 1\nterm (x1)^[2] = 1\n"
+    assert DPElement.from_text(text + "term (x1)^[2] = 1") == DPElement.from_text(
+        text.replace("= 1", "= 2"))
+
+
+def test_norm_point_with_t01_and_t1_roundtrips():
+    # `t01` and `t1` are distinct charpoly variables that `var_key` must not
+    # merge or reorder between printing and reading back
+    text = NORM.replace("= t", "= t01*t1 + t1") + "law (1) = 0\ndet 1 = 1\ndet x1 = 0\n"
+    assert NormPoint.from_text(text).to_text() == text
+
+
+def test_law_table_on_ten_arguments_roundtrips():
+    # the names t1..t10 sort by value, so t10 is the last argument, not the second
+    rep = RepPoint(QQ, (Matrix(((Fraction(1), Fraction(2)),
+                                (Fraction(0), Fraction(3)))),))
+    args = [NCPoly.one(QQ, 1)] + [parse_nc_poly(f"x1^{k} + {k}", QQ, 1)
+                                  for k in range(1, 10)]
+    table = law_coefficients(rep, args)
+    assert len(table.args) == 10 and any(xi[9] for xi in table.coeffs)
+    assert LawCoefficientTable.from_text(table.to_text()) == table
+    assert LawCoefficientTable.from_text(table.to_text()).to_text() == table.to_text()

@@ -11,14 +11,14 @@ the torus diag(1_d, t_(d+1), ..., t_n), which preserves N_d: read row-major,
 an off-diagonal entry joining two components of the support must be 0 or
 1, and each such 1 (a join) multiplies the weight by q - 1.  Each relation
 is tested once the last generator it uses is fixed, and a failing prefix
-skips its subtree.  A d = n cell is cyclic at e_1, so its leaves skip the
-word-basis search, and with no relation in a later generator its
-q^((m-1) n^2) completions are counted unwalked.  Tuples are int rows run
-through `linalg`'s kernels mod p.  Both identities are asserted on every
-run: the cell weights sum to q^(n^2), and |GL_n(F_q)| divides the
-cyclic-pair count (the action is free), the quotient being the number of
-Hilbert-scheme points.  The budget still counts all q^(m n^2) tuples.
-Worker ranges split the cell list, so per-range counts merge by addition.
+skips its subtree; one in a later generator alone filters its torus
+representatives.  A test sums c (w e_j) mod p one column at a time, up to
+a nonzero one, with words applied right to left by mat-vec products; a run
+x_k^e is one `mat_pow` when that takes under e/n products.  A d = n cell
+is cyclic at e_1, so its leaves skip the word-basis search, and with no
+later relation its q^((m-1) n^2) completions count unwalked.  Asserted on
+every run: the cell weights sum to q^(n^2), and |GL_n(F_q)| divides the
+cyclic-pair count (a free action) with quotient the Hilbert-scheme points.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ._tokens import Block, block_text
 from .errors import ParseError, PreconditionError, require
 from .fields import PrimeField, is_prime, lift
-from .linalg import word_basis, word_sum
+from .linalg import mat_pow, mat_vec, word_basis
 
 BUDGET_ENV = "HILBCHOW_BUDGET"
 DEFAULT_BUDGET = 2 ** 30
@@ -139,37 +139,63 @@ def first_cells(p, n):
     return cells
 
 
+def _runs(word, n):
+    "`word`'s runs right to left: (k, e) if `mat_pow` beats e mat-vecs, else e letters."
+    for k, run in itertools.groupby(reversed(word)):
+        e = len(list(run))
+        whole = e > n * (e.bit_length() + e.bit_count() - 2)  # mat_pow's products
+        yield from [(k, e)] if whole else [(k, 1)] * e
+
+
 def count_range(pres, n, cells):
-    """(representation tuples, cyclic pairs) of the presentation `pres` over
-    the tuples whose first matrix is one of `cells`, a slice of
-    first_cells(q, n), each weighed by its cell and torus weight; later
-    generators are walked one per torus orbit.  Each relation is tested once
-    the last generator it uses is fixed, and a failing prefix skips its
-    subtree; the pairs are q^n - 1 times the tuples for which e_1 is cyclic."""
+    """(representation tuples, cyclic pairs) of `pres` over the tuples whose
+    first matrix is one of `cells`, a slice of first_cells(q, n), each weighed
+    by its cell and torus weight, walked and tested as the module says; the
+    pairs are q^n - 1 times the tuples with e_1 cyclic."""
     p, m = pres.field.p, pres.m
-    levels = [[] for _ in range(m)]
+    levels, own = [[] for _ in range(m)], [[] for _ in range(m)]
     for rel in pres.relations:
         if rel.terms:
-            levels[max(max(w, default=0) for w in rel.terms)].append(
-                list(zip(rel.terms, lift(pres.field, rel.terms.values())[0])))
-    e1 = (1,) + (0,) * (n - 1)
+            top = max(max(w, default=0) for w in rel.terms)
+            terms = [(list(_runs(w, n)), c) for w, c
+                     in zip(rel.terms, lift(pres.field, rel.terms.values())[0])]
+            keys = {r for runs, _ in terms for r in runs}
+            alone = top and all(k == top for w in rel.terms for k in w)
+            (own if alone else levels)[top].append((keys, terms))
+    ident = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
     free = [range(p)] * (n * n)
     # with X_1 cyclic and no later relation, each completion counts in both
-    tail = 0 if any(levels[1:]) else p ** ((m - 1) * n * n)
-    after = {}  # components -> the representatives of a later generator
+    tail = 0 if any(levels[1:] + own) else p ** ((m - 1) * n * n)
+    after = {}  # (level, components) -> the representatives of that generator
+
+    def fails(rels, mats):
+        "True when a relation in `rels` has a nonzero column on `mats`."
+        for keys, terms in rels:
+            power = {(k, e): mat_pow(mats[k], e, p) for k, e in keys}
+            seqs = [([power[r] for r in runs] or [ident], c) for runs, c in terms]
+            for j in range(n):
+                total = [0] * n
+                for seq, c in seqs:
+                    v = [row[j] for row in seq[0]]
+                    for mat in seq[1:]:
+                        v = mat_vec(mat, v, p)
+                    total = [t + c * a for t, a in zip(total, v)]
+                if any(t % p for t in total):
+                    return True
+        return False
 
     def walk(mats, comp, cyclic):
-        if any(a % p for terms in levels[len(mats) - 1]
-               for row in word_sum(terms, mats, p) for a in row):
+        if levels[len(mats) - 1] and fails(levels[len(mats) - 1], mats):
             return 0, 0
         if len(mats) == m:
-            return 1, cyclic or (m > 1 and len(word_basis(mats, e1, p)) == n)
+            return 1, cyclic or (m > 1 and len(word_basis(mats, ident[0], p)) == n)
         if cyclic and tail:
             return tail, tail
-        if comp not in after:
-            after[comp] = _representatives(p, n, free, comp)
+        if (len(mats), comp) not in after:
+            after[len(mats), comp] = [r for r in _representatives(p, n, free, comp)
+                                      if not fails(own[len(mats)], (r[0],) * m)]
         reps = pairs = 0
-        for mat, weight, joined in after[comp]:
+        for mat, weight, joined in after[len(mats), comp]:
             r, c = walk(mats + (mat,), joined, cyclic)
             reps += weight * r
             pairs += weight * c
@@ -196,9 +222,11 @@ def enumerate_points(pres, n, budget=None, workers=1):
         raise PreconditionError("enumeration needs a prime field presentation")
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
-    q = pres.field.p
-    m = pres.m
-    require(q ** (m * n * n), budget, "a sweep would test {} candidate tuples")
+    q, m = pres.field.p, pres.m
+    # counted a factor q at a time and past the budget's square named as a power
+    k = next((k for k in range(m * n * n) if q ** k > max(budget, 1) ** 2), m * n * n)
+    shown = "{}" if k == m * n * n else f"{q}^{m * n * n}"
+    require(q ** k, budget, f"a sweep would test {shown} candidate tuples")
     started = time.monotonic_ns()
     if workers < 1:
         raise PreconditionError("worker count must be at least 1")

@@ -207,6 +207,23 @@ def test_enumerate_command(capsys):
     assert code3 == 0 and out3 == out
 
 
+# the count is written out up to the square of the budget and named as a
+# power past it, so a sweep far past the budget is one short refusal, and
+# one whose count has more than 4300 digits is no int-to-str traceback
+@pytest.mark.parametrize("pres,n,budget,count", [
+    ("field F 2|gens x1", 3000, 2 ** 30, "2^9000000"),
+    ("field F 1000003|gens x1", 800, 2 ** 30, "1000003^640000"),
+    ("field F 2|gens x1", 100, 2 ** 30, "2^10000"),
+    ("field F 3|gens x1 x2", 2, 1000, "6561"),
+], ids=["digits-past-the-limit", "large-q", "long-line", "written-out"])
+def test_sweep_budget_refusal_is_one_short_line(capsys, pres, n, budget, count):
+    code, out, err = run(capsys, "enumerate", "--presentation", pres,
+                         "--n", str(n), "--budget", str(budget))
+    assert (code, out) == (4, "")
+    assert err == (f"error: a sweep would test {count} candidate tuples, "
+                   f"more than the limit of {budget}\n")
+
+
 def test_malformed_budget_env_exit_code(capsys, monkeypatch):
     # a budget that is not an integer is malformed input, not a traceback
     monkeypatch.setenv("HILBCHOW_BUDGET", "abc")

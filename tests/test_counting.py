@@ -257,7 +257,15 @@ def test_fast_sweep_agrees_with_generic_operations():
              (presentation(3, 2, "x1*x2 - x2*x1 - 1"), 2),
              # two relations tested at one level that share the word x1*x2,
              # one of them with a constant term
-             (presentation(3, 2, "x1*x2 - x2*x1", "x1*x2 - x1^2 + 1"), 2)]
+             (presentation(3, 2, "x1*x2 - x2*x1", "x1*x2 - x1^2 + 1"), 2),
+             # a relation in a later generator alone filters its
+             # representatives, and counts as a later relation for the
+             # completions of a cyclic X1
+             (presentation(3, 2, "x2^2"), 2),
+             (presentation(3, 2, "x2^2 - 1", "x1*x2 + x2*x1"), 2),
+             (presentation(2, 3, "x2^2 - x2", "x3^3", "x1*x3 - x3*x1"), 2),
+             # x1^40 stays one power at n = 2, x1^2 goes letter by letter
+             (presentation(2, 2, "x1^2*x2*x1^40 - x2*x1"), 2)]
     for pres, n in cases:
         report = enumerate_points(pres, n)
         reps, pairs = naive_count(pres, n)
@@ -362,3 +370,24 @@ def test_long_relation_words_over_fp():
     assert long == short
     assert (short.total_rep_points, short.total_cyclic_pairs) == \
         naive_count(presentation(3, 1, "x1^4 - x1"), 2)
+
+
+def test_long_runs_are_powered_not_applied_letter_by_letter(monkeypatch):
+    # x1^10000 is one mat_pow per tuple, about 2 log2(10000) products, not
+    # 10000 mat-vecs a column; counted through the kernels, not a timer
+    from hilbchow import counting, linalg
+    cells = counting.first_cells(3, 2)
+    expected = counting.count_range(presentation(3, 1, "x1^4 - x1"), 2, cells)
+    made = Counter()
+
+    def counted(kernel):
+        def call(*args):
+            made[kernel.__name__] += 1
+            return kernel(*args)
+        return call
+
+    monkeypatch.setattr(linalg, "mat_mul", counted(linalg.mat_mul))
+    monkeypatch.setattr(counting, "mat_vec", counted(counting.mat_vec))
+    got = counting.count_range(presentation(3, 1, "x1^10000 - x1"), 2, cells)
+    assert got == expected
+    assert 0 < sum(made.values()) <= len(cells) * 2 * (10000).bit_length()

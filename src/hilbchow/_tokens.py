@@ -25,9 +25,10 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .fields import field_from_header
+from .fields import field_from_header, parse_int
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()\[\],]))")
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()\[\],]))")
 
 # parsing takes two frames per level of parentheses and folding at most
 # three, so 250 levels stay inside Python's default limit of 1000 frames
@@ -45,12 +46,7 @@ def tokenize(text):
             if not rest:
                 break
             raise ParseError(f"unexpected character {rest[0]!r} in {text!r}")
-        if m.group(1) is not None:
-            out.append(("int", m.group(1)))
-        elif m.group(2) is not None:
-            out.append(("name", m.group(2)))
-        else:
-            out.append(("op", m.group(3)))
+        out.append((m.lastgroup, m.group(m.lastgroup)))
         pos = m.end()
     return out
 
@@ -86,7 +82,7 @@ class TokenStream:
         kind, val = self.next()
         if kind != "int":
             raise ParseError(f"expected integer in {self.text!r}")
-        return int(val)
+        return parse_int(val)
 
     def require_done(self):
         if self.i < len(self.tokens):
@@ -122,7 +118,7 @@ def _sum(ts, depth):
 def _power(ts, depth):
     kind, val = ts.next()
     if kind == "int":
-        atom = ("num", int(val), ts.expect_int() if ts.accept_op("/") else 1)
+        atom = ("num", parse_int(val), ts.expect_int() if ts.accept_op("/") else 1)
     elif kind == "name":
         atom = ("name", val)
     elif val == "(":
@@ -197,13 +193,6 @@ def fold(tree, leaf, dp=None):
             raise ParseError(f"divided power ^[{tree[2]}] in a polynomial")
         return dp(tree[1], tree[2])
     return leaf(tree)
-
-
-def parse_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}") from None
 
 
 def parse_tuple(text, parse, brackets="()"):

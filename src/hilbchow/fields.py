@@ -9,7 +9,6 @@ values and `lift` turns them into ints.  Floats are rejected everywhere.
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -18,14 +17,32 @@ from math import lcm
 from .errors import ParseError, PreconditionError, require
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_NUMBER = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def is_decimal(text, signed=True):
+    """Whether `text` is [+|-]digits (no sign unless `signed`) in ASCII 0-9: the
+    one rule for integers in text, which refuses the `1_000`, ` 3` and `٣` of `int`."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    return digits.isdigit() and digits.isascii()
+
+
+def parse_int(text):
+    "The int `text` reads when `is_decimal(text)`; anything else is a ParseError."
+    try:
+        if is_decimal(text):
+            return int(text)
+    except ValueError:  # more digits than `int` converts
+        pass
+    raise ParseError(f"expected an integer, got {text!r}")
 
 
 def _number(tok):
-    "The `Fraction` of a block scalar `[+|-]a[/b]`; `1.5e3` is a ValueError."
-    if not _NUMBER.fullmatch(tok):
+    """A block scalar `[+|-]a[/b]` as the int a or the reduced `Fraction` a/b;
+    any other text is a ValueError, raised before any digits are converted."""
+    a, slash, b = tok.partition("/")
+    if not (is_decimal(a) and (not slash or is_decimal(b, signed=False))):
         raise ValueError("expected [+|-]a[/b]")
-    return Fraction(tok)
+    return Fraction(int(a), int(b)) if slash else int(a)
 
 
 def is_prime(n):
@@ -179,8 +196,6 @@ class PrimeField:
             if x.p != self.p:
                 raise ValueError(f"field mismatch: F_{self.p} vs F_{x.p}")
             return x
-        if isinstance(x, bool):
-            return FpElem(self.p, int(x))
         if isinstance(x, int):
             return FpElem(self.p, x)
         if isinstance(x, Fraction):
@@ -190,8 +205,6 @@ class PrimeField:
             return FpElem(self.p, x.numerator * pow(x.denominator, -1, self.p))
         if isinstance(x, str):
             return self.parse(x)
-        if isinstance(x, float):
-            raise TypeError("floating point input is not allowed")
         raise TypeError(f"cannot coerce {type(x).__name__} into F_{self.p}")
 
     def parse(self, tok):
@@ -232,19 +245,20 @@ class RationalField:
         return 0
 
     def __call__(self, x):
-        if isinstance(x, float):
-            raise TypeError("floating point input is not allowed")
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, (int, str)):
-            try:
-                return Fraction(x) if isinstance(x, int) else _number(x)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational {x!r}: {exc}") from None
+        if isinstance(x, int):
+            return Fraction(x)
+        if isinstance(x, str):
+            return self.parse(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into Q")
 
     def parse(self, tok):
-        return self(tok)
+        try:
+            x = _number(tok)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational {tok!r}: {exc}") from None
+        return Fraction(x) if type(x) is int else x
 
     def format(self, x):
         x = self(x)
@@ -318,8 +332,8 @@ def field_from_header(line):
         return QQ
     if len(parts) == 3 and parts[1] == "F":
         try:
-            p = int(parts[2])
-        except ValueError:
+            p = parse_int(parts[2])
+        except ParseError:
             raise ParseError(f"bad prime in field header {line!r}") from None
         try:
             return GF(p)

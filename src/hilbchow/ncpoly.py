@@ -9,13 +9,11 @@ serialization.
 from __future__ import annotations
 
 import itertools
-import re
 
 from ._tokens import fold, names, number, parse_expr
 from .commpoly import CommPoly, SparseElement, var_key
 from .errors import ParseError
-
-_GEN_NAME = re.compile(r"^x([1-9][0-9]*)$")
+from .fields import is_decimal, parse_int
 
 # A word is a tuple with one 8-byte slot per letter, and `^k` squares it
 # repeatedly, so an expression of a few dozen characters could otherwise ask
@@ -110,10 +108,10 @@ class NCPoly(SparseElement):
 
 def generator_index(name):
     "x7 -> 6; a name that is not a generator is a ParseError."
-    m = _GEN_NAME.match(name)
-    if m is None:
+    k = name[1:]
+    if name[:1] != "x" or k[:1] == "0" or not is_decimal(k, signed=False):
         raise ParseError(f"unknown generator {name!r} (expected x1, x2, ...)")
-    return int(m.group(1)) - 1
+    return parse_int(k) - 1
 
 
 def arity(tree, text, m=None):

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from ._tokens import Block, block_text, parse_int, parse_tuple
+from ._tokens import Block, block_text, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import require_cyclic
 from . import errors, fields
 from .errors import PreconditionError, require
-from .fields import QQ, FpElem, PrimeField
+from .fields import QQ, FpElem, PrimeField, parse_int
 from .linalg import (Matrix, _lifted_images, charpoly, det, det_linear_combination,
                      lift, mat_mul, mat_pow, nullspace, table_len, word_matrices)
 from .linalg import nc_eval  # noqa: F401  bench/tracing.py rebinds it by name

@@ -231,10 +231,9 @@ def matrix_row_text(field, M):
 def parse_matrix_rows(field, text, n):
     rows = []
     for chunk in text.split(";"):
-        entries = chunk.split()
-        if not entries:
+        rows.append(tuple(map(field.parse, chunk.split())))
+        if not rows[-1]:
             raise ParseError(f"empty matrix row in {text!r}")
-        rows.append(tuple(field.parse(tok) for tok in entries))
     if any(len(r) != len(rows) for r in rows):
         raise ParseError(f"matrix is not square: {text!r}")
     if len(rows) != n:
@@ -261,7 +260,7 @@ def parse_point_body(text):
         if head == "mat":
             mats.append(parse_matrix_rows(fld, rest, n))
         else:
-            vec = tuple(fld.parse(tok) for tok in rest.split())
+            vec = tuple(map(fld.parse, rest.split()))
             if len(vec) != n:
                 raise ParseError(f"vector length {len(vec)} does not match n={n}")
     if not mats:

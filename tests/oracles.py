@@ -7,12 +7,13 @@ from a dense expansion in the full tensor power with shuffle products.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
-from hilbchow import (GF, QQ, Matrix, NCPoly, PointedRep, RepPoint,
-                      det_linear_combination, is_cyclic, nc_eval)
+from hilbchow import (GF, QQ, FpElem, Matrix, NCPoly, ParseError, PointedRep,
+                      RepPoint, det_linear_combination, is_cyclic, nc_eval)
 
 
 def leibniz_det(mat):
@@ -354,6 +355,31 @@ def chi(mats, tensor):
         mono = tuple((names[w], key.count(w)) for w in sorted(set(key)))
         total += c * law.terms.get(mono, field.zero)
     return total
+
+
+# -- the regex scalar reader ----------------------------------------------------
+
+_REGEX_NUMBER = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def regex_scalar(field, tok):
+    """A block scalar read as `field.parse` once did: the whole token must
+    match the `[+|-]a[/b]` regex, `Fraction(str)` reads it, and over F_p the
+    reduced Fraction's denominator is inverted mod p.  Refusals are the
+    ParseErrors that reader raised, with the same text."""
+    try:
+        if not _REGEX_NUMBER.fullmatch(tok):
+            raise ValueError("expected [+|-]a[/b]")
+        x = Fraction(tok)
+        if field is QQ:
+            return x
+        p = field.p
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator {x.denominator} not invertible mod {p}")
+        return FpElem(p, x.numerator * pow(x.denominator, -1, p))
+    except (ValueError, ZeroDivisionError) as exc:
+        what = "rational" if field is QQ else f"F_{field.p} scalar"
+        raise ParseError(f"bad {what} {tok!r}: {exc}") from None
 
 
 # -- random data ----------------------------------------------------------------

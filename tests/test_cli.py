@@ -300,6 +300,37 @@ def test_malformed_expression_exit_code(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# An integer in text is [+|-]digits in the ASCII digits 0-9 wherever it
+# appears, as in a scalar: the prime of a field header, a `key <int>` line,
+# an expression's numbers and generator names.  `int` alone would read the
+# Arabic-Indic digits and the underscores, and an integer past its digit
+# limit would be a traceback.
+LONG = "1" * 4301
+NON_DECIMAL_INTEGERS = [
+    ("cyclic", "--presentation", "field F 7|gens x1|rel x1",
+     "--point", "point|field F ٧|n 1|mat 0|vec 1"),
+    ("cyclic", "--presentation", "field F 7|gens x1|rel x1",
+     "--point", "point|field F 0_7|n 1|mat 0|vec 1"),
+    ("cyclic", "--presentation", "field Q|gens x1|rel x1",
+     "--point", "point|field Q|n ١|mat 0|vec 1"),
+    ("cyclic", "--presentation", "field Q|gens x1|rel x1",
+     "--point", "point|field Q|n 0_1|mat 0|vec 1"),
+    ("dp-normalize", "--expr", "٣*x1^[1]"),
+    ("dp-normalize", "--expr", "x1^[١]"),
+    ("gamma", "--expr", LONG + "*x1", "--n", "1"),
+    ("gamma", "--expr", "x" + LONG, "--n", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_DECIMAL_INTEGERS, ids=[
+    "prime-arabic", "prime-underscore", "key-arabic", "key-underscore",
+    "expr-number", "expr-dp-degree", "expr-long-number", "expr-long-generator"])
+def test_non_decimal_integer_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # expressions whose words would have 2^20 and 10^9 letters fail fast
 @pytest.mark.parametrize("expr", ["(" * 20 + "x1" + ")^2" * 20, "x1^1000000000"],
                          ids=["squared", "power"])

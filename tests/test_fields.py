@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbchow import GF, QQ, ParseError, field_from_header
 from hilbchow.fields import FpElem, is_prime
+from hilbchow.repvariety import parse_point_body
+
+from oracles import regex_scalar
 
 
 def test_prime_check():
@@ -76,6 +80,70 @@ def test_scalars_read_the_number_atom_only(field):
     for tok in ("1.5e3", "1_0.5", "1e2", "0.5", " 3", "3/-4", "--3", "١", "1/2/3", ""):
         with pytest.raises(ParseError):
             field.parse(tok)
+
+
+PARITY_FIELDS = [QQ, GF(2), GF(7), GF(101)]
+LONG = "1" * 4301  # one digit past the limit of `int` on text
+PARITY_TOKENS = [
+    "/4", "-/4", "3/", "+", "-", "", "+-3", "--3", "3/-4", "1/2/3", "1_000",
+    " 3", "3 ", "٣", "３", "²", "1e2", "0x10", "3/0", "-3/0", "7/14", "1/7",
+    "-0", "007/2", "-3", "+3/4", "0/5", "2/4", "14/7", LONG, "-" + LONG,
+    LONG + "/2", "2/" + LONG, LONG + "/-2", "1_0/" + LONG, LONG + "/" + LONG + "1",
+]
+
+
+def read(parse, *args):
+    "(value, type) of a parsed scalar, or the text of its ParseError."
+    try:
+        x = parse(*args)
+    except ParseError as exc:
+        return str(exc)
+    return x, type(x)
+
+
+@pytest.mark.parametrize("field", PARITY_FIELDS, ids=repr)
+@pytest.mark.parametrize("tok", PARITY_TOKENS, ids=lambda tok: repr(tok)[:12])
+def test_scalar_reader_matches_the_regex_reader(field, tok):
+    # the same value of the same type, or the same refusal byte for byte
+    assert read(field.parse, tok) == read(regex_scalar, field, tok)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(PARITY_FIELDS), st.text("0123456789+-/ _.e٣", max_size=8))
+def test_scalar_reader_matches_the_regex_reader_on_any_text(field, tok):
+    assert read(field.parse, tok) == read(regex_scalar, field, tok)
+
+
+POINT = "point\n{}\nn 3\nmat 1 -2 +3; 0 -0 007; 9 10 -11\nmat 0 0 0; 1 0 0; 0 1 0\nvec 1 0 -1\n"
+
+
+@pytest.mark.parametrize("field,kind", [(QQ, Fraction), (GF(7), FpElem)], ids=["Q", "F7"])
+def test_parsed_scalars_are_field_elements(field, kind):
+    # a Fraction over Q, never a plain int: `_tokens.number` divides them
+    assert type(field.parse("3")) is kind and type(field.parse("-3/4")) is kind
+    _, mats, vec = parse_point_body(POINT.format(field.header()))
+    entries = [a for M in mats for r in M.rows for a in r] + list(vec)
+    assert len(entries) == 21 and {type(a) for a in entries} == {kind}
+    assert mats[0].rows[2] == (field(9), field(10), field(-11))
+
+
+def test_integral_points_never_read_a_fraction_from_text(monkeypatch):
+    # an integral token becomes its element directly; counted through the
+    # constructor `fields` calls, so the regex-and-Fraction(str) route
+    # cannot come back unnoticed
+    from hilbchow import fields
+    args = []
+
+    class Counted(Fraction):
+        def __new__(cls, *a):
+            args.extend(a)
+            return Fraction(*a)
+
+    monkeypatch.setattr(fields, "Fraction", Counted)
+    for field in (QQ, GF(7)):
+        parse_point_body(POINT.format(field.header()))
+    assert len(args) == 21  # one int per entry over Q, none over F_7
+    assert not [a for a in args if isinstance(a, str)]
 
 
 def test_rational_reduction_into_fp():

@@ -3,48 +3,44 @@ algebras, the cyclic-vector locus behind the non-commutative Hilbert
 scheme, divided powers / symmetric tensors, and the determinant norm
 map on points, over Q and prime fields F_p.
 
-All arithmetic is exact; no floating point appears anywhere.
+All arithmetic is exact; no floating point appears anywhere.  `import
+hilbchow` loads no submodule: each loads on the first use of its name.
 """
 
-from .counting import (EnumerationReport, configured_budget, enumerate_points,
-                       gl_order)
-from .cyclic import (IdealPresentation, PointedRep, cyclic_word_basis,
-                     ideal_membership, ideal_to_triple, is_cyclic,
-                     span_dimension, stabilizer_is_trivial, triple_to_ideal,
-                     triples_equivalent)
-from .commpoly import CommPoly, parse_comm_poly
-from .divpow import (DPElement, SymTensor, dp_power, gamma_n, parse_dp_expr, tau,
-                     ts_mul)
-from .errors import (BudgetExceededError, ParseError, PreconditionError,
-                     SingularMatrixError)
-from .fields import GF, QQ, FpElem, PrimeField, RationalField, field_from_header
-from .linalg import (Matrix, berkowitz_coeffs, charpoly, det,
-                     det_linear_combination, matrix_inverse, nc_eval,
-                     nullspace, word_matrices)
-from .ncpoly import NCPoly, parse_nc_poly, word_key, word_str, words_up_to
-from .normpoints import (Cycle, LawCoefficientTable, NormPoint, SplitFailure,
-                         cycle_extract, cycle_product_poly, det_point,
-                         field_roots, hc_point, law_coefficients)
-from .repvariety import (AlgebraPresentation, InvariantTable, RepIdeal, RepPoint,
-                         build_generic, conjugate, generic_var, invariant_table,
-                         is_representation, rep_ideal)
+from importlib import import_module
 
-__all__ = [
-    "AlgebraPresentation", "BudgetExceededError", "CommPoly", "Cycle",
-    "DPElement", "EnumerationReport", "FpElem", "GF",
-    "IdealPresentation", "InvariantTable",
-    "LawCoefficientTable", "Matrix", "NCPoly", "NormPoint", "ParseError",
-    "PointedRep", "PreconditionError", "PrimeField", "QQ", "RationalField",
-    "RepIdeal", "RepPoint", "SingularMatrixError", "SplitFailure", "SymTensor",
-    "berkowitz_coeffs", "build_generic", "charpoly", "configured_budget",
-    "conjugate", "cycle_extract", "cycle_product_poly", "cyclic_word_basis",
-    "det", "det_linear_combination", "det_point", "dp_power",
-    "enumerate_points", "field_from_header", "field_roots", "gamma_n",
-    "generic_var", "gl_order", "hc_point", "ideal_membership",
-    "ideal_to_triple", "invariant_table", "is_cyclic", "is_representation",
-    "law_coefficients", "matrix_inverse", "nc_eval", "nullspace",
-    "parse_comm_poly", "parse_dp_expr", "parse_nc_poly", "rep_ideal",
-    "span_dimension", "stabilizer_is_trivial", "tau", "triple_to_ideal",
-    "triples_equivalent", "ts_mul", "word_key", "word_matrices", "word_str",
-    "words_up_to",
-]
+# every submodule, with the names it exports here
+_EXPORTS = {
+    "_tokens": "", "cli": "", "commpoly": "CommPoly parse_comm_poly",
+    "counting": "EnumerationReport configured_budget enumerate_points gl_order",
+    "cyclic": "IdealPresentation PointedRep cyclic_word_basis ideal_membership "
+              "ideal_to_triple is_cyclic span_dimension stabilizer_is_trivial "
+              "triple_to_ideal triples_equivalent",
+    "divpow": "DPElement SymTensor dp_power gamma_n parse_dp_expr tau ts_mul",
+    "errors": "BudgetExceededError ParseError PreconditionError SingularMatrixError",
+    "fields": "GF QQ FpElem PrimeField RationalField field_from_header",
+    "linalg": "Matrix berkowitz_coeffs charpoly det det_linear_combination "
+              "matrix_inverse nc_eval nullspace word_matrices",
+    "ncpoly": "NCPoly parse_nc_poly word_key word_str words_up_to",
+    "normpoints": "Cycle LawCoefficientTable NormPoint SplitFailure cycle_extract "
+                  "cycle_product_poly det_point field_roots hc_point law_coefficients",
+    "repvariety": "AlgebraPresentation InvariantTable RepIdeal RepPoint build_generic "
+                  "conjugate generic_var invariant_table is_representation rep_ideal",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    "The submodule `name`, or the name from its submodule, imported on first use."
+    module = _OWNER.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)  # which binds a submodule here
+    if name in _OWNER:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

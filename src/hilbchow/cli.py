@@ -5,6 +5,8 @@ Each subcommand takes only the options `COMMANDS` lists for it, and
 form on stdout and timing on stderr, so stdout stays byte-stable.  Exit
 codes: 0 success, 2 malformed input or arguments, 3 precondition
 violation, 4 budget exceeded; each error is one `error: ` line on stderr.
+Loading this module loads only `errors` and `fields`; each handler
+imports what it calls, so a process loads the modules its command runs.
 """
 
 from __future__ import annotations
@@ -14,23 +16,8 @@ import functools
 import os
 import sys
 
-from .counting import BUDGET_ENV, enumerate_points
-from .cyclic import (IdealPresentation, PointedRep, ideal_to_triple,
-                     require_cyclic, stabilizer_is_trivial, triple_to_ideal,
-                     triples_equivalent)
-from .divpow import gamma_n, parse_dp_expr
-from .errors import BudgetExceededError, ParseError, PreconditionError
-from .fields import field_from_header
-from .ncpoly import parse_nc_poly
-from .normpoints import cycle_extract, det_point, hc_point, law_coefficients
-from .repvariety import (AlgebraPresentation, RepPoint, invariant_table,
-                         is_representation, matrix_row_text, parse_point_body,
-                         rep_ideal)
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_BUDGET = 4
+from .errors import BUDGET_ENV, BudgetExceededError, ParseError, PreconditionError
+from .fields import field_from_header, parse_int
 
 
 def _read_input(value):
@@ -50,12 +37,15 @@ def _field_of(args):
 
 
 def _presentation(args):
+    from .repvariety import AlgebraPresentation
     return AlgebraPresentation.from_text(_read_input(args.presentation))
 
 
 def _point(args, pres, k=0, pointed=False):
     """The k-th --point, validated against pres: a RepPoint, or with
     `pointed` a PointedRep, which needs a vec line."""
+    from .cyclic import PointedRep
+    from .repvariety import RepPoint, is_representation, parse_point_body
     fld, mats, vec = parse_point_body(_read_input(args.point[k]))
     if fld != pres.field:
         raise PreconditionError("point and presentation use different fields")
@@ -94,16 +84,14 @@ def main(argv=None):
         if args.points and len(args.point) != args.points:
             raise ParseError(f"{args.command} needs --point "
                              f"{'once' if args.points == 1 else 'twice'}")
-        out = args.handler(args)
-        if out:
-            sys.stdout.write(out)
-        return EXIT_OK
+        sys.stdout.write(args.handler(args))
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ParseError, PreconditionError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return (EXIT_BUDGET if isinstance(exc, BudgetExceededError) else
-                EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_PARSE)
+        return (4 if isinstance(exc, BudgetExceededError) else
+                3 if isinstance(exc, PreconditionError) else 2)
 
 
 @functools.cache
@@ -115,6 +103,7 @@ def _build_parser():
     sub = parser.add_subparsers(required=True, metavar="command", dest="command")
     for name, (handler, options, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.register("type", int, parse_int)  # `type=int` reads ASCII 0-9 only
         options = options.split()
         for opt in dict.fromkeys(options):
             key = opt.strip("[]")
@@ -125,10 +114,12 @@ def _build_parser():
 
 
 def _cmd_rep_ideal(args):
+    from .repvariety import rep_ideal
     return rep_ideal(_presentation(args), args.n).to_text()
 
 
 def _cmd_check_rep(args):
+    from .repvariety import is_representation, parse_point_body
     pres = _presentation(args)
     fld, mats, _vec = parse_point_body(_read_input(args.point[0]))
     if fld != pres.field:
@@ -138,15 +129,19 @@ def _cmd_check_rep(args):
 
 
 def _cmd_cyclic(args):
+    from .cyclic import require_cyclic
     pt = _point(args, _presentation(args), pointed=True)
     return f"cyclic true\nspan-dim {len(require_cyclic(pt)[0])}\n"
 
 
 def _cmd_triple_to_ideal(args):
+    from .cyclic import triple_to_ideal
     return triple_to_ideal(_point(args, _presentation(args), pointed=True)).to_text()
 
 
 def _cmd_ideal_to_triple(args):
+    from .cyclic import IdealPresentation, ideal_to_triple
+    from .repvariety import is_representation
     pt = ideal_to_triple(IdealPresentation.from_text(_read_input(args.point[0])))
     if args.presentation and not is_representation(_presentation(args), pt.rep.mats):
         raise PreconditionError(
@@ -155,6 +150,8 @@ def _cmd_ideal_to_triple(args):
 
 
 def _cmd_equiv(args):
+    from .cyclic import triples_equivalent
+    from .repvariety import matrix_row_text
     pres = _presentation(args)
     g = triples_equivalent(_point(args, pres, 0, pointed=True),
                            _point(args, pres, 1, pointed=True))
@@ -164,23 +161,30 @@ def _cmd_equiv(args):
 
 
 def _cmd_stab(args):
+    from .cyclic import stabilizer_is_trivial
     ok = stabilizer_is_trivial(_point(args, _presentation(args), pointed=True))
     return f"stabilizer-trivial {'true' if ok else 'false'}\n"
 
 
 def _cmd_invariants(args):
+    from .repvariety import invariant_table
     return invariant_table(_point(args, _presentation(args)), args.max_len).to_text()
 
 
 def _cmd_gamma(args):
+    from .divpow import gamma_n
+    from .ncpoly import parse_nc_poly
     return gamma_n(parse_nc_poly(args.expr, _field_of(args)), args.n).to_text()
 
 
 def _cmd_dp_normalize(args):
+    from .divpow import parse_dp_expr
     return parse_dp_expr(args.expr, _field_of(args)).to_text()
 
 
 def _cmd_law_coeffs(args):
+    from .ncpoly import parse_nc_poly
+    from .normpoints import law_coefficients
     pres = _presentation(args)
     rep = _point(args, pres)
     if args.law_args is not None:
@@ -192,23 +196,26 @@ def _cmd_law_coeffs(args):
 
 
 def _cmd_hc(args):
+    from .normpoints import hc_point
     pt = _point(args, _presentation(args), pointed=True)
     return hc_point(pt, args.max_len).to_text()
 
 
 def _cmd_det_point(args):
+    from .normpoints import det_point
     return det_point(_point(args, _presentation(args)), args.max_len).to_text()
 
 
 def _cmd_cycle(args):
+    from .normpoints import cycle_extract
     pres = _presentation(args)
     if not pres.is_commutative:
-        raise PreconditionError(
-            "cycle extraction needs a commutative presentation")
+        raise PreconditionError("cycle extraction needs a commutative presentation")
     return cycle_extract(_point(args, pres)).to_text()
 
 
 def _cmd_enumerate(args):
+    from .counting import enumerate_points
     report = enumerate_points(_presentation(args), args.n, budget=args.budget,
                               workers=args.workers)
     print(f"elapsed {report.elapsed_ms} ms", file=sys.stderr)

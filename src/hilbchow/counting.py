@@ -29,21 +29,16 @@ import time
 from dataclasses import dataclass, field
 
 from ._tokens import Block, block_text
-from .errors import ParseError, PreconditionError, require
-from .fields import PrimeField, is_prime, lift
+from .errors import BUDGET_ENV, DEFAULT_BUDGET, ParseError, PreconditionError, require
+from .fields import PrimeField, is_prime, lift, parse_int
 from .linalg import mat_pow, mat_vec, word_basis
-
-BUDGET_ENV = "HILBCHOW_BUDGET"
-DEFAULT_BUDGET = 2 ** 30
 
 
 def configured_budget():
     raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
     try:
-        return int(raw)
-    except ValueError:
+        return DEFAULT_BUDGET if raw is None else parse_int(raw)
+    except ParseError:
         raise ParseError(f"bad {BUDGET_ENV} value {raw!r}") from None
 
 

@@ -4,11 +4,13 @@ The CLI maps these to distinct exit codes, so library code should raise
 the most specific class that applies.  `require(amount, limit, what)` is
 the only place that raises BudgetExceededError (exit 4): it refuses work,
 counted before it starts, above MAX_TABLE_WORDS, MAX_ROOT_SCAN or the
-enumeration budget the user sets.
+enumeration budget: `--budget`, else $BUDGET_ENV, else DEFAULT_BUDGET.
 """
 
 MAX_TABLE_WORDS = 1 << 16  # words, terms, term pairs, entries or law steps built
 MAX_ROOT_SCAN = 1 << 20  # elements, divisions or candidates one root search tries
+BUDGET_ENV = "HILBCHOW_BUDGET"
+DEFAULT_BUDGET = 2 ** 30  # candidate tuples one sweep may test
 
 
 class ParseError(ValueError):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import math
 import os
 import re
@@ -233,6 +234,17 @@ def test_malformed_budget_env_exit_code(capsys, monkeypatch):
     assert err == "error: bad HILBCHOW_BUDGET value 'abc'\n"
 
 
+# the budget is an integer in text, so it follows the ASCII 0-9 rule too
+@pytest.mark.parametrize("raw", ["٣", "1_000", " 50"],
+                         ids=["arabic-indic", "underscore", "leading-space"])
+def test_non_decimal_budget_env_exit_code(capsys, monkeypatch, raw):
+    monkeypatch.setenv("HILBCHOW_BUDGET", raw)
+    code, out, err = run(capsys, "enumerate", "--presentation",
+                         "field F 2|gens x1", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad HILBCHOW_BUDGET value {raw!r}\n"
+
+
 def test_parse_error_exit_code(capsys, commuting):
     code, _, err = run(capsys, "check-rep", "--presentation", commuting,
                        "--point", "point|field Q|n 2|mat 0 1; 0")
@@ -320,6 +332,27 @@ NON_DECIMAL_INTEGERS = [
     ("gamma", "--expr", LONG + "*x1", "--n", "1"),
     ("gamma", "--expr", "x" + LONG, "--n", "1"),
 ]
+
+
+# the integer options read their values by the same rule; argparse's message
+# for a value refused before is unchanged
+INTEGER_OPTIONS = [
+    ("gamma", "--expr", "x1", "--n", "{}"),
+    ("invariants", "--presentation", "field Q|gens x1",
+     "--point", "point|field Q|n 1|mat 0", "--max-len", "{}"),
+    ("enumerate", "--presentation", "field F 2|gens x1", "--n", "1", "--budget", "{}"),
+    ("enumerate", "--presentation", "field F 2|gens x1", "--n", "1", "--workers", "{}"),
+]
+
+
+@pytest.mark.parametrize("value", ["٢", "１", " 2", "1_0", "abc"], ids=[
+    "arabic-indic", "fullwidth", "leading-space", "underscore", "letters"])
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS,
+                         ids=["n", "max-len", "budget", "workers"])
+def test_non_decimal_integer_option_exit_code(capsys, argv, value):
+    code, out, err = run(capsys, *(a.format(value) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {argv[-2]}: invalid int value: {value!r}\n"
 
 
 @pytest.mark.parametrize("argv", NON_DECIMAL_INTEGERS, ids=[
@@ -448,12 +481,39 @@ def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    code = "import hilbchow.cli, sys; print('multiprocessing' in sys.modules)"
+def loaded_after(code):
+    """The `hilbchow` submodules, `dataclasses` and `multiprocessing` that a new
+    interpreter has loaded once it has run `code`."""
+    probe = (f"{code}\nimport sys\nprint(sorted(m.removeprefix('hilbchow.') for m in "
+             "sys.modules if m.startswith('hilbchow.') or m in ('dataclasses', "
+             "'multiprocessing')))")
     env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
-    assert done.stdout == "False\n"
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the CLI module loads only what building its parser needs
+    assert loaded_after("import hilbchow") == set()
+    assert loaded_after("import hilbchow.cli") == {"cli", "errors", "fields"}
+
+
+# a cold request loads the modules its command runs: the divided-power side
+# needs no matrices, and a sweep no norm points, ideals or divided powers
+@pytest.mark.parametrize("argv, unused", [
+    (("dp-normalize", "--expr", "(x1 + x2)^[2]"),
+     {"linalg", "repvariety", "cyclic", "normpoints", "counting", "dataclasses"}),
+    (("gamma", "--expr", "x1*x2 - x2", "--n", "2"),
+     {"linalg", "repvariety", "cyclic", "normpoints", "counting", "dataclasses"}),
+    (("enumerate", "--presentation", "field F 2|gens x1 x2|rel x1*x2 - x2*x1",
+      "--n", "2"), {"normpoints", "cyclic", "divpow", "multiprocessing"}),
+], ids=["dp-normalize", "gamma", "enumerate"])
+def test_cold_request_loads_only_what_its_command_runs(argv, unused):
+    loaded = loaded_after(f"from hilbchow.cli import main\n"
+                          f"assert main({list(argv)!r}) == 0")
+    assert loaded >= {"cli", "errors", "fields"}
+    assert not loaded & unused
 
 
 def parser_options():

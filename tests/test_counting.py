@@ -212,7 +212,8 @@ def test_report_text_roundtrip():
 
 
 def test_budget_env_override(monkeypatch):
-    from hilbchow.counting import BUDGET_ENV, configured_budget
+    from hilbchow.counting import configured_budget
+    from hilbchow.errors import BUDGET_ENV
     monkeypatch.setenv(BUDGET_ENV, "123")
     assert configured_budget() == 123
     monkeypatch.delenv(BUDGET_ENV)
@@ -220,7 +221,8 @@ def test_budget_env_override(monkeypatch):
 
 
 def test_malformed_budget_env_is_parse_error(monkeypatch):
-    from hilbchow.counting import BUDGET_ENV, configured_budget
+    from hilbchow.counting import configured_budget
+    from hilbchow.errors import BUDGET_ENV
     monkeypatch.setenv(BUDGET_ENV, "2**20")
     with pytest.raises(ParseError, match="bad HILBCHOW_BUDGET value"):
         configured_budget()

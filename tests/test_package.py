@@ -1,7 +1,11 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hilbchow
 
@@ -11,6 +15,30 @@ def test_every_exported_name_resolves():
     missing = [name for name in hilbchow.__all__ if not hasattr(hilbchow, name)]
     assert not missing
     assert len(set(hilbchow.__all__)) == len(hilbchow.__all__)
+
+
+def test_lazy_package_keeps_its_api():
+    # `import hilbchow` loads no submodule, yet `dir` lists every export, a
+    # submodule is an attribute, and `import *` binds every name in `__all__`
+    code = ("import hilbchow, sys\n"
+            "print(sorted(m for m in sys.modules if m.startswith('hilbchow.')))\n"
+            "print(sorted(set(hilbchow.__all__) - set(dir(hilbchow))))\n"
+            "print(hilbchow.linalg is sys.modules['hilbchow.linalg'])\n"
+            "ns = {}\n"
+            "exec('from hilbchow import *', ns)\n"
+            "print(sorted(n for n in hilbchow.__all__ if ns.get(n) is not "
+            "getattr(hilbchow, n)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hilbchow.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == "[]\n[]\nTrue\n[]\n"
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hilbchow.no_such_name
+    with pytest.raises(ImportError):
+        from hilbchow import no_such_name  # noqa: F401
 
 
 def test_only_fields_lifts_scalars_to_ints():

@@ -320,7 +320,7 @@ def lift(field, values):
                 lambda c, k: FpElem(p, c))
     d = lcm(*(a.denominator for a in values))
     return ([a.numerator * (d // a.denominator) for a in values],
-            lambda c, k: Fraction(c, d ** k))
+            (lambda c, k: Fraction(c)) if d == 1 else lambda c, k: Fraction(c, d ** k))
 
 
 def field_from_header(line):

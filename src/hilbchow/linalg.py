@@ -2,15 +2,16 @@
 
 Entries only need `+`, `-`, `*` and `** 0`, so the same Matrix class
 carries concrete field points and generic matrices of indeterminates.
-Characteristic polynomials and determinants of polynomial entries, such
-as det(sum_s t_s M_s) with packed monomials, use the Berkowitz scheme: no
-divisions occur, so it stays valid over F_2 and F_3.  Scalar matrices run
-on plain ints: `lift` reshapes `fields.lift` of all the entries, and of the
-vectors that share their denominator, on the field `fields.field_of` names
-from them, into integer matrices and vectors, and their determinants are
-fraction-free (Bareiss) eliminations, exact over Z and so on unreduced F_p
-representatives.  Word tables grow by one block product per generator
-and level, to a bound `table_len` sets; free-algebra elements evaluate
+Characteristic polynomials and determinants of polynomial entries use the
+Berkowitz scheme: no divisions occur, so it stays valid over F_2 and F_3.
+Scalar matrices run on plain ints: `lift` reshapes `fields.lift` of all the
+entries, and of the vectors that share their denominator, on the field
+`fields.field_of` names from them, into integer matrices and vectors, and
+their determinants are fraction-free (Bareiss) eliminations, exact over Z
+and so on unreduced F_p representatives.  The law det(sum_s t_s M_s) is
+interpolated, exactly over Z, from such determinants at lattice points.
+Word tables grow by one block product per generator and level, mod p over
+F_p, to a bound `table_len` sets; free-algebra elements evaluate
 through one integer core, `_lifted_images`, that `nc_eval`, law tables
 and relation tests share.  Gaussian elimination runs on ints as well:
 `rref` lifts its rows once, and `IncrementalSpan` takes int vectors only,
@@ -20,13 +21,12 @@ by its pivot only when `rref` hands it back.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, groupby, islice
-from math import gcd
-from operator import add, index, mul
+from math import comb, factorial, gcd
+from operator import add, mul
 
-from .commpoly import CommPoly, SparseElement, var_key
+from .commpoly import CommPoly, var_key
 from . import errors, fields
 from .errors import PreconditionError, SingularMatrixError, require
 from .fields import FpElem
@@ -229,8 +229,12 @@ def det(mat):
 def _bareiss(rows):
     """Determinant of an integer matrix by fraction-free elimination (Bareiss):
     what step k leaves are (k+1)-minors, so dividing by the last pivot is
-    exact.  A zero pivot swaps in a lower row and flips the sign."""
+    exact.  A zero pivot swaps in a lower row and flips the sign.  Sizes 1
+    and 2 are closed forms."""
     n, sign, prev = len(rows), 1, 1
+    if n < 3:  # size 1 as diag(a, 1)
+        (a, b), (c, d) = rows if n == 2 else ((rows[0][0], 0), (0, 1))
+        return a * d - b * c
     rows = [list(r) for r in rows]
     for k in range(n - 1):
         top = rows[k]
@@ -258,26 +262,14 @@ def shared_dimension(mats):
     return mats[0].n
 
 
-class _Z:
-    "The integers as a coefficient ring for `_PackedPoly`: scalars are ints."
-    zero, one = 0, 1
-    __call__ = staticmethod(index)
-
-
-class _PackedPoly(SparseElement):
-    """Integer polynomial of degree <= n in t_0..t_{k-1}; the monomial t^xi
-    is the key sum_s xi_s * (n+1)**s, so keys add as monomials multiply."""
-    __slots__ = ()
-    _UNIT = 0
-    _key_mul = staticmethod(add)
-
-
 def det_linear_combination(mats, var_names):
-    """det(sum_s t_s * M_s) for scalar M_s, as a polynomial in the given
-    indeterminates, homogeneous of degree n.  Berkowitz runs on the integer
-    lift with packed monomials, whose exponents are at most n, so no digit
-    of a key ever carries.
-    """
+    """det(sum_s t_s * M_s) for scalar M_s, homogeneous of degree n in the
+    given indeterminates, interpolated on the integer lift from one `_bareiss`
+    at each of the C(n+k-1, n) points t_1 = 1, (t_2..t_k) = a >= 0, |a| <= n.
+    Newton forward differences, one variable at a time, give coefficients on
+    binomials C(a_s, j); Horner on (a_s)_j = j! C(a_s, j), scaled by n!/j!,
+    gives monomials, divided by n! once per variable: exact, as an integer
+    polynomial has integer coefficients in every mixed basis of the two."""
     n = shared_dimension(mats)
     if len(mats) != len(var_names):
         raise PreconditionError("one variable is required per matrix")
@@ -285,17 +277,49 @@ def det_linear_combination(mats, var_names):
         raise PreconditionError("variable names must be distinct")
     names, mats = zip(*sorted(zip(var_names, mats), key=lambda nm: var_key(nm[0])))
     ints, back, field = lift(mats, "determinant of a linear combination")
-    powers = [(n + 1) ** s for s in range(len(mats))]
-    ring = _Z()
-    entries = Matrix((_PackedPoly(ring, dict(zip(powers, cell))) for cell in zip(*rows))
-                     for rows in zip(*(M.rows for M in ints)))
-
-    def mono(key):  # the base-(n+1) digits of key, read off from the top one
-        s = bisect_right(powers, key) - 1
-        return mono(key % powers[s]) + ((names[s], key // powers[s]),) if key else ()
-
-    return CommPoly(field, {mono(key): back(c, n)
-                            for key, c in det(entries).terms.items()})
+    (first, *rest), vs = (M.rows for M in ints), range(len(mats) - 1)
+    # Points in degree order, b + e_s at succ[b] + s for s >= b's last variable
+    # lo; each has its matrix, its monomial and, below degree n, (s, a_s, index
+    # of a - e_s) over its s.  steps[s][j] lists (a, a - e_s) where a_s = j.
+    heads = [()] + [((names[0], c),) for c in range(1, n + 1)]
+    ones = [((name, 1),) for name in names[1:]]
+    rows, keys, less, succ = [first], [heads[n]], [()], []
+    steps = [[[] for _ in range(n + 1)] for _ in vs]
+    for b in range(comb(n - 1 + len(vs), n - 1)):
+        lb, head, tail = less[b], heads[keys[b][0][1] - 1], keys[b][1:]
+        lo, j = (lb[-1][0], lb[-1][1] + 1) if lb else (0, 1)  # a_lo of b + e_lo
+        a0 = len(rows)
+        succ.append(a0 - lo)
+        rows += [tuple([tuple(map(add, r, q)) for r, q in zip(rows[b], rest[s])])
+                 for s in vs[lo:]]
+        keys += map((head + tail).__add__, ones[lo:])
+        if lb:
+            keys[a0] = head + tail[:-1] + ((names[lo + 1], j),)
+        for s in vs[lo:]:
+            steps[s][j if s == lo else 1].append((a0 + s - lo, b))
+        for r, c, i in lb:
+            skip = r == lo
+            steps[r][c] += zip(range(a0 + skip, len(rows)),
+                               range(succ[i] + lo + skip, succ[i] + len(vs)))
+        if head:
+            less += [tuple([(r, c, succ[i] + s) for r, c, i in lb if r != s])
+                     + ((s, j if s == lo else 1, b),) for s in vs[lo:]]
+    vals = [_bareiss(r) for r in rows]
+    for by_j in steps:
+        for r in range(1, n + 1):
+            for a, i in chain.from_iterable(by_j[:r - 1:-1]):
+                vals[a] -= vals[i]
+    scale = [factorial(n) // factorial(j) for j in range(n + 1)]
+    for by_j in steps:
+        for j, pairs in enumerate(by_j):
+            for a, _ in pairs:
+                vals[a] *= scale[j]
+        for z in range(n - 1, 0, -1):  # sum_j b_j (a_s)_j by Horner on a_s - z
+            for a, i in chain.from_iterable(by_j[z + 1:]):
+                vals[i] -= z * vals[a]
+        for a, _ in chain.from_iterable(by_j):
+            vals[a] //= scale[0]
+    return CommPoly(field, {key: back(c, n) for key, c in zip(keys, vals) if c})
 
 
 # -- evaluation of free-algebra elements on matrix tuples ---------------------
@@ -354,18 +378,21 @@ def table_len(m, n, max_len):
     return max_len
 
 
-def word_matrices(mats, max_len):
-    """Products along all words of length <= max_len, in graded-lex order:
-    level L+1 is X_k [rho(w_1) | rho(w_2) | ...] over level L, one block
-    product per generator (the identity's columns are its rows), cut into
-    n x n blocks.  Tables of more than MAX_TABLE_WORDS words are refused."""
+def word_matrices(mats, max_len, p=0):
+    """Products along all words of length <= max_len, in graded-lex order,
+    reduced mod p if p: level L+1 is X_k [rho(w_1) | rho(w_2) | ...] over
+    level L, one block product per generator (the identity's columns are its
+    rows), cut into n x n blocks.  Tables of more than MAX_TABLE_WORDS words
+    are refused."""
     n = shared_dimension(mats)
     if max_len:  # the empty word alone is never refused
         table_len(len(mats), n, max_len)
     ident = Matrix.identity(n, mats[0].rows[0][0] ** 0)
     table, words, cols = {(): ident}, [()], ident.rows
     for _ in range(max_len):
-        wide = [[sum(map(mul, row, c)) for c in cols] for X in mats for row in X.rows]
+        wide = [[sum(map(mul, row, c)) % p for c in cols] if p
+                else [sum(map(mul, row, c)) for c in cols]
+                for X in mats for row in X.rows]
         cols = [c for k in range(len(mats)) for c in zip(*wide[k * n:(k + 1) * n])]
         words = [(k,) + w for k in range(len(mats)) for w in words]
         for j, w in enumerate(words):

@@ -86,8 +86,8 @@ def law_coefficients(rep, args):
     Computed from det(sum_s t_s * rho(a_s)) by reading off monomials in
     the t_s; only weight-n exponent vectors can occur.  The rho(a_s) stay
     integer (`linalg._lifted_images`), so each coefficient is read back
-    once, at degree n (K+1).  The det takes about n^3 steps per
-    coefficient; over MAX_TABLE_WORDS in all are refused.
+    once, at degree n (K+1).  It is interpolated from one determinant of
+    about n^3 steps per coefficient; over MAX_TABLE_WORDS in all are refused.
     """
     args = tuple(args)
     if not args:
@@ -154,9 +154,9 @@ def det_point(rep, max_len=None):
     gen_charpolys = tuple(charpoly(M) for M in rep.mats)
     gens = tuple(NCPoly.generator(rep.field, rep.m, k) for k in range(rep.m))
     mixed = law_coefficients(rep, gens)
-    ints, back, _ = lift(rep.mats, "a norm point")
+    ints, back, field = lift(rep.mats, "a norm point")
     word_dets = {w: back(det(M), rep.n * len(w))
-                 for w, M in word_matrices(ints, max_len).items()}
+                 for w, M in word_matrices(ints, max_len, field.characteristic).items()}
     return NormPoint(rep.field, rep.m, rep.n, max_len, gen_charpolys, mixed,
                      word_dets)
 

@@ -334,8 +334,8 @@ def invariant_table(pt, max_len=None):
     dot product of rho(u) read by rows with rho(v) read by columns.  The
     table is still refused on the word count of the full bound."""
     max_len = table_len(pt.m, pt.n, max_len)
-    ints, back, _ = lift(pt.mats, "an invariant table")
-    half = word_matrices(ints, (max_len + 1) // 2)
+    ints, back, field = lift(pt.mats, "an invariant table")
+    half = word_matrices(ints, (max_len + 1) // 2, field.characteristic)
     by_rows = {w: tuple(chain.from_iterable(M.rows)) for w, M in half.items()}
     by_cols = {w: tuple(chain.from_iterable(zip(*M.rows)))
                for w, M in half.items() if len(w) <= max_len // 2}

@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 
-from hilbchow import (GF, QQ, FpElem, Matrix, NCPoly, ParseError, PointedRep,
-                      RepPoint, det_linear_combination, is_cyclic, nc_eval)
+from hilbchow import (GF, QQ, CommPoly, FpElem, Matrix, NCPoly, ParseError, PointedRep,
+                      RepPoint, is_cyclic)
 
 
 def leibniz_det(mat):
@@ -341,15 +341,20 @@ def chi(mats, tensor):
     matrices `mats`.  gamma_n(sum_w t_w w) is the sum over word multisets K
     of prod_w t_w^(mult_w) times the orbit sum of K, so the orbit sum of K
     goes to the coefficient of that monomial in det(sum_w t_w rho(w)), w
-    over the distinct words of the tensor; no divided-power code is used."""
+    over the distinct words of the tensor.  That determinant is expanded by
+    `leibniz_det` over CommPoly entries, rho(w) by `letter_product`: no
+    divided-power code and no library determinant is used."""
     field = tensor.field
     words = sorted({w for key in tensor.terms for w in key})
     if not words:
         return field.zero
     names = {w: f"t{i}" for i, w in enumerate(words)}
-    law = det_linear_combination(
-        [nc_eval(NCPoly(field, len(mats), {w: 1}), mats) for w in words],
-        list(names.values()))
+    images = [(CommPoly.variable(field, names[w]), letter_product(mats, w).rows)
+              for w in words]
+    n = mats[0].n
+    law = leibniz_det(Matrix(tuple(tuple(
+        reduce(add, (t * rows[i][j] for t, rows in images)) for j in range(n))
+        for i in range(n))))
     total = field.zero
     for key, c in tensor.terms.items():
         mono = tuple((names[w], key.count(w)) for w in sorted(set(key)))

@@ -31,9 +31,9 @@ def test_invariant_table_tables_words_to_half_the_bound(monkeypatch):
     seen = []
     real = hilbchow.repvariety.word_matrices
 
-    def recorded(mats, max_len):
+    def recorded(mats, max_len, p=0):
         seen.append(max_len)
-        return real(mats, max_len)
+        return real(mats, max_len, p)
 
     monkeypatch.setattr(hilbchow.repvariety, "word_matrices", recorded)
     rng = seeded("half-bound")
@@ -91,9 +91,9 @@ def test_cycle_and_relation_tests_form_no_field_products(field_products):
     assert field_products == {}
 
 
-def test_det_point_runs_berkowitz_m_plus_one_times(monkeypatch, field_products):
-    # the m generator charpolys and the one law-table determinant; every
-    # word determinant is a fraction-free elimination on the lift
+def test_det_point_runs_berkowitz_m_times(monkeypatch, field_products):
+    # the m generator charpolys only: the law table interpolates fraction-free
+    # eliminations on the lift, and so does every word determinant
     entered = []
     real = hilbchow.linalg.berkowitz_coeffs
 
@@ -110,7 +110,7 @@ def test_det_point_runs_berkowitz_m_plus_one_times(monkeypatch, field_products):
                 for max_len in (*range(1, 2 * n + 1), None):
                     entered.clear()
                     det_point(pt, max_len)
-                    assert len(entered) == m + 1, (field, m, n, max_len)
+                    assert len(entered) == m, (field, m, n, max_len)
     assert field_products == {}
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd
@@ -5,6 +6,7 @@ from operator import add, mul
 
 import pytest
 
+import hilbchow.linalg
 from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError, CommPoly,
                       Matrix, NCPoly, PreconditionError, RepPoint, SingularMatrixError,
                       berkowitz_coeffs, charpoly, det, det_linear_combination, det_point,
@@ -342,16 +344,63 @@ def test_det_linear_combination_against_leibniz():
                     assert all(type(c) is type(field.one) for c in got.terms.values())
 
 
-def test_sum_of_packed_polynomials_is_the_fold_of_plus():
+@pytest.mark.parametrize("field, n, k", [
+    (QQ, 1, 4096), (QQ, 2, 127), (QQ, 3, 23), (QQ, 4, 11),
+    (GF(2), 3, 23), (GF(2), 4, 11)],
+    ids=["Q-1-4096", "Q-2-127", "Q-3-23", "Q-4-11", "F2-3-23", "F2-4-11"])
+def test_det_linear_combination_at_edge_shapes(monkeypatch, field, n, k):
+    # shapes the law-table bound n^3 C(n+k-1, n) admits, the largest k for
+    # n >= 2, and F_2 where p <= n: one elimination per lattice point and no
+    # Berkowitz run; the law agrees with the Leibniz expansion of
+    # sum_s a_s M_s at random integer points a, at a point where that sum is
+    # singular and at one where it is the zero matrix; a zero M_s drops t_s
+    # from every monomial, and zero matrices alone give the zero polynomial
+    assert n ** 3 * comb(n + k - 1, n) <= MAX_TABLE_WORDS
+    calls = Counter()
+    for name in ("_bareiss", "berkowitz_coeffs"):
+        def counted(*args, _real=getattr(hilbchow.linalg, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(hilbchow.linalg, name, counted)
+    rng = seeded(f"detlin-edge-{field}-{n}")
+    names = [f"t{s + 1}" for s in range(k)]
+    u = [rand_scalar(field, rng) for _ in range(n)]
+    rank_one = Matrix(tuple(tuple(a * b for b in u) for a in u))
+    mats = [rand_matrix(field, n, rng) for _ in range(k - 3)]
+    mats[1:1] = [mats[0], rank_one, Matrix.zeros(n, field.zero)]
+    got = det_linear_combination(mats, names)
+    assert calls == {"_bareiss": comb(n + k - 1, n)}
+    assert got.field == field and "t4" not in got.variables()
+
+    def law_at(point):
+        total = Matrix.zeros(n, field.zero)
+        for a, M in zip(point, mats):
+            if a:
+                total = mat_add(total, mat_scale(M, field(a)))
+        return leibniz_det(total)
+
+    points = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(3)]
+    singular = [0, 0, 1] + [0] * (k - 3)  # the rank-one M_3 alone
+    zero = [1, -1] + [0] * (k - 2)  # M_1 - M_2 = 0
+    for point in points + [singular, zero]:
+        assert got.evaluate(dict(zip(names, point))) == law_at(point)
+    assert law_at(zero) == field.zero and (n == 1 or law_at(singular) == field.zero)
+    assert det_linear_combination([Matrix.zeros(n, field.zero)] * k, names).is_zero()
+
+
+def test_sum_of_polynomials_is_the_fold_of_plus():
     # `sum` starts from the int 0, which hands back the first summand itself
     # rather than a copy: the sums must still equal the left fold of `+` and
-    # leave every summand as it was, and det_linear_combination, whose
+    # leave every summand as it was, and `det` of polynomial entries, whose
     # Berkowitz dot products are such sums, must keep the Leibniz expansion
-    from hilbchow.linalg import _PackedPoly, _Z
+    # and the interpolated law of det_linear_combination
     rng = seeded("packed-sum")
-    ring = _Z()
-    polys = [_PackedPoly(ring, {rng.randrange(16): rng.randint(-5, 5)
-                                for _ in range(4)}) for _ in range(6)]
+
+    def mono(i, j):
+        return tuple((v, e) for v, e in (("s", i), ("t", j)) if e)
+
+    polys = [CommPoly(QQ, {mono(rng.randrange(4), rng.randrange(4)): rng.randint(-5, 5)
+                           for _ in range(4)}) for _ in range(6)]
     before = [dict(p.terms) for p in polys]
     assert sum(polys[:1]) is polys[0] and 0 + polys[1] is polys[1]
     assert sum(polys) == reduce(add, polys) == sum(polys[1:], polys[0])
@@ -359,15 +408,12 @@ def test_sum_of_packed_polynomials_is_the_fold_of_plus():
     for n in (2, 3, 4):
         ints = [tuple(tuple(rng.randint(-4, 4) for _ in range(n))
                       for _ in range(n)) for _ in range(2)]
-        entries = Matrix(tuple(tuple(_PackedPoly(ring, {1: a, n + 1: b})
+        entries = Matrix(tuple(tuple(CommPoly(QQ, {mono(1, 0): a, mono(0, 1): b})
                                      for a, b in zip(r1, r2))
                                for r1, r2 in zip(*ints)))
-        packed = det(entries)
-        assert packed == leibniz_det(entries)
-        poly = det_linear_combination([Matrix(m) for m in ints], ["s", "t"])
-        assert packed.terms == {
-            sum(e * (1 if v == "s" else n + 1) for v, e in mono): c
-            for mono, c in poly.terms.items()}
+        got = det(entries)
+        assert got == leibniz_det(entries)
+        assert got == det_linear_combination([Matrix(m) for m in ints], ["s", "t"])
 
 
 def test_det_linear_combination_refuses_polynomial_entries():
@@ -620,7 +666,8 @@ def test_word_matrices_graded_lex_keys():
 
 def test_word_matrices_against_letter_products():
     # one block product per generator and level gives every word's product,
-    # keyed in words_up_to order, over the integers and over fields
+    # keyed in words_up_to order, over the integers and over fields, and
+    # reduced mod p when given p
     rng = seeded("word-table-oracle")
     for m in (1, 2, 3):
         for n in (1, 2, 3):
@@ -633,6 +680,12 @@ def test_word_matrices_against_letter_products():
                     assert list(table) == list(words_up_to(m, max_len))
                     for w, got in table.items():
                         assert got == letter_product(mats, w), (m, n, field, w)
+                    if field is None:  # tables of F_p representatives stay reduced
+                        ints = [M.rows for M in mats]
+                        for p in (2, 101):
+                            for w, got in word_matrices(mats, max_len, p).items():
+                                want = _mod_word(ints, w, n, p)
+                                assert list(map(list, got.rows)) == want
                         assert got.n == n
 
 

@@ -5,6 +5,8 @@ Each subcommand takes only the options `COMMANDS` lists for it, and
 form on stdout and timing on stderr, so stdout stays byte-stable.  Exit
 codes: 0 success, 2 malformed input or arguments, 3 precondition
 violation, 4 budget exceeded; each error is one `error: ` line on stderr.
+A request is parsed by its subcommand's own parser; the top-level parser
+only sees an argv that does not start with a command.
 Loading this module loads only `errors` and `fields`; each handler
 imports what it calls, so a process loads the modules its command runs.
 """
@@ -80,7 +82,9 @@ def _glue_values(argv):
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(_glue_values(argv))
+        argv, parser = _glue_values(argv), _build_parser()
+        sub = parser.commands.get(argv[0]) if argv else None
+        args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
         if args.points and len(args.point) != args.points:
             raise ParseError(f"{args.command} needs --point "
                              f"{'once' if args.points == 1 else 'twice'}")
@@ -96,7 +100,7 @@ def main(argv=None):
 
 @functools.cache
 def _build_parser():
-    "The argument parser, built on first use and shared by every `main` call."
+    "The parser, built on first use; `commands` maps each subcommand to its own."
     parser = _Parser(prog="hilbchow",
                      description="exact computations on representation schemes, "
                                  "Hilbert-scheme points and their norm images")
@@ -109,7 +113,8 @@ def _build_parser():
             key = opt.strip("[]")
             required = opt == key and _OPTIONS[key].get("required", False)
             p.add_argument("--" + key, **{**_OPTIONS[key], "required": required})
-        p.set_defaults(handler=handler, points=options.count("point"))
+        p.set_defaults(command=name, handler=handler, points=options.count("point"))
+    parser.commands = sub.choices
     return parser
 
 

@@ -12,8 +12,9 @@ integer lift of the coefficients: |supp s|·sum over keys K2 of t of
 |orb(K2)| sorted n-tuples of ranks, then one exact division per result
 orbit, so it stays valid over F_p.  Both normal forms of a^[n], the
 divided-power monomials and the orbit sums, are read off one enumeration
-of the splits of n into exponents over the support of a; `_words` is the
-one place a monomial key becomes its multiset.
+of the splits of n into exponents over the support of a, whose products
+run on the integer lift as well; `_words` is the one place a monomial key
+becomes its multiset.
 """
 
 from __future__ import annotations
@@ -125,18 +126,22 @@ def _tensor_power(a, k):
     multisets, k >= 0: (key of prod w^[e_w], prod c_w^e_w) for each split of k
     into exponents e_w over the words w of the support, c_w their
     coefficients.  A split costs O(|supp a|) however large k is; distinct
-    splits give distinct monomials and the products are never zero."""
+    splits give distinct monomials and the products are never zero.  The
+    products run on the integer lift of the c_w (powers reduced mod p over
+    F_p), and each has degree k in them, so it is read back as back(., k)."""
     support = sorted(a.terms.items(), key=lambda wc: word_key(wc[0]))
     if k and not support:  # 0^[k] = 0 for k > 0
         return
+    ints, back = lift(a.field, [c for _, c in support])
+    p = a.field.characteristic or None
     exps = [k] + [0] * (len(support) - 1)
     while True:
-        factors, coeff = [], a.field.one
-        for (w, c), e in zip(support, exps):
+        factors, coeff = [], 1
+        for (w, _), c, e in zip(support, ints, exps):
             if e:
                 factors.append((w, e))
-                coeff = coeff * (c if e == 1 else c ** e)
-        yield tuple(factors), coeff
+                coeff *= c if e == 1 else pow(c, e, p)
+        yield tuple(factors), back(coeff, k)
         # next split in reverse lexicographic order: the last nonzero
         # exponent before the final one moves 1 and the final one right
         tail, exps[-1] = exps[-1], 0

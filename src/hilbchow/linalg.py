@@ -215,11 +215,11 @@ def charpoly(mat):
 
 def det(mat):
     """Determinant over any commutative ring: fraction-free elimination on the
-    integer lift for exact scalars, Berkowitz for polynomial entries."""
-    kinds = set(map(type, chain.from_iterable(mat.rows)))
-    if kinds == _INT:
+    integer lift for exact scalars, Berkowitz for polynomial entries.  The
+    all-int test stops at the first entry of another type (a bool is one)."""
+    if _INT.issuperset(map(type, chain.from_iterable(mat.rows))):
         return _bareiss(mat.rows)
-    if kinds <= _SCALARS:
+    if set(map(type, chain.from_iterable(mat.rows))) <= _SCALARS:
         (ints,), back, _ = lift((mat,), "determinant")
         return back(_bareiss(ints.rows), mat.n)
     c = berkowitz_coeffs(mat)[-1]

@@ -128,11 +128,17 @@ def arity(tree, text, m=None):
 
 
 def free_leaf(field, m):
-    "The `fold` leaf of the free algebra on x1..xm."
+    """The `fold` leaf of the free algebra on x1..xm; it builds each
+    generator once, on its first occurrence, and lives for one parse."""
+    gens = {}
+
     def leaf(node):
         if node[0] == "num":
             return NCPoly.const(field, m, number(node, field))
-        return NCPoly.generator(field, m, generator_index(node[1]))
+        g = gens.get(node[1])
+        if g is None:
+            g = gens[node[1]] = NCPoly.generator(field, m, generator_index(node[1]))
+        return g
     return leaf
 
 

@@ -603,6 +603,83 @@ def test_help_exits_zero(capsys, argv):
     assert code == 0 and out.startswith("usage: hilbchow")
 
 
+def dispatch_cases():
+    """(id, argv) pairs that start with a command: help, a missing required
+    option, an unknown option, a bad `--n`, and a valid line in full and
+    with an abbreviated option."""
+    cases = []
+    for command, options in sorted(parser_options().items()):
+        names = {name for name, _ in options}
+        valid = [(name, SAMPLE[name]) for name, required in sorted(options) if required]
+        flat = [tok for name, value in valid for tok in ("--" + name, value)]
+        cases += [("help", (command, "--help")), ("h", (command, "-h")),
+                  ("missing", (command,)), ("unknown", (command, *flat, "--bogus", "1")),
+                  ("valid", (command, *flat))]
+        if "n" in names:
+            cases.append(("bad-n", (command, "--n", "x")))
+        for name, short in (("presentation", "--pres"), ("expr", "--ex")):
+            if name in names:
+                rest = [tok for other, value in valid if other != name
+                        for tok in ("--" + other, value)]
+                cases.append((short[2:], (command, short, SAMPLE[name], *rest)))
+    cases += [("glued", ("gamma", "--expr=-x1", "--n", "2")),
+              ("dashes", ("gamma", "--", "--expr", "x1", "--n", "2")),
+              ("repeated", ("gamma", "--expr", "x1", "--n", "2", "--n", "3")),
+              ("bare-field", ("dp-normalize", "--expr", "x1^[2]", "--field"))]
+    return [pytest.param(argv, id=f"{argv[0]}-{kind}") for kind, argv in cases]
+
+
+def top_level(capsys, argv):
+    """The top-level parser's reading of argv: its namespace, or the
+    (exit code, stdout, stderr) of its refusal or help, as `main` reports it."""
+    try:
+        return cli._build_parser().parse_args(cli._glue_values(list(argv)))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return int(exc.code or 0), captured.out, captured.err
+    except cli.ParseError as exc:
+        return 2, "", f"error: {exc}\n"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    "[prog, namespace or None] of each `parse_args` call, in order."
+    calls = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        calls.append([self.prog, None])
+        calls[-1][1] = real(self, *args, **kwargs)
+        return calls[-1][1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("argv", dispatch_cases())
+def test_dispatch_matches_the_top_level_parser(capsys, parses, argv):
+    expected = top_level(capsys, argv)
+    parses.clear()
+    got = run(capsys, *argv)
+    # one parse, by the command's own parser
+    assert [prog for prog, _ in parses] == [f"hilbchow {argv[0]}"]
+    if isinstance(expected, argparse.Namespace):
+        assert parses[0][1] == expected and expected.command == argv[0]
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--help",), ("-h",), ("no-such-command", "--expr", "x1"),
+    ("--field", "Q", "gamma", "--expr", "x1", "--n", "2"), ("--", "gamma"),
+], ids=["empty", "help", "h", "unknown-command", "option-first", "dashes-first"])
+def test_argv_without_a_command_reaches_the_top_level_parser(capsys, parses, argv):
+    expected = top_level(capsys, argv)
+    parses.clear()
+    assert run(capsys, *argv) == expected
+    assert [prog for prog, _ in parses] == ["hilbchow"]
+
+
 def test_law_coeffs_with_an_empty_argument_list_exit_code(capsys):
     # an explicit empty `--args` is read, not taken for "no --args given"
     code, out, err = run(capsys, *LAW, "--args", "")

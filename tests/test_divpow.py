@@ -61,6 +61,8 @@ def test_large_exponents_cost_one_step_per_term():
     assert dp_power(x(), k).terms == {(((0,), k),): Fraction(1)}
     F = GF(7)
     assert dp_power(x(F) * 3, k) == dp_power(x(F), k) * pow(3, k, 7)
+    k = 10 ** 5  # over Q a term of degree k is divided by d^k once
+    assert dp_power(x() * Fraction(2, 3), k) == dp_power(x(), k) * Fraction(2, 3) ** k
     k = 10 ** 6
     assert dp_power(x() * 2, k) == dp_power(x(), k) * 2 ** k
     assert parse_dp_expr(f"(2*x1)^[{k}]", QQ, 2) == dp_power(x(), k) * 2 ** k
@@ -161,13 +163,18 @@ def test_gamma_frozen_examples():
 
 
 def test_gamma_matches_tensor_power():
+    # n up to 5 reaches p <= n over F_2 and F_3; F_7 and the mixed
+    # denominators 2, 3 and 6 over Q check the integer lift's read-back
     rng = seeded("gamma-dense")
-    for field in FIELDS:
-        for _ in range(15):
-            a = rand_ncpoly(field, 2, rng, max_terms=3, max_len=2)
-            for n in (0, 1, 2, 3):
-                assert gamma_n(a, n).arrangements() == tensor_power(a, n)
-                assert dense(dp_power(a, n), n) == tensor_power(a, n)
+    mixed = NCPoly(QQ, 2, {(0,): Fraction(1, 2), (1,): Fraction(-2, 3),
+                           (0, 1): Fraction(5, 6)})
+    cases = [mixed, -mixed * Fraction(6, 7)]
+    for field in FIELDS + (GF(7),):
+        cases += [rand_ncpoly(field, 2, rng, max_terms=3, max_len=2) for _ in range(15)]
+    for a in cases:
+        for n in range(6):
+            assert gamma_n(a, n).arrangements() == tensor_power(a, n)
+            assert dense(dp_power(a, n), n) == tensor_power(a, n)
 
 
 def test_gamma_equals_tau_of_power():

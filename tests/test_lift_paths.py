@@ -6,7 +6,9 @@ its bound, the norm point runs Berkowitz only for the generator charpolys
 and the law table (its word determinants are eliminations on ints), the
 law table lifts once and never reads its argument images back into the
 field, and the norm point, the 0-cycle, the relation test and the
-equivalence test form no matrix product on field entries."""
+equivalence test form no matrix product on field entries.  The tensor
+powers behind `gamma_n` and `dp_power` multiply the lifted coefficients
+as ints: they make no `Fraction` or `FpElem` product or power."""
 
 from collections import Counter
 from fractions import Fraction
@@ -18,9 +20,9 @@ import hilbchow.linalg
 import hilbchow.normpoints
 import hilbchow.repvariety
 from hilbchow import (GF, QQ, AlgebraPresentation, Matrix, NCPoly, PointedRep, RepPoint,
-                      conjugate, cycle_extract, det_point, invariant_table,
-                      is_representation, law_coefficients, parse_nc_poly,
-                      triples_equivalent)
+                      conjugate, cycle_extract, det_point, dp_power, gamma_n,
+                      invariant_table, is_representation, law_coefficients,
+                      parse_nc_poly, triples_equivalent)
 from hilbchow.fields import FpElem
 
 from oracles import (FIELDS, rand_commuting_split_mats, rand_free_cyclic_point,
@@ -163,3 +165,26 @@ def test_equivalence_test_forms_no_field_products(field_products):
         assert triples_equivalent(pt, moved) == g
         assert triples_equivalent(moved, pt) is not None
     assert field_products == {}
+
+
+def test_tensor_powers_form_no_field_products(monkeypatch):
+    # the splits' coefficient products run on the integer lift, read back
+    # once per term: no Fraction or FpElem product or power on the way
+    cases = [NCPoly(QQ, 2, {(0,): Fraction(1, 2), (0, 1): Fraction(-2, 3), (): 5}),
+             NCPoly(GF(7), 2, {(0,): 3, (0, 1): 6, (1, 1, 0): 2})]
+    counts = Counter()
+    for cls in (Fraction, FpElem):
+        for name in ("__mul__", "__pow__"):
+            real = getattr(cls, name)
+
+            def counted(self, other, *rest, _key=f"{cls.__name__}.{name}", _real=real):
+                counts[_key] += 1
+                return _real(self, other, *rest)
+
+            monkeypatch.setattr(cls, name, counted)
+    assert Fraction(1, 2) * 2 and GF(7)(3) ** 2  # the counters see products
+    assert counts == {"Fraction.__mul__": 1, "FpElem.__pow__": 1}
+    counts.clear()
+    for a in cases:  # the C(4 + 2, 2) splits of 4 over three words
+        assert len(gamma_n(a, 4).terms) == len(dp_power(a, 4).terms) == 15
+    assert counts == {}

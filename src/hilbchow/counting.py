@@ -12,12 +12,18 @@ an off-diagonal entry joining two components of the support must be 0 or
 1, and each such 1 (a join) multiplies the weight by q - 1.  Each relation
 is tested once the last generator it uses is fixed, and a failing prefix
 skips its subtree; one in a later generator alone filters its torus
-representatives.  A test sums c (w e_j) mod p one column at a time, up to
-a nonzero one, with words applied right to left by mat-vec products; a run
-x_k^e is one `mat_pow` when that takes under e/n products.  A d = n cell
-is cyclic at e_1, so its leaves skip the word-basis search, and with no
-later relation its q^((m-1) n^2) completions count unwalked.  Asserted on
-every run: the cell weights sum to q^(n^2), and |GL_n(F_q)| divides the
+representatives.  Vectors are int codes in [0, q^n), and each walked
+matrix, and the `mat_pow` of a run x_k^e that takes under e/n products,
+memoises its images by code while it is walked (X_1 across its
+completions, a later generator's representatives for the whole range), so
+a word on e_j is a chain of lookups.  A test sums c (w e_j) mod p one
+column at a time, up to a nonzero one (for one term, a nonzero code).  A
+relation in x_1 alone, a polynomial in X_1, kills span(e_1, X_1 e_1, ...)
+= span(e_1..e_d) on N_d once it kills e_1, so it is tested on e_1 and
+e_(d+1..n) only.  A d = n cell is cyclic at e_1, so its leaves skip the
+cyclicity test (`word_basis`'s search, on codes), and with no later
+relation its q^((m-1) n^2) completions count unwalked.  Asserted on every
+run: the cell weights sum to q^(n^2), and |GL_n(F_q)| divides the
 cyclic-pair count (a free action) with quotient the Hilbert-scheme points.
 """
 
@@ -27,11 +33,12 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 from ._tokens import Block, block_text
 from .errors import BUDGET_ENV, DEFAULT_BUDGET, ParseError, PreconditionError, require
 from .fields import PrimeField, is_prime, lift, parse_int
-from .linalg import mat_pow, mat_vec, word_basis
+from .linalg import IncrementalSpan, mat_pow
 
 
 def configured_budget():
@@ -96,8 +103,8 @@ def _representatives(p, n, choices, comp):
     drawn from choices[k], an off-diagonal entry joining two components is
     0 or 1, and each such 1 merges them and multiplies the weight by p - 1."""
     if len(set(comp)) == 1:
-        return [(tuple(zip(*[iter(e)] * n)), 1, comp)
-                for e in itertools.product(*choices)]
+        rows = [itertools.product(*choices[i:i + n]) for i in range(0, n * n, n)]
+        return [(mat, 1, comp) for mat in itertools.product(*rows)]
     out = []
 
     def fill(entries, labels, weight):
@@ -142,6 +149,28 @@ def _runs(word, n):
         yield from [(k, e)] if whole else [(k, 1)] * e
 
 
+class _Images(dict):
+    """Memoised images of one matrix over F_p on vector codes: code -> code
+    of its image, computed on the first lookup of a code.  A vector v is the
+    code sum v_i p^(i-1), and `digits`, shared by the tables of one
+    `count_range` call, holds every code met so far with its vector."""
+
+    __slots__ = ("mat", "p", "digits")
+
+    def __init__(self, mat, p, digits):
+        self.mat, self.p, self.digits = mat, p, digits
+
+    def __missing__(self, code):
+        p, v = self.p, self.digits[code]
+        image = tuple([sum(map(mul, row, v)) % p for row in self.mat])
+        out = 0
+        for a in reversed(image):
+            out = out * p + a
+        self.digits[out] = image
+        self[code] = out
+        return out
+
+
 def count_range(pres, n, cells):
     """(representation tuples, cyclic pairs) of `pres` over the tuples whose
     first matrix is one of `cells`, a slice of first_cells(q, n), each weighed
@@ -149,56 +178,89 @@ def count_range(pres, n, cells):
     pairs are q^n - 1 times the tuples with e_1 cyclic."""
     p, m = pres.field.p, pres.m
     levels, own = [[] for _ in range(m)], [[] for _ in range(m)]
+    powers = set()  # (k, e) for the runs x_k^e taken as powers
     for rel in pres.relations:
         if rel.terms:
             top = max(max(w, default=0) for w in rel.terms)
             terms = [(list(_runs(w, n)), c) for w, c
                      in zip(rel.terms, lift(pres.field, rel.terms.values())[0])]
-            keys = {r for runs, _ in terms for r in runs}
+            powers |= {(k, e) for runs, _ in terms for k, e in runs if e > 1}
             alone = top and all(k == top for w in rel.terms for k in w)
-            (own if alone else levels)[top].append((keys, terms))
-    ident = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+            (own if alone else levels)[top].append(terms)
+    unit = [p ** j for j in range(n)]  # the codes of e_1..e_n
+    digits = {u: tuple(int(u == v) for v in unit) for u in unit}  # code met -> vector
     free = [range(p)] * (n * n)
     # with X_1 cyclic and no later relation, each completion counts in both
     tail = 0 if any(levels[1:] + own) else p ** ((m - 1) * n * n)
+    # by cell dimension d, the columns a relation in X_1 alone is tested on
+    cell_cols = [unit[:1] + unit[d:] for d in range(n + 1)]
+    read = levels[0] or m > 1  # whether anything reads X_1's tables
     after = {}  # (level, components) -> the representatives of that generator
 
-    def fails(rels, mats):
-        "True when a relation in `rels` has a nonzero column on `mats`."
-        for keys, terms in rels:
-            power = {(k, e): mat_pow(mats[k], e, p) for k, e in keys}
-            seqs = [([power[r] for r in runs] or [ident], c) for runs, c in terms]
-            for j in range(n):
+    def images(mat, k):
+        "Generator k's matrix as the image tables of its runs' powers."
+        tables = {1: _Images(mat, p, digits)}
+        for j, e in powers:
+            if j == k:
+                tables[e] = _Images(mat_pow(mat, e, p), p, digits)
+        return tables
+
+    def fails(rels, mats, cols):
+        "True when a relation in `rels` has a nonzero column, coded in `cols`, on `mats`."
+        for terms in rels:
+            if len(terms) == 1:
+                runs = terms[0][0]
+                for code in cols:
+                    for k, e in runs:
+                        code = mats[k][e][code]
+                    if code:
+                        return True
+                continue
+            for j in cols:
                 total = [0] * n
-                for seq, c in seqs:
-                    v = [row[j] for row in seq[0]]
-                    for mat in seq[1:]:
-                        v = mat_vec(mat, v, p)
-                    total = [t + c * a for t, a in zip(total, v)]
+                for runs, c in terms:
+                    code = j
+                    for k, e in runs:
+                        code = mats[k][e][code]
+                    total = [t + c * a for t, a in zip(total, digits[code])]
                 if any(t % p for t in total):
                     return True
         return False
 
-    def walk(mats, comp, cyclic):
-        if levels[len(mats) - 1] and fails(levels[len(mats) - 1], mats):
+    def spans(mats):
+        "True when e_1 is cyclic: `word_basis`'s breadth-first search, on codes."
+        grow = IncrementalSpan(n, p).add
+        grow(digits[1])
+        level, rank = [1], 1
+        while level and rank < n:
+            level = [image for imgs in mats for image in map(imgs[1].__getitem__, level)
+                     if grow(digits[image])]
+            rank += len(level)
+        return rank == n
+
+    def walk(mats, comp, d):
+        rels = levels[len(mats) - 1]
+        if rels and fails(rels, mats, cell_cols[d] if len(mats) == 1 else unit):
             return 0, 0
         if len(mats) == m:
-            return 1, cyclic or (m > 1 and len(word_basis(mats, ident[0], p)) == n)
-        if cyclic and tail:
+            return 1, d == n or (m > 1 and spans(mats))
+        if d == n and tail:
             return tail, tail
         if (len(mats), comp) not in after:
-            after[len(mats), comp] = [r for r in _representatives(p, n, free, comp)
-                                      if not fails(own[len(mats)], (r[0],) * m)]
+            candidates = [(images(mat, len(mats)), weight, joined) for mat, weight, joined
+                          in _representatives(p, n, free, comp)]
+            after[len(mats), comp] = [r for r in candidates
+                                      if not fails(own[len(mats)], (r[0],) * m, unit)]
         reps = pairs = 0
-        for mat, weight, joined in after[len(mats), comp]:
-            r, c = walk(mats + (mat,), joined, cyclic)
+        for imgs, weight, joined in after[len(mats), comp]:
+            r, c = walk(mats + (imgs,), joined, d)
             reps += weight * r
             pairs += weight * c
         return reps, pairs
 
     reps = pairs = 0
     for mat, weight, comp, d in cells:
-        r, c = walk((mat,), comp, d == n)
+        r, c = walk((images(mat, 0) if read else None,), comp, d)
         reps += weight * r
         pairs += weight * c
     return reps, pairs * (p ** n - 1)

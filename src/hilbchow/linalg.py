@@ -109,9 +109,7 @@ def mat_mul(a, b, p=0):
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
-def mat_vec(a, v, p=0):
-    if p:
-        return tuple([sum(map(mul, row, v)) % p for row in a])
+def mat_vec(a, v):
     return tuple([sum(map(mul, row, v)) for row in a])
 
 

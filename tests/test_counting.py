@@ -231,48 +231,55 @@ def test_malformed_budget_env_is_parse_error(monkeypatch):
         enumerate_points(curve_pres(2), 1)
 
 
-def test_fast_sweep_agrees_with_generic_operations():
-    # the sweep on linalg's kernels must match a brute force with its own
-    # matrix product and elimination
-    cases = [(curve_pres(2), 2), (curve_pres(3), 2), (curve_pres(2), 3),
-             (commuting_pres(2), 2), (AlgebraPresentation(GF(2), 2), 2),
-             (AlgebraPresentation(GF(3), 1,
-                                  (parse_nc_poly("x1^2 - 1", GF(3), 1),)), 2),
-             (AlgebraPresentation(GF(5), 1,
-                                  (parse_nc_poly("x1^3 - x1", GF(5), 1),)), 2),
-             (AlgebraPresentation(GF(3), 2, tuple(
-                 parse_nc_poly(r, GF(3), 2)
-                 for r in ("x1^2", "x1*x2", "x2*x1", "x2^2"))), 2),
-             # the sweep walks one tuple per orbit of diag(1, d_2, ..., d_n):
-             # three components at n = 3, and x1^2 = 0 leaves X1 zero or of
-             # rank one, so X2 is walked from two components as well as one
-             (AlgebraPresentation(GF(3), 1,
-                                  (parse_nc_poly("x1^2", GF(3), 1),)), 3),
-             (AlgebraPresentation(GF(3), 1,
-                                  (parse_nc_poly("x1^3 - x1", GF(3), 1),)), 3),
-             (AlgebraPresentation(GF(3), 2, tuple(
-                 parse_nc_poly(r, GF(3), 2) for r in ("x1^2", "x2^2"))), 2),
-             # the first matrix walks Krylov cells: leaves under a cyclic
-             # cell skip their tests, and with m > 1 so do whole subtrees
-             (presentation(3, 1, "x1^2"), 3), (presentation(2, 3), 2),
-             (presentation(3, 2, "x1*x2 - x2*x1"), 2),
-             (presentation(3, 2, "x1*x2 - x2*x1 - 1"), 2),
-             # two relations tested at one level that share the word x1*x2,
-             # one of them with a constant term
-             (presentation(3, 2, "x1*x2 - x2*x1", "x1*x2 - x1^2 + 1"), 2),
-             # a relation in a later generator alone filters its
-             # representatives, and counts as a later relation for the
-             # completions of a cyclic X1
-             (presentation(3, 2, "x2^2"), 2),
-             (presentation(3, 2, "x2^2 - 1", "x1*x2 + x2*x1"), 2),
-             (presentation(2, 3, "x2^2 - x2", "x3^3", "x1*x3 - x3*x1"), 2),
-             # x1^40 stays one power at n = 2, x1^2 goes letter by letter
-             (presentation(2, 2, "x1^2*x2*x1^40 - x2*x1"), 2)]
-    for pres, n in cases:
-        report = enumerate_points(pres, n)
-        reps, pairs = naive_count(pres, n)
-        assert (report.total_rep_points, report.total_cyclic_pairs) == \
-            (reps, pairs)
+# the sweep on vector codes must match a brute force with its own matrix
+# product and elimination
+GENERIC_CASES = [
+    (curve_pres(2), 2), (curve_pres(3), 2), (curve_pres(2), 3),
+    (commuting_pres(2), 2), (AlgebraPresentation(GF(2), 2), 2),
+    (presentation(3, 1, "x1^2 - 1"), 2), (presentation(5, 1, "x1^3 - x1"), 2),
+    (presentation(3, 2, "x1^2", "x1*x2", "x2*x1", "x2^2"), 2),
+    # the sweep walks one tuple per orbit of diag(1, d_2, ..., d_n): three
+    # components at n = 3, and x1^2 = 0 leaves X1 zero or of rank one, so
+    # X2 is walked from two components as well as one
+    (presentation(3, 1, "x1^2"), 3), (presentation(3, 1, "x1^3 - x1"), 3),
+    (presentation(3, 2, "x1^2", "x2^2"), 2),
+    # the first matrix walks Krylov cells: leaves under a cyclic cell skip
+    # their tests, and with m > 1 so do whole subtrees
+    (presentation(3, 1, "x1^2"), 3), (presentation(2, 3), 2),
+    (presentation(3, 2, "x1*x2 - x2*x1"), 2),
+    (presentation(3, 2, "x1*x2 - x2*x1 - 1"), 2),
+    # two relations tested at one level that share the word x1*x2, one of
+    # them with a constant term
+    (presentation(3, 2, "x1*x2 - x2*x1", "x1*x2 - x1^2 + 1"), 2),
+    # a relation in a later generator alone filters its representatives,
+    # and counts as a later relation for the completions of a cyclic X1
+    (presentation(3, 2, "x2^2"), 2),
+    (presentation(3, 2, "x2^2 - 1", "x1*x2 + x2*x1"), 2),
+    (presentation(2, 3, "x2^2 - x2", "x3^3", "x1*x3 - x3*x1"), 2),
+    # x1^40 stays one power at n = 2, x1^2 goes letter by letter
+    (presentation(2, 2, "x1^2*x2*x1^40 - x2*x1"), 2),
+    # a relation in x1 alone is tested on e_1 and the columns past the
+    # cell's span, at q = 7 with seven eigenvalues for X1
+    (presentation(7, 1, "x1^3 - x1"), 2),
+    # a sum of three terms, one with coefficient 2, decoded and reduced
+    (presentation(3, 2, "x1^2*x2 + 2*x2*x1 - x1"), 2),
+    # a repeated block applied by lookups, letter by letter
+    (presentation(3, 2, "(x1*x2)^5 - x1"), 2),
+]
+
+
+def case_id(case):
+    pres, n = case
+    rels = ",".join(str(r).replace(" ", "") for r in pres.relations)
+    return f"q{pres.field.p}-m{pres.m}-n{n}-{rels or 'free'}"
+
+
+@pytest.mark.parametrize("pres,n", GENERIC_CASES,
+                         ids=[case_id(case) for case in GENERIC_CASES])
+def test_fast_sweep_agrees_with_generic_operations(pres, n):
+    report = enumerate_points(pres, n)
+    assert (report.total_rep_points, report.total_cyclic_pairs) == \
+        naive_count(pres, n)
 
 
 def test_curve_cross_check_all_small_cases():
@@ -374,22 +381,91 @@ def test_long_relation_words_over_fp():
         naive_count(presentation(3, 1, "x1^4 - x1"), 2)
 
 
-def test_long_runs_are_powered_not_applied_letter_by_letter(monkeypatch):
-    # x1^10000 is one mat_pow per tuple, about 2 log2(10000) products, not
-    # 10000 mat-vecs a column; counted through the kernels, not a timer
+def count_kernels(monkeypatch, lookups=False):
+    """Counter of the sweep's image fills (`__missing__`), `linalg.mat_mul`
+    calls and, if asked, lookups (`__getitem__`) from here on, and the image
+    tables that computed an image, by id (kept alive, so ids stay apart)."""
     from hilbchow import counting, linalg
+    made, tables = Counter(), {}
+    fill, lookup, mat_mul = (counting._Images.__missing__, dict.__getitem__,
+                             linalg.mat_mul)
+
+    def counted_fill(table, code):
+        made["__missing__"] += 1
+        tables[id(table)] = table
+        return fill(table, code)
+
+    def counted_lookup(table, code):
+        made["__getitem__"] += 1
+        return lookup(table, code)
+
+    def counted_mul(*args):
+        made["mat_mul"] += 1
+        return mat_mul(*args)
+
+    monkeypatch.setattr(counting._Images, "__missing__", counted_fill)
+    if lookups:
+        monkeypatch.setattr(counting._Images, "__getitem__", counted_lookup)
+    monkeypatch.setattr(linalg, "mat_mul", counted_mul)
+    return made, tables
+
+
+def test_long_runs_are_powered_not_applied_letter_by_letter(monkeypatch):
+    # x1^10000 is one mat_pow per cell, about 2 log2(10000) products, and
+    # one lookup a column, not 10000; counted through the kernels, not a timer
+    from hilbchow import counting
     cells = counting.first_cells(3, 2)
     expected = counting.count_range(presentation(3, 1, "x1^4 - x1"), 2, cells)
-    made = Counter()
-
-    def counted(kernel):
-        def call(*args):
-            made[kernel.__name__] += 1
-            return kernel(*args)
-        return call
-
-    monkeypatch.setattr(linalg, "mat_mul", counted(linalg.mat_mul))
-    monkeypatch.setattr(counting, "mat_vec", counted(counting.mat_vec))
+    made, _ = count_kernels(monkeypatch, lookups=True)
     got = counting.count_range(presentation(3, 1, "x1^10000 - x1"), 2, cells)
     assert got == expected
-    assert 0 < sum(made.values()) <= len(cells) * 2 * (10000).bit_length()
+    assert made["__missing__"] and made["mat_mul"]
+    assert made["__missing__"] + made["mat_mul"] <= len(cells) * 2 * (10000).bit_length()
+    # two terms on at most two columns a cell
+    assert made["__getitem__"] <= len(cells) * 2 * 2
+
+
+def test_long_words_compute_each_image_once(monkeypatch):
+    # no run of (x1*x2)^1000 is a power, so a column walks 2000 lookups,
+    # but a table computes the image of each of the q^n codes at most once,
+    # so the images computed do not grow with the word
+    q, n = 3, 2
+    counts = {}
+    for k in (1000, 5):
+        made, tables = count_kernels(monkeypatch)
+        report = enumerate_points(presentation(q, 2, f"(x1*x2)^{k} - x1"), n)
+        assert (report.total_rep_points, report.total_cyclic_pairs,
+                report.orbit_count) == (345, 1872, 39)
+        assert all(0 < len(table) <= q ** n for table in tables.values())
+        assert made["__missing__"] == sum(map(len, tables.values()))
+        counts[k] = len(tables)
+    # the same matrices are walked, so the same bound q^n * tables holds
+    assert counts[1000] == counts[5]
+
+
+@pytest.mark.parametrize("q,m,n,rel", [
+    (3, 2, 2, "(x1*x2)^5 - x1"), (2, 2, 3, "x1*x2 - x2*x1"),
+    (3, 1, 2, "x1^10000 - x1"), (5, 2, 2, "x1*x2 - 2*x2*x1"),
+    # n = 1 at a large prime: each cell's tables hold e_1's image only
+    (10007, 1, 1, "x1^2 - x1")])
+def test_image_tables_hold_only_what_they_computed(monkeypatch, q, m, n, rel):
+    # tables are filled on use, never allocated q^n entries up front
+    made, tables = count_kernels(monkeypatch)
+    report = enumerate_points(presentation(q, m, rel), n)
+    assert report.total_rep_points
+    assert sum(map(len, tables.values())) == made["__missing__"]
+    assert max(map(len, tables.values())) <= (q ** n if n > 1 else 1)
+
+
+def test_relations_in_x1_alone_are_tested_past_the_cells_span():
+    # f(X_1) maps e_1 to 0 on a cell N_d and so kills span(e_1..e_d), but
+    # not always e_(d+1..n): x1^2 on the d = 1 cells of F_3 at n = 2
+    from hilbchow import counting, linalg
+    q, n = 3, 2
+    pres = presentation(q, 1, "x1^2")
+    cols = [list(zip(*linalg.mat_pow(mat, 2, q)))
+            for mat, _, _, d in counting.first_cells(q, n) if d < n]
+    assert any(not any(c[0]) and any(c[1]) for c in cols)
+    report = enumerate_points(pres, n)
+    assert (report.total_rep_points, report.total_cyclic_pairs) == \
+        naive_count(pres, n)

@@ -16,15 +16,19 @@ representatives.  Vectors are int codes in [0, q^n), and each walked
 matrix, and the `mat_pow` of a run x_k^e that takes under e/n products,
 memoises its images by code while it is walked (X_1 across its
 completions, a later generator's representatives for the whole range), so
-a word on e_j is a chain of lookups.  A test sums c (w e_j) mod p one
-column at a time, up to a nonzero one (for one term, a nonzero code).  A
-relation in x_1 alone, a polynomial in X_1, kills span(e_1, X_1 e_1, ...)
-= span(e_1..e_d) on N_d once it kills e_1, so it is tested on e_1 and
-e_(d+1..n) only.  A d = n cell is cyclic at e_1, so its leaves skip the
-cyclicity test (`word_basis`'s search, on codes), and with no later
-relation its q^((m-1) n^2) completions count unwalked.  Asserted on every
-run: the cell weights sum to q^(n^2), and |GL_n(F_q)| divides the
-cyclic-pair count (a free action) with quotient the Hilbert-scheme points.
+a word on e_j is a chain of lookups.  A test sums c (w e_j) one column at
+a time, up to a nonzero one, on codes: s + a v is s XOR v over F_2, else a
+lookup in a memo filled per (s, a, v).  A relation in x_1 alone, a
+polynomial in X_1, kills span(e_1, X_1 e_1, ...) = span(e_1..e_d) on N_d
+once it kills e_1, so it is tested on e_1 and e_(d+1..n) only.  A d = n
+cell is cyclic at e_1, so its leaves skip the cyclicity test, and with no
+later relation its q^((m-1) n^2) completions count unwalked.  Below d = n
+the test is `word_basis`'s search on the set of codes in the span: from
+span(e_1..e_d), the codes below q^d, it grows by s + F_p v for each new
+image v, and e_1 is cyclic once it holds q^n codes.  Asserted on every run
+(the cells stream): the cell weights sum to q^(n^2), and |GL_n(F_q)|
+divides the cyclic-pair count (a free action) with quotient the
+Hilbert-scheme points.
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from operator import mul
 
 from ._tokens import Block, block_text
 from .errors import BUDGET_ENV, DEFAULT_BUDGET, ParseError, PreconditionError, require
 from .fields import PrimeField, is_prime, lift, parse_int
-from .linalg import IncrementalSpan, mat_pow
+from .linalg import mat_pow
 
 
 def configured_budget():
@@ -104,7 +109,7 @@ def _representatives(p, n, choices, comp):
     0 or 1, and each such 1 merges them and multiplies the weight by p - 1."""
     if len(set(comp)) == 1:
         rows = [itertools.product(*choices[i:i + n]) for i in range(0, n * n, n)]
-        return [(mat, 1, comp) for mat in itertools.product(*rows)]
+        return ((mat, 1, comp) for mat in itertools.product(*rows))
     out = []
 
     def fill(entries, labels, weight):
@@ -130,15 +135,14 @@ def first_cells(p, n):
     for i < d, Z e_d lies in span(e_1..e_d) and columns d+1..n are free.
     Coordinates 1..d are pinned to e_1's component, and the weight is the
     torus weight times w_d = prod_{0<i<d} (q^n - q^i)."""
-    cells, w = [], 1
+    w = 1
     for d in range(1, n + 1):
         choices = [range(p) if c >= d or (c == d - 1 and r < d)
                    else (int(r == c + 1 < d),) for r in range(n) for c in range(n)]
         comp = (0,) * n if p == 2 else (0,) * d + tuple(range(d, n))
-        cells += [(mat, w * weight, joined, d) for mat, weight, joined
-                  in _representatives(p, n, choices, comp)]
+        for mat, weight, joined in _representatives(p, n, choices, comp):
+            yield mat, w * weight, joined, d
         w *= p ** n - p ** d
-    return cells
 
 
 def _runs(word, n):
@@ -149,11 +153,20 @@ def _runs(word, n):
         yield from [(k, e)] if whole else [(k, 1)] * e
 
 
+def _code(vec, p, digits):
+    "The code of `vec`, a vector over F_p, recorded in `digits` for decoding."
+    out = 0
+    for a in reversed(vec):
+        out = out * p + a
+    digits[out] = vec
+    return out
+
+
 class _Images(dict):
     """Memoised images of one matrix over F_p on vector codes: code -> code
     of its image, computed on the first lookup of a code.  A vector v is the
-    code sum v_i p^(i-1), and `digits`, shared by the tables of one
-    `count_range` call, holds every code met so far with its vector."""
+    code sum v_i p^(i-1), and `digits`, shared by the memos of one
+    `count_range` call, decodes a code to its vector."""
 
     __slots__ = ("mat", "p", "digits")
 
@@ -161,21 +174,17 @@ class _Images(dict):
         self.mat, self.p, self.digits = mat, p, digits
 
     def __missing__(self, code):
-        p, v = self.p, self.digits[code]
-        image = tuple([sum(map(mul, row, v)) % p for row in self.mat])
-        out = 0
-        for a in reversed(image):
-            out = out * p + a
-        self.digits[out] = image
-        self[code] = out
+        v = self.digits[code]
+        self[code] = out = _code([sum(map(mul, row, v)) % self.p for row in self.mat],
+                                 self.p, self.digits)
         return out
 
 
 def count_range(pres, n, cells):
     """(representation tuples, cyclic pairs) of `pres` over the tuples whose
-    first matrix is one of `cells`, a slice of first_cells(q, n), each weighed
-    by its cell and torus weight, walked and tested as the module says; the
-    pairs are q^n - 1 times the tuples with e_1 cyclic."""
+    first matrix is one of `cells`, an iterable slice of first_cells(q, n),
+    each weighed by its cell and torus weight, walked and tested as the
+    module says; the pairs are q^n - 1 times the tuples with e_1 cyclic."""
     p, m = pres.field.p, pres.m
     levels, own = [[] for _ in range(m)], [[] for _ in range(m)]
     powers = set()  # (k, e) for the runs x_k^e taken as powers
@@ -187,8 +196,11 @@ def count_range(pres, n, cells):
             powers |= {(k, e) for runs, _ in terms for k, e in runs if e > 1}
             alone = top and all(k == top for w in rel.terms for k in w)
             (own if alone else levels)[top].append(terms)
-    unit = [p ** j for j in range(n)]  # the codes of e_1..e_n
-    digits = {u: tuple(int(u == v) for v in unit) for u in unit}  # code met -> vector
+    unit, whole = [p ** j for j in range(n)], p ** n  # the codes of e_1..e_n; q^n
+    # code -> vector: 0, e_1..e_n, each image and sum met, and for spans over
+    # p > 2 their seeds span(e_1..e_d), the codes below q^d, d < n
+    digits = {c: [c // u % p for u in unit]
+              for c in itertools.chain(range(p ** (n - 1) if m > 1 and p > 2 else 1), unit)}
     free = [range(p)] * (n * n)
     # with X_1 cyclic and no later relation, each completion counts in both
     tail = 0 if any(levels[1:] + own) else p ** ((m - 1) * n * n)
@@ -196,6 +208,15 @@ def count_range(pres, n, cells):
     cell_cols = [unit[:1] + unit[d:] for d in range(n + 1)]
     read = levels[0] or m > 1  # whether anything reads X_1's tables
     after = {}  # (level, components) -> the representatives of that generator
+
+    def axpy(s, a, v):
+        "The code of s + a v, for codes s and v."
+        return _code([(x + a * y) % p for x, y in zip(digits[s], digits[v])], p, digits)
+
+    # over F_2 a sum of codes is their XOR; otherwise relation sums memoise
+    # s + a v by (s, a, v), and spans the shifts s + a v, a = 1..p-1, by (s, v)
+    sums = cache(axpy) if p > 2 and pres.relations else None
+    shifts = cache(lambda s, v: [axpy(s, a, v) for a in range(1, p)]) if p > 2 and m > 1 else None
 
     def images(mat, k):
         "Generator k's matrix as the image tables of its runs' powers."
@@ -208,42 +229,42 @@ def count_range(pres, n, cells):
     def fails(rels, mats, cols):
         "True when a relation in `rels` has a nonzero column, coded in `cols`, on `mats`."
         for terms in rels:
-            if len(terms) == 1:
-                runs = terms[0][0]
-                for code in cols:
-                    for k, e in runs:
-                        code = mats[k][e][code]
-                    if code:
-                        return True
-                continue
             for j in cols:
-                total = [0] * n
+                total = 0
                 for runs, c in terms:
                     code = j
                     for k, e in runs:
                         code = mats[k][e][code]
-                    total = [t + c * a for t, a in zip(total, digits[code])]
-                if any(t % p for t in total):
+                    total = (total ^ code if p == 2 else code if not total and c == 1
+                             else sums(total, c, code))
+                if total:
                     return True
         return False
 
-    def spans(mats):
-        "True when e_1 is cyclic: `word_basis`'s breadth-first search, on codes."
-        grow = IncrementalSpan(n, p).add
-        grow(digits[1])
-        level, rank = [1], 1
-        while level and rank < n:
-            level = [image for imgs in mats for image in map(imgs[1].__getitem__, level)
-                     if grow(digits[image])]
-            rank += len(level)
-        return rank == n
+    def spans(mats, d):
+        """True when e_1 is cyclic: `word_basis`'s breadth-first search on the
+        set of codes in the span, from the cell's span(e_1..e_d), which X_1
+        preserves, so the first level skips X_1."""
+        span, level, gens = set(range(p ** d)), unit[:d], mats[1:]
+        while level:
+            new = []
+            for imgs in gens:
+                for image in map(imgs[1].__getitem__, level):
+                    if image not in span:
+                        span.update([s ^ image for s in span] if p == 2 else
+                                    [t for s in span for t in shifts(s, image)])
+                        if len(span) == whole:
+                            return True
+                        new.append(image)
+            level, gens = new, mats
+        return False
 
     def walk(mats, comp, d):
         rels = levels[len(mats) - 1]
         if rels and fails(rels, mats, cell_cols[d] if len(mats) == 1 else unit):
             return 0, 0
         if len(mats) == m:
-            return 1, d == n or (m > 1 and spans(mats))
+            return 1, d == n or (m > 1 and spans(mats, d))
         if d == n and tail:
             return tail, tail
         if (len(mats), comp) not in after:
@@ -263,7 +284,7 @@ def count_range(pres, n, cells):
         r, c = walk((images(mat, 0) if read else None,), comp, d)
         reps += weight * r
         pairs += weight * c
-    return reps, pairs * (p ** n - 1)
+    return reps, pairs * (whole - 1)
 
 
 def enumerate_points(pres, n, budget=None, workers=1):
@@ -287,13 +308,13 @@ def enumerate_points(pres, n, budget=None, workers=1):
     started = time.monotonic_ns()
     if workers < 1:
         raise PreconditionError("worker count must be at least 1")
-    # the cells' weights count every first matrix once
-    cells = first_cells(q, n)
-    if sum(cell[1] for cell in cells) != q ** (n * n):
-        raise AssertionError(f"cell weights do not sum to q^(n^2) = {q ** (n * n)}")
+    cells = _weighed(first_cells(q, n), q ** (n * n))
     # ranges split the cell list; no more processes than ranges or CPUs,
     # since the pool starts them all at once
-    workers = min(workers, len(cells), os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        cells = list(cells)
+        workers = min(workers, len(cells))
     if workers == 1:
         reps, pairs = count_range(pres, n, cells)
     else:
@@ -317,6 +338,16 @@ def enumerate_points(pres, n, budget=None, workers=1):
     elapsed_ms = (time.monotonic_ns() - started) // 1_000_000
     return EnumerationReport(q, n, m, reps, pairs, order, pairs // order,
                              elapsed_ms)
+
+
+def _weighed(cells, whole):
+    "`cells`, streamed, then asserted to weigh `whole` = q^(n^2) in all."
+    left = whole
+    for cell in cells:
+        left -= cell[1]
+        yield cell
+    if left:
+        raise AssertionError(f"cell weights do not sum to q^(n^2) = {whole}")
 
 
 def _ranges(total, parts):

@@ -121,7 +121,9 @@ def test_counts_match_closed_forms(pres, n, reps, orbits):
 
 @pytest.mark.parametrize("q,m,n,points", [
     (2, 1, 3, 8), (5, 1, 2, 25), (2, 2, 2, 96), (3, 2, 2, 972), (2, 3, 2, 1792),
-    (2, 2, 3, 8704)])
+    (2, 2, 3, 8704),
+    # spans seeded by cells of dimension d < n, over F_5 and with three generators
+    (5, 2, 2, 18750), (3, 3, 2, 85293)])
 def test_free_algebra_counts_follow_the_cell_recursion(q, m, n, points):
     # the recursion over the dimension of the cyclic submodule gives q^n on
     # the line and q^6 + q^5 for two generators at n = 2
@@ -178,7 +180,7 @@ def test_worker_split_over_first_matrix(monkeypatch, rels, q):
     multi = enumerate_points(pres, 2, workers=3)
     assert RecordingPool.made == [3]
     assert multi == enumerate_points(pres, 2, workers=1)
-    cells = first_cells(q, 2)
+    cells = list(first_cells(q, 2))
     parts = [count_range(pres, 2, cells[a:b]) for a, b in _ranges(len(cells), 3)]
     whole = count_range(pres, 2, cells)
     assert tuple(map(sum, zip(*parts))) == whole
@@ -198,7 +200,7 @@ def test_presentations_survive_the_worker_hand_off():
         back = pickle.loads(pickle.dumps(pres))
         assert back == pres and back.to_text() == pres.to_text()
         if field.characteristic:
-            cells = first_cells(field.p, 2)
+            cells = list(first_cells(field.p, 2))
             assert count_range(back, 2, cells) == count_range(pres, 2, cells)
 
 
@@ -414,7 +416,7 @@ def test_long_runs_are_powered_not_applied_letter_by_letter(monkeypatch):
     # x1^10000 is one mat_pow per cell, about 2 log2(10000) products, and
     # one lookup a column, not 10000; counted through the kernels, not a timer
     from hilbchow import counting
-    cells = counting.first_cells(3, 2)
+    cells = list(counting.first_cells(3, 2))
     expected = counting.count_range(presentation(3, 1, "x1^4 - x1"), 2, cells)
     made, _ = count_kernels(monkeypatch, lookups=True)
     got = counting.count_range(presentation(3, 1, "x1^10000 - x1"), 2, cells)
@@ -455,6 +457,41 @@ def test_image_tables_hold_only_what_they_computed(monkeypatch, q, m, n, rel):
     assert report.total_rep_points
     assert sum(map(len, tables.values())) == made["__missing__"]
     assert max(map(len, tables.values())) <= (q ** n if n > 1 else 1)
+
+
+@pytest.mark.parametrize("q,m,n,rel", [
+    (3, 2, 2, "(x1*x2)^5 - x1"), (3, 1, 2, "x1^10000 - x1"),
+    (5, 2, 2, "x1*x2 - 2*x2*x1"), (3, 2, 2, "x1^2*x2 + 2*x2*x1 - x1"),
+    # n = 1 at a large prime: one sum a cell, x1^2 e_1 - x1 e_1
+    (10007, 1, 1, "x1^2 - x1")])
+def test_sum_memos_hold_only_what_they_computed(monkeypatch, q, m, n, rel):
+    # a relation sum keeps the code of s + a v for each (s, a, v) it met,
+    # filled on use, at most q^(2n) (q - 1) of them; a span keeps the q - 1
+    # shifts s + a v for each (s, v) it met, at most q^(2n) of them
+    import functools
+    from hilbchow import counting
+    made, memos, widths = Counter(), [], set()
+
+    def counted_cache(fill):
+        def counted(*key):
+            made[len(key)] += 1
+            out = fill(*key)
+            if len(key) == 2:
+                widths.add(len(out))
+            return out
+        memo = functools.cache(counted)
+        memos.append(memo)
+        return memo
+
+    monkeypatch.setattr(counting, "cache", counted_cache)
+    report = enumerate_points(presentation(q, m, rel), n)
+    assert report.total_rep_points
+    sizes = [memo.cache_info().currsize for memo in memos]
+    sums, shifts = sizes[0], sizes[1:]
+    assert 0 < sums == made[3] <= (q ** (2 * n) * (q - 1) if n > 1 else q)
+    assert len(shifts) == (m > 1)
+    assert sum(shifts) == made[2] <= q ** (2 * n)
+    assert widths == ({q - 1} if m > 1 else set())
 
 
 def test_relations_in_x1_alone_are_tested_past_the_cells_span():

@@ -85,13 +85,15 @@ def test_src_imports_only_the_standard_library():
 
 
 def test_sweep_has_one_relation_test():
-    # `count_range` tests relations column by column and cyclicity at e_1 on
-    # vector codes, through the memoised image tables; a whole-matrix word
-    # product, a mat-vec or `word_basis` beside them would be a second test
+    # `count_range` tests relations column by column on vector codes, through
+    # the memoised image tables and code sums, and cyclicity at e_1 as a set
+    # of codes; a whole-matrix word product, a mat-vec, `word_basis` or an
+    # elimination by `IncrementalSpan` beside them would be a second test
     tree = ast.parse((Path(hilbchow.__file__).parent / "counting.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"word_sum", "word_product", "mat_vec", "word_basis"}
+    assert not imported & {"word_sum", "word_product", "mat_vec", "word_basis",
+                           "IncrementalSpan"}
 
 
 KEEP_ALIVE = "bench/tracing.py rebinds it by name"

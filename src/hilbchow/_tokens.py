@@ -1,5 +1,6 @@
 """The one expression grammar, shared by the commutative, free-algebra and
-divided-power parsers, and the block reader shared by every `from_text`.
+divided-power parsers, the block reader shared by every `from_text`, and
+`Record`, the base of the records that those blocks print.
 
     sum   := [+|-] prod ((+|-) prod)*
     prod  := power (* power)*
@@ -238,6 +239,10 @@ class Block:
     def done(self):
         return self.pos >= len(self.lines)
 
+    def end(self):
+        "Refuse any line left unread."
+        next(self.body(), None)
+
     def next_line(self):
         if self.done():
             raise ParseError(f"truncated {self.kind} block")
@@ -287,3 +292,46 @@ class Block:
                 raise ParseError(f"repeated {head} line for {lhs}")
             tables[head][k] = value(rhs)
         return tuple(tables.values())
+
+
+class Record:
+    """Base of the printed records.  A record class names its fields in
+    `__slots__`, and a record stores its positional arguments in that order.
+    Records refuse assignment, compare and hash by class and fields but the
+    last `_uncompared`, print as `Name(field=value, ...)` and pickle by
+    their fields."""
+
+    __slots__ = ()
+    _uncompared = 0
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def _compared(self):
+        return self._values()[:len(self.__slots__) - self._uncompared]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__

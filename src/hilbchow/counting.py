@@ -36,11 +36,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from operator import mul
 
-from ._tokens import Block, block_text
+from ._tokens import Block, Record, block_text
 from .errors import BUDGET_ENV, DEFAULT_BUDGET, ParseError, PreconditionError, require
 from .fields import PrimeField, is_prime, lift, parse_int
 from .linalg import mat_pow
@@ -70,22 +69,16 @@ _REPORT_KEYS = ("q", "n", "m", "rep-points", "cyclic-pairs", "gl-order",
                 "orbit-count", "elapsed-ms")
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(Record):
     """Counts from one full sweep of the tuple space.
 
     Equality ignores the elapsed time, so reports are comparable across
     runs and worker counts.
     """
 
-    q: int
-    n: int
-    m: int
-    total_rep_points: int
-    total_cyclic_pairs: int
-    gl_order: int
-    orbit_count: int
-    elapsed_ms: int = field(compare=False)
+    __slots__ = ("q", "n", "m", "total_rep_points", "total_cyclic_pairs", "gl_order",
+                 "orbit_count", "elapsed_ms")
+    _uncompared = 1
 
     def to_text(self, include_elapsed=True):
         values = (self.q, self.n, self.m, self.total_rep_points,
@@ -99,6 +92,7 @@ class EnumerationReport:
         block = Block(text, "enumeration-report", field=False)
         vals = [block.int_line(key) for key in _REPORT_KEYS[:-1]]
         elapsed = 0 if block.done() else block.int_line("elapsed-ms")
+        block.end()
         return cls(*vals, elapsed)
 
 
@@ -146,7 +140,9 @@ def first_cells(p, n):
 
 
 def _runs(word, n):
-    "`word`'s runs right to left: (k, e) if `mat_pow` beats e mat-vecs, else e letters."
+    """`word`'s runs right to left: (k, e) if `mat_pow` beats e mat-vecs, else
+    e letters.  Runs act on vectors here, so unlike `linalg.word_product`,
+    which multiplies matrices, a run is not always powered."""
     for k, run in itertools.groupby(reversed(word)):
         e = len(list(run))
         whole = e > n * (e.bit_length() + e.bit_count() - 2)  # mat_pow's products

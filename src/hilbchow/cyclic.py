@@ -10,9 +10,7 @@ are exact linear algebra; stabilizers of cyclic points are trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._tokens import Block, block_text
+from ._tokens import Block, Record, block_text
 from . import fields
 from .errors import ParseError, PreconditionError
 from .linalg import Matrix, lift, mat_mul, matrix_inverse, nc_eval, word_basis
@@ -22,22 +20,19 @@ from .repvariety import (RepPoint, _per_generator, matrix_row_text, parse_matrix
                          parse_point_body, point_text)
 
 
-@dataclass(frozen=True)
-class PointedRep:
+class PointedRep(Record):
     """A representation point plus a marked vector of matching length."""
 
-    rep: RepPoint
-    v: tuple
+    __slots__ = ("rep", "v")
 
-    def __post_init__(self):
+    def __init__(self, rep, v):
         """Plain int entries of v are coerced into the field; a `Fraction`
         or `FpElem` of another field is a field mismatch."""
-        v = tuple(self.v)
-        if len(v) != self.rep.n:
-            raise PreconditionError(
-                f"vector length {len(v)} does not match n={self.rep.n}")
-        fields.field_of(v + (self.rep.field.one,), "a pointed representation")
-        object.__setattr__(self, "v", tuple(map(self.rep.field, v)))
+        v = tuple(v)
+        if len(v) != rep.n:
+            raise PreconditionError(f"vector length {len(v)} does not match n={rep.n}")
+        fields.field_of(v + (rep.field.one,), "a pointed representation")
+        super().__init__(rep, tuple(map(rep.field, v)))
 
     @property
     def field(self):
@@ -90,18 +85,12 @@ def is_cyclic(pt):
     return span_dimension(pt) == pt.n
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(Record):
     """A codimension-n left ideal, given by its cyclic quotient data:
     a word basis of the quotient, the generator actions in that basis,
     and the position of the class of 1."""
 
-    field: object
-    m: int
-    n: int
-    basis_words: tuple
-    action_mats: tuple
-    cyclic_index: int
+    __slots__ = ("field", "m", "n", "basis_words", "action_mats", "cyclic_index")
 
     def to_text(self):
         body = ["basis " + ", ".join(word_str(w) for w in self.basis_words),

@@ -124,7 +124,8 @@ def mat_pow(a, e, p=0):
 def word_product(word, mats, p=0):
     """mats[w_0] * mats[w_1] * ... along `word`, reduced mod p if p, built
     leftwards with one power per run of a letter; the empty word gives the
-    identity."""
+    identity.  A power never takes more products than its run letter by
+    letter, unlike `counting._runs`, where e mat-vecs can cost less."""
     got = None
     for letter, run in groupby(reversed(word)):
         power = mat_pow(mats[letter], sum(1 for _ in run), p)

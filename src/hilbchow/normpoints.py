@@ -16,11 +16,10 @@ kernel of powers (X_k - lam_k)^mult_k, which run on ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from ._tokens import Block, block_text, parse_tuple
+from ._tokens import Block, Record, block_text, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import require_cyclic
 from . import errors, fields
@@ -35,24 +34,21 @@ from .ncpoly import (NCPoly, generator_index, parse_nc_poly, parse_word, word_ke
 from .repvariety import _per_generator
 
 
-@dataclass(frozen=True)
-class LawCoefficientTable:
+class LawCoefficientTable(Record):
     """Coefficients of det∘rho on a finite argument list.
 
     Keys are exponent vectors over the arguments; homogeneity forces
     every stored vector to have weight n, which the constructor checks.
     """
 
-    field: object
-    n: int
-    args: tuple
-    coeffs: dict
+    __slots__ = ("field", "n", "args", "coeffs")
 
-    def __post_init__(self):
-        for xi in self.coeffs:
-            if len(xi) != len(self.args) or sum(xi) != self.n:
+    def __init__(self, field, n, args, coeffs):
+        for xi in coeffs:
+            if len(xi) != len(args) or sum(xi) != n:
                 raise PreconditionError(
-                    f"exponent vector {xi} is not homogeneous of weight {self.n}")
+                    f"exponent vector {xi} is not homogeneous of weight {n}")
+        super().__init__(field, n, args, coeffs)
 
     def sorted_coeffs(self):
         return sorted(self.coeffs.items())
@@ -109,17 +105,11 @@ def law_coefficients(rep, args):
     return LawCoefficientTable(rep.field, rep.n, args, coeffs)
 
 
-@dataclass(frozen=True)
-class NormPoint:
+class NormPoint(Record):
     """The recorded image of a representation point under det∘rho."""
 
-    field: object
-    m: int
-    n: int
-    max_len: int
-    gen_charpolys: tuple
-    mixed_table: LawCoefficientTable
-    word_dets: dict
+    __slots__ = ("field", "m", "n", "max_len", "gen_charpolys", "mixed_table",
+                 "word_dets")
 
     def to_text(self):
         body = [f"charpoly x{k + 1} = {cp}"
@@ -170,22 +160,19 @@ def hc_point(pt, max_len=None):
 
 # -- 0-cycles of commuting split tuples ----------------------------------------
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """Joint eigenvalue tuples with multiplicities summing to n."""
 
-    field: object
-    m: int
-    n: int
-    points: dict
+    __slots__ = ("field", "m", "n", "points")
 
-    def __post_init__(self):
-        if any(len(tup) != self.m for tup in self.points):
-            raise PreconditionError(f"cycle points must have m = {self.m} coordinates")
-        if sum(self.points.values()) != self.n:
+    def __init__(self, field, m, n, points):
+        if any(len(tup) != m for tup in points):
+            raise PreconditionError(f"cycle points must have m = {m} coordinates")
+        if sum(points.values()) != n:
             raise PreconditionError("cycle multiplicities must sum to n")
-        if any(mult < 1 for mult in self.points.values()):
+        if any(mult < 1 for mult in points.values()):
             raise PreconditionError("cycle multiplicities must be positive")
+        super().__init__(field, m, n, points)
 
     def sorted_points(self):
         return sorted(self.points.items())
@@ -205,13 +192,11 @@ class Cycle:
         return cls(fld, m, n, points)
 
 
-@dataclass(frozen=True)
-class SplitFailure:
+class SplitFailure(Record):
     """A characteristic polynomial without a full set of roots in the
     base field; a normal outcome of cycle extraction, not an error."""
 
-    field: object
-    charpoly: CommPoly
+    __slots__ = ("field", "charpoly")
 
     def to_text(self):
         return block_text("split-failure", self.field, {},
@@ -220,7 +205,9 @@ class SplitFailure:
     @classmethod
     def from_text(cls, text):
         block = Block(text, "split-failure")
-        return cls(block.field, parse_comm_poly(block.line("charpoly"), block.field))
+        charpoly = parse_comm_poly(block.line("charpoly"), block.field)
+        block.end()
+        return cls(block.field, charpoly)
 
 
 def _synthetic_divide(coeffs, r):

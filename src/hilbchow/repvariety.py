@@ -13,12 +13,11 @@ and the relation test run on the integer lift of the tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
 from operator import mul
 
-from ._tokens import Block, block_text
+from ._tokens import Block, Record, block_text
 from .commpoly import CommPoly, parse_comm_poly
 from . import errors, fields
 from .errors import ParseError, PreconditionError, SingularMatrixError, require
@@ -33,22 +32,19 @@ def generic_var(k, i, j):
     return f"xi_{k}_{i}_{j}"
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     """A = k{x1..xm} / (relations)."""
 
-    field: object
-    m: int
-    relations: tuple = ()
+    __slots__ = ("field", "m", "relations")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, field, m, relations=()):
+        if m < 1:
             raise PreconditionError("a presentation needs at least one generator")
-        rels = tuple(self.relations)
+        rels = tuple(relations)
         for r in rels:
-            if not isinstance(r, NCPoly) or r.field != self.field or r.m != self.m:
+            if not isinstance(r, NCPoly) or r.field != field or r.m != m:
                 raise PreconditionError("relation with mismatched field or arity")
-        object.__setattr__(self, "relations", rels)
+        super().__init__(field, m, rels)
 
     @property
     def is_commutative(self):
@@ -114,12 +110,8 @@ def build_generic(pres, n):
     return tuple(mats)
 
 
-@dataclass(frozen=True)
-class RepIdeal:
-    field: object
-    m: int
-    n: int
-    gens: tuple
+class RepIdeal(Record):
+    __slots__ = ("field", "m", "n", "gens")
 
     def to_text(self):
         return block_text("rep-ideal", self.field, {"m": self.m, "n": self.n},
@@ -159,16 +151,6 @@ def rep_ideal(pres, n):
     return RepIdeal(pres.field, pres.m, n, tuple(gens))
 
 
-def generic_assignment(mats):
-    "Substitution dict xi_k_i_j -> concrete entry, for ideal specialization."
-    values = {}
-    for k, M in enumerate(mats, start=1):
-        for i in range(M.n):
-            for j in range(M.n):
-                values[generic_var(k, i + 1, j + 1)] = M.rows[i][j]
-    return values
-
-
 def is_representation(pres, mats):
     """True when every relation's integer image on the tuple
     (`linalg._lifted_images`) is zero, mod p over F_p as in the F_p sweep."""
@@ -181,17 +163,15 @@ def is_representation(pres, mats):
     return not any(a % p if p else a for M in images for r in M for a in r)
 
 
-@dataclass(frozen=True)
-class RepPoint:
+class RepPoint(Record):
     """An m-tuple of n x n matrices over the base field."""
 
-    field: object
-    mats: tuple
+    __slots__ = ("field", "mats")
 
-    def __post_init__(self):
+    def __init__(self, field, mats):
         """Plain int entries are coerced into the field; a `Fraction` or
         `FpElem` of another field is a field mismatch."""
-        mats = tuple(self.mats)
+        mats = tuple(mats)
         if not mats:
             raise PreconditionError("a point needs at least one matrix")
         n = mats[0].n
@@ -199,11 +179,11 @@ class RepPoint:
             if not isinstance(M, Matrix) or M.n != n:
                 raise PreconditionError("matrices must share one dimension")
         values = [a for M in mats for r in M.rows for a in r]
-        fields.field_of(values + [self.field.one], "a representation point")
+        fields.field_of(values + [field.one], "a representation point")
         if int in set(map(type, values)):
-            mats = tuple(Matrix(tuple(tuple(self.field(a) for a in r) for r in M.rows))
+            mats = tuple(Matrix(tuple(tuple(field(a) for a in r) for r in M.rows))
                          for M in mats)
-        object.__setattr__(self, "mats", mats)
+        super().__init__(field, mats)
 
     @property
     def n(self):
@@ -279,20 +259,14 @@ def conjugate(g, pt):
     return RepPoint(pt.field, tuple(g * M * ginv for M in pt.mats))
 
 
-@dataclass(frozen=True)
-class InvariantTable:
+class InvariantTable(Record):
     """Trace-word coordinates (plus generator determinants) of a point.
 
     Conjugation-invariant; equal tables identify points of the quotient
     up to the chosen word bound, never asserting orbit equality.
     """
 
-    field: object
-    m: int
-    n: int
-    max_len: int
-    traces: dict
-    gen_dets: tuple
+    __slots__ = ("field", "m", "n", "max_len", "traces", "gen_dets")
 
     def to_text(self):
         fmt = self.field.format

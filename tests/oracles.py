@@ -14,6 +14,7 @@ from operator import add
 
 from hilbchow import (GF, QQ, CommPoly, FpElem, Matrix, NCPoly, ParseError, PointedRep,
                       RepPoint, is_cyclic)
+from hilbchow.repvariety import generic_var
 
 
 def leibniz_det(mat):
@@ -65,6 +66,16 @@ def eval_by_letters(poly, mats):
 def mat_trace(a):
     "Sum of the diagonal entries."
     return reduce(add, (a.rows[i][i] for i in range(a.n)))
+
+
+def generic_assignment(mats):
+    "Substitution dict xi_k_i_j -> concrete entry, for ideal specialization."
+    values = {}
+    for k, M in enumerate(mats, start=1):
+        for i in range(M.n):
+            for j in range(M.n):
+                values[generic_var(k, i + 1, j + 1)] = M.rows[i][j]
+    return values
 
 
 def _perm_sign(perm):

@@ -20,11 +20,10 @@ from hilbchow import (GF, QQ, AlgebraPresentation, Cycle, DPElement, Matrix,
                       rep_ideal, stabilizer_is_trivial, triple_to_ideal,
                       triples_equivalent, ts_mul)
 from hilbchow.linalg import nullspace
-from hilbchow.repvariety import generic_assignment
 
-from oracles import (rand_commuting_split_mats, rand_free_cyclic_point,
-                     rand_invertible, rand_matrix, rand_ncpoly, seeded,
-                     shuffle_mul, stabilizer_rows, tensor_power)
+from oracles import (generic_assignment, rand_commuting_split_mats,
+                     rand_free_cyclic_point, rand_invertible, rand_matrix, rand_ncpoly,
+                     seeded, shuffle_mul, stabilizer_rows, tensor_power)
 
 FIELDS = (QQ, GF(2), GF(3))
 

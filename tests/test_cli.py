@@ -482,11 +482,11 @@ def test_parser_is_built_once():
 
 
 def loaded_after(code):
-    """The `hilbchow` submodules, `dataclasses` and `multiprocessing` that a new
-    interpreter has loaded once it has run `code`."""
+    """The `hilbchow` submodules, `dataclasses`, `inspect` and `multiprocessing`
+    that a new interpreter has loaded once it has run `code`."""
     probe = (f"{code}\nimport sys\nprint(sorted(m.removeprefix('hilbchow.') for m in "
              "sys.modules if m.startswith('hilbchow.') or m in ('dataclasses', "
-             "'multiprocessing')))")
+             "'inspect', 'multiprocessing')))")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
@@ -500,15 +500,25 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 # a cold request loads the modules its command runs: the divided-power side
-# needs no matrices, and a sweep no norm points, ideals or divided powers
+# needs no matrices, and a sweep no norm points, ideals or divided powers;
+# no request loads `dataclasses` or its `inspect`, since records derive from
+# `_tokens.Record`
+NO_DATACLASSES = {"dataclasses", "inspect"}
+MATRIX_SIDE = {"linalg", "repvariety", "cyclic", "normpoints", "counting"}
+COMMUTING = "field Q|gens x1 x2|rel x1*x2 - x2*x1"
+POINT = "point|field Q|n 2|mat 0 1; 0 0|mat 0 0; 0 0|vec 1 1"
+
+
 @pytest.mark.parametrize("argv, unused", [
-    (("dp-normalize", "--expr", "(x1 + x2)^[2]"),
-     {"linalg", "repvariety", "cyclic", "normpoints", "counting", "dataclasses"}),
-    (("gamma", "--expr", "x1*x2 - x2", "--n", "2"),
-     {"linalg", "repvariety", "cyclic", "normpoints", "counting", "dataclasses"}),
+    (("dp-normalize", "--expr", "(x1 + x2)^[2]"), MATRIX_SIDE | NO_DATACLASSES),
+    (("gamma", "--expr", "x1*x2 - x2", "--n", "2"), MATRIX_SIDE | NO_DATACLASSES),
     (("enumerate", "--presentation", "field F 2|gens x1 x2|rel x1*x2 - x2*x1",
-      "--n", "2"), {"normpoints", "cyclic", "divpow", "multiprocessing"}),
-], ids=["dp-normalize", "gamma", "enumerate"])
+      "--n", "2"), {"normpoints", "cyclic", "divpow", "multiprocessing"} | NO_DATACLASSES),
+    (("det-point", "--presentation", COMMUTING, "--point", POINT),
+     {"counting", "divpow", "multiprocessing"} | NO_DATACLASSES),
+    (("cyclic", "--presentation", COMMUTING, "--point", POINT),
+     {"normpoints", "counting", "divpow", "multiprocessing"} | NO_DATACLASSES),
+], ids=["dp-normalize", "gamma", "enumerate", "det-point", "cyclic"])
 def test_cold_request_loads_only_what_its_command_runs(argv, unused):
     loaded = loaded_after(f"from hilbchow.cli import main\n"
                           f"assert main({list(argv)!r}) == 0")

@@ -300,7 +300,7 @@ def test_freeness_exhaustive_f2_n2():
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
 def test_equal_points_hash_equal(field):
-    # the frozen point dataclasses hash their matrices, so equal points
+    # the frozen point records hash their matrices, so equal points
     # built from separate rows are one element of a set
     rng = seeded("point-hash", field.characteristic)
     mats = (rand_matrix(field, 2, rng), rand_matrix(field, 2, rng))

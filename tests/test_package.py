@@ -66,11 +66,9 @@ def test_only_divided_powers_read_block_pairs_directly():
     assert not found
 
 
-def test_src_imports_only_the_standard_library():
-    # the package is stdlib-only: every import is relative or names a module
-    # that ships with Python
+def src_imports():
+    "(file name, line, module) for every absolute import in the package."
     src = Path(hilbchow.__file__).parent
-    found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -79,8 +77,22 @@ def test_src_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name.partition(".")[0] not in sys.stdlib_module_names]
+            yield from ((path.name, node.lineno, name) for name in names)
+
+
+def test_src_imports_only_the_standard_library():
+    # the package is stdlib-only: every import is relative or names a module
+    # that ships with Python
+    found = [f"{file}:{line}: {name}" for file, line, name in src_imports()
+             if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not found
+
+
+def test_src_does_not_import_dataclasses():
+    # records derive from `_tokens.Record`, so no start pays for importing
+    # `dataclasses` (and its `inspect`) or for generating record methods
+    found = [f"{file}:{line}" for file, line, name in src_imports()
+             if name.partition(".")[0] == "dataclasses"]
     assert not found
 
 

@@ -8,10 +8,10 @@ from hilbchow import (GF, QQ, AlgebraPresentation, BudgetExceededError,
                       build_generic, charpoly, conjugate, det_point, invariant_table,
                       is_representation, nc_eval, parse_nc_poly, rep_ideal)
 from hilbchow.fields import FpElem
-from hilbchow.repvariety import generic_assignment, generic_var
+from hilbchow.repvariety import generic_var
 
-from oracles import (FIELDS, leibniz_det, rand_invertible, rand_matrix, rand_ncpoly,
-                     seeded, word_traces)
+from oracles import (FIELDS, generic_assignment, leibniz_det, rand_invertible,
+                     rand_matrix, rand_ncpoly, seeded, word_traces)
 
 
 def free_pres(m=2, field=QQ):

@@ -1,5 +1,6 @@
 """Round-trip checks: parse(print(x)) == x for every public type."""
 
+import pickle
 import re
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hilbchow import (GF, QQ, AlgebraPresentation, Cycle, DPElement,
                       det_point, dp_power, enumerate_points, gamma_n,
                       invariant_table, law_coefficients, parse_comm_poly,
                       parse_nc_poly, rep_ideal, triple_to_ideal)
+from hilbchow._tokens import Record
 
 from oracles import (FIELDS, rand_free_cyclic_point, rand_matrix, rand_ncpoly,
                      rand_vector, seeded)
@@ -150,10 +152,8 @@ MALFORMED_LINES = [
 ]
 
 
-def test_truncated_blocks_raise_typed_errors():
-    # every prefix of a printed block parses or raises one of the errors
-    # the CLI maps to an exit code, never IndexError or KeyError, and
-    # every malformed line is a ParseError
+def printed_samples():
+    "(class, object) for one object of every class that prints a block."
     rng = seeded("ser-truncated")
     rep = sample_points(QQ, rng)[0]
     a = rand_ncpoly(QQ, 2, rng, max_terms=3, max_len=2)
@@ -161,7 +161,7 @@ def test_truncated_blocks_raise_typed_errors():
                                  (Fraction(0), Fraction(2)))),))
     comp = RepPoint(QQ, (Matrix(((Fraction(0), Fraction(-1)),
                                  (Fraction(1), Fraction(0)))),))
-    samples = [
+    return [
         (RepPoint, rep),
         (PointedRep, PointedRep(rep, rand_vector(QQ, rep.n, rng))),
         (RepIdeal, rep_ideal(AlgebraPresentation(QQ, 2), 2)),
@@ -177,16 +177,88 @@ def test_truncated_blocks_raise_typed_errors():
         (EnumerationReport,
          enumerate_points(AlgebraPresentation(GF(2), 1), 1)),
     ]
-    for cls, obj in samples:
+
+
+def test_truncated_blocks_raise_typed_errors():
+    # every prefix of a printed block parses or raises one of the errors
+    # the CLI maps to an exit code, never IndexError or KeyError, and
+    # every malformed or trailing line is a ParseError
+    for cls, obj in printed_samples():
         lines = obj.to_text().splitlines()
         for k in range(len(lines)):
             try:
                 cls.from_text("\n".join(lines[:k]))
             except (ParseError, PreconditionError):
                 pass
+        with pytest.raises(ParseError, match="unrecognized .* line 'garbage here'"):
+            cls.from_text(obj.to_text() + "garbage here\n")
     for cls, text in MALFORMED_LINES:
         with pytest.raises(ParseError):
             cls.from_text(text)
+
+
+# each record's fields in constructor and `repr` order, and the records
+# that hold a dict and so cannot be hashed
+RECORD_FIELDS = {
+    AlgebraPresentation: ("field", "m", "relations"),
+    RepPoint: ("field", "mats"),
+    PointedRep: ("rep", "v"),
+    RepIdeal: ("field", "m", "n", "gens"),
+    InvariantTable: ("field", "m", "n", "max_len", "traces", "gen_dets"),
+    IdealPresentation: ("field", "m", "n", "basis_words", "action_mats",
+                        "cyclic_index"),
+    LawCoefficientTable: ("field", "n", "args", "coeffs"),
+    NormPoint: ("field", "m", "n", "max_len", "gen_charpolys", "mixed_table",
+                "word_dets"),
+    Cycle: ("field", "m", "n", "points"),
+    SplitFailure: ("field", "charpoly"),
+    EnumerationReport: ("q", "n", "m", "total_rep_points", "total_cyclic_pairs",
+                        "gl_order", "orbit_count", "elapsed_ms"),
+}
+UNHASHABLE = {InvariantTable, LawCoefficientTable, NormPoint, Cycle}
+
+
+def test_records_keep_the_frozen_record_contract():
+    pres = AlgebraPresentation(GF(3), 2, (parse_nc_poly("x1*x2 - x2*x1", GF(3), 2),))
+    samples = [(AlgebraPresentation, pres)] + [
+        (cls, obj) for cls, obj in printed_samples() if issubclass(cls, Record)]
+    assert [cls for cls, _ in samples] == list(RECORD_FIELDS)
+    assert set(RECORD_FIELDS) == set(Record.__subclasses__())
+    for j, (cls, obj) in enumerate(samples):
+        names = RECORD_FIELDS[cls]
+        values = tuple(getattr(obj, name) for name in names)
+        assert repr(obj) == (f"{cls.__name__}("
+                             + ", ".join(f"{k}={v!r}" for k, v in zip(names, values)) + ")")
+        twin = cls(*values)
+        assert twin == obj and not twin != obj
+        # neither a plain tuple nor a record of another class is equal
+        assert obj != values and obj != samples[j - 1][1]
+        # each field but the elapsed time takes part in ==
+        for i, name in enumerate(names):
+            other = cls.__new__(cls)
+            Record.__init__(other, *values[:i], object(), *values[i + 1:])
+            assert (other == obj) == (name == "elapsed_ms")
+            assert (other != obj) == (name != "elapsed_ms")
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(obj)
+        else:
+            assert hash(twin) == hash(obj)
+        for attr in (names[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, names[0])
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is cls and back == obj
+        assert tuple(getattr(back, name) for name in names) == values
+
+
+def test_reports_equal_whatever_their_elapsed_time():
+    counts = (2, 1, 1, 2, 2, 1, 2)
+    fast, slow = EnumerationReport(*counts, 0), EnumerationReport(*counts, 99)
+    assert fast == slow and hash(fast) == hash(slow)
+    assert fast != EnumerationReport(3, *counts[1:], 0)
 
 
 

@@ -17,14 +17,14 @@ kernel of powers (X_k - lam_k)^mult_k, which run on ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from ._tokens import Block, Record, block_text, parse_tuple
 from .commpoly import CommPoly, parse_comm_poly
 from .cyclic import require_cyclic
 from . import errors, fields
 from .errors import PreconditionError, require
-from .fields import QQ, FpElem, PrimeField, parse_int
+from .fields import FpElem, parse_int
 from .linalg import (Matrix, _lifted_images, charpoly, det, det_linear_combination,
                      lift, mat_mul, mat_pow, nullspace, table_len, word_matrices)
 from .linalg import nc_eval  # noqa: F401  bench/tracing.py rebinds it by name
@@ -210,16 +210,6 @@ class SplitFailure(Record):
         return cls(block.field, charpoly)
 
 
-def _synthetic_divide(coeffs, r):
-    """Divide by (t - r); returns (quotient coeffs, remainder)."""
-    out = [None] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = acc
-        acc = coeffs[i] + acc * r
-    return out, acc
-
-
 def _divisors(n):
     n = abs(n)
     require(isqrt(n), errors.MAX_ROOT_SCAN,
@@ -228,73 +218,73 @@ def _divisors(n):
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _rational_root_candidates(coeffs):
-    """Possible rational roots of an exact-coefficient polynomial."""
-    ints, _ = fields.lift(QQ, coeffs)
-    lead = ints[-1]
-    lowest = next(c for c in ints if c != 0)
-    nums, dens = _divisors(lowest), _divisors(lead)
+def _candidates(ints, p):
+    """Candidate roots a/b, as int pairs (a, b), of the int coefficients
+    `ints`, lowest first: over F_p the residues where a Horner scan vanishes
+    mod p; over Q (p = 0), 0 and +-a/b in lowest terms, a dividing the lowest
+    nonzero coefficient and b the leading one."""
+    if p:
+        require(p, errors.MAX_ROOT_SCAN, "a root search would try {} field elements")
+        top = ints[::-1]
+        for r in range(p):
+            acc = 0
+            for c in top:
+                acc = acc * r + c
+            if not acc % p:
+                yield r, 1
+        return
+    nums, dens = _divisors(next(c for c in ints if c)), _divisors(ints[-1])
     require(2 * len(nums) * len(dens), errors.MAX_ROOT_SCAN,
             "a root search would try {} rational candidates")
-    cands = {Fraction(0)}
-    for p in nums:
-        for q in dens:
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
+    yield 0, 1
+    for a in nums:
+        for b in dens:
+            if gcd(a, b) == 1:
+                yield a, b
+                yield -a, b
 
 
-def _roots_mod_p(ints, p):
-    """Roots in F_p of the integer coefficients `ints`, lowest first, up to the
-    degree in number: Horner on ints, reduced mod p once per candidate."""
-    top, roots = ints[::-1], []
-    for r in range(p):
-        acc = 0
-        for c in top:
-            acc = acc * r + c
-        if not acc % p:
-            roots.append(FpElem(p, r))
-            if len(roots) == len(top) - 1:
+def _deflate(ints, a, b, p):
+    """Divide b*t - a out of the int coefficients `ints`, lowest first, for
+    as long as it divides: exactly over Z (p = 0), else mod p (b = 1).
+    Returns the quotient and the number of divisions."""
+    mult = 0
+    while len(ints) > 1:
+        quot, acc = [], 0
+        for c in reversed(ints):
+            acc, rem = divmod(c + a * acc, b)
+            if rem:
                 break
-    return roots
+            quot.append(acc % p if p else acc)
+        if rem or quot[-1]:  # quot[-1] is the remainder, divided by b
+            break
+        ints, mult = quot[-2::-1], mult + 1
+    return ints, mult
 
 
 def field_roots(poly):
     """Roots in the base field, with multiplicities, of a polynomial in t.
 
-    Returns (sorted list of (root, multiplicity), fully_split flag).
-    Over F_p the candidates are the roots an integer scan of all p elements
-    finds; over Q they come from the rational root bound.  No algebraic
-    extensions are considered.
-    A search of more than MAX_ROOT_SCAN steps is refused up front.
+    Returns (sorted list of (root, multiplicity), fully_split flag).  The
+    coefficients are lifted to ints once, and each `_candidates` root is
+    divided out of them by `_deflate`, whose count is its multiplicity.
+    No algebraic extensions are considered.  A search of more than
+    MAX_ROOT_SCAN steps is refused up front.
     """
     field = poly.field
     coeffs = poly.univar_coeffs("t")
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
     if len(coeffs) <= 1:
         raise PreconditionError("root finding needs positive degree")
-    degree = len(coeffs) - 1
-    if isinstance(field, PrimeField):
-        require(field.p, errors.MAX_ROOT_SCAN,
-                "a root search would try {} field elements")
-        candidates = _roots_mod_p(fields.lift(field, coeffs)[0], field.p)
-    else:
-        candidates = [field(c) for c in _rational_root_candidates(coeffs)]
-    roots = []
-    for cand in candidates:
-        mult = 0
-        while len(coeffs) > 1:
-            quot, rem = _synthetic_divide(coeffs, cand)
-            if rem:
-                break
-            coeffs = quot
-            mult += 1
+    p = field.characteristic
+    ints, roots = fields.lift(field, coeffs)[0], []
+    for a, b in _candidates(ints, p):
+        ints, mult = _deflate(ints, a, b, p)
         if mult:
-            roots.append((cand, mult))
-    found = sum(mult for _, mult in roots)
+            roots.append((FpElem(p, a) if p else Fraction(a, b), mult))
+            if len(ints) == 1:
+                break
     roots.sort(key=lambda rm: rm[0])
-    return roots, found == degree
+    return roots, len(ints) == 1
 
 
 def cycle_extract(rep):

@@ -407,6 +407,20 @@ def test_oversized_gamma_degree_exit_code(capsys):
     assert err == "error: degree 10000000 exceeds the limit of 10000\n"
 
 
+# sizes below their least value are precondition failures: exit 3, one line
+@pytest.mark.parametrize("argv,message", [
+    (("rep-ideal", "--presentation", "field Q|gens x1", "--n", "0"),
+     "dimension must be at least 1"),
+    (("enumerate", "--presentation", "field F 2|gens x1", "--n", "0"),
+     "dimension must be at least 1"),
+    (("enumerate", "--presentation", "field F 2|gens x1", "--n", "2", "--workers", "0"),
+     "worker count must be at least 1"),
+    (("gamma", "--expr", "x1", "--n", "-1"), "degree must be >= 0"),
+], ids=["rep-ideal-n", "enumerate-n", "enumerate-workers", "gamma-n"])
+def test_undersized_option_exit_code(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 # words far longer than the recursion limit evaluate: products are built
 # letter by letter without recursing
 @pytest.mark.parametrize("argv,expected", [

@@ -206,6 +206,9 @@ def test_ts_mul_frozen_examples():
     prod = ts_mul(mixed, mixed)
     assert prod.terms == {((0, 0), (1, 1)): Fraction(1),
                           ((0, 1), (1, 0)): Fraction(1)}
+    # `*` on two tensors is ts_mul
+    assert mixed * mixed == prod
+    assert gx * gy == ts_mul(gx, gy)
 
 
 def _dense_slotwise(s, t):

@@ -58,6 +58,9 @@ def test_fp_int_interop():
     assert F(2) + 4 == F(0)
     assert 4 + F(2) == 0
     assert 1 / F(2) == F(2)
+    assert 1 - F(2) == F(2)
+    with pytest.raises(ZeroDivisionError):
+        1 / F(0)
     assert F(2) == 2 and F(2) == -1
     assert bool(F(0)) is False and bool(F(1)) is True
 

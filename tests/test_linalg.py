@@ -470,6 +470,10 @@ def test_solve_columns():
     assert coords == [(Fraction(1), Fraction(2))]
     with pytest.raises(PreconditionError):
         solve_columns([(Fraction(1), Fraction(0))], [(Fraction(0), Fraction(1))])
+    # no columns: the zero targets have empty coordinates, any other is outside
+    assert solve_columns([], [(Fraction(0), Fraction(0))] * 2) == [(), ()]
+    with pytest.raises(PreconditionError):
+        solve_columns([], [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))])
 
 
 def lifted(field, *entries):

@@ -245,6 +245,32 @@ def test_field_roots_over_fp_find_planted_roots():
                 assert split == splits
 
 
+def test_field_roots_over_q_find_planted_roots():
+    # c * prod (t - a/b)^e * g: the roots are the planted a/b (denominators
+    # 1 to 4, 0 among them every third time) with multiplicities e, whatever
+    # the sign and size of c; a factor g without rational roots leaves the
+    # same roots but no split
+    rng = seeded("planted-rational-roots")
+    t = CommPoly.variable(QQ, "t")
+    pool = sorted({Fraction(a, b) for a in range(-7, 8) for b in range(1, 5)} - {0})
+    for trial in range(30):
+        planted = {r: rng.randint(1, 3) for r in rng.sample(pool, rng.randint(1, 3))}
+        if trial % 3 == 0:
+            planted[Fraction(0)] = rng.randint(1, 2)
+        c = Fraction(rng.choice([-6, -3, -1, 2, 5]), rng.randint(1, 4))
+        for g, splits in ((CommPoly.const(QQ, 1), True), (t * t - 2, False),
+                          (t * t + t + 1, False)):
+            poly = g * c
+            for r, e in planted.items():
+                poly = poly * (t - r) ** e
+            roots, split = field_roots(poly)
+            assert roots == sorted(planted.items())
+            assert all(type(r) is Fraction for r, _ in roots)
+            assert split == splits
+    with pytest.raises(PreconditionError, match="root finding needs positive degree"):
+        field_roots(CommPoly.const(QQ, 3))
+
+
 def test_cycle_extract_frozen_examples():
     rep = RepPoint(QQ, (NILP, ZERO2))
     cyc = cycle_extract(rep)
